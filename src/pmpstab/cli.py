@@ -24,7 +24,8 @@ import numpy as np
 
 from .exprs import ExprDomainError, ExprError
 from .manifold import (LagrangianManifold, NotCoveredError, build_manifold,
-                       export_manifold_csv, illumination_grid, switching_curve)
+                       export_manifold_csv, illumination_grid, switching_curve,
+                       write_table)
 from .observer import (ObserverGains, select_gains, simulate_output_feedback,
                        export_error_log, is_manipulator)
 from .simulate import (BlowupError, export_trajectory_csv, simulate_closed_loop,
@@ -143,43 +144,44 @@ def _echo(cfg: dict) -> None:
 
 # ---------------------------------------------------------------- assembly
 
-def _build_system(cfg: dict) -> ControlSystem:
-    system = cfg["system"]
-    control = cfg["control"]
+def _pipeline(args, *, law: bool = True, manipulator: bool = False
+              ) -> tuple[dict, ControlSystem, LagrangianManifold,
+                         FeedbackLaw | None]:
+    """Load and echo the config, then build the system, the Lyapunov
+    function, the manifold and, with `law`, the feedback law.
+
+    With `manipulator`, a system outside the manipulator form is rejected
+    before the manifold is built.
+    """
+    cfg = load_config(args.config)
+    _echo(cfg)
+    system, control = cfg["system"], cfg["control"]
     if "values" in control:
         omega = ControlSet.finite(control["values"])
     else:
         omega = ControlSet.box(control["lower"], control["upper"])
-    kwargs = dict(name=system["name"])
     if "general" in system:
-        kwargs["general"] = system["general"]
+        pieces = dict(general=system["general"])
     else:
-        kwargs["drift"] = system["drift"]
-        kwargs["columns"] = system["columns"]
-    return ControlSystem(n=system["n"], omega=omega, **kwargs)
-
-
-def _build_lyapunov(cfg: dict) -> LyapunovSpec:
-    block = cfg["lyapunov"]
-    return LyapunovSpec(block["V"], cfg["system"]["n"],
-                        epsilon=block["epsilon"])
-
-
-def _build_manifold(cfg: dict, sys_: ControlSystem,
-                    lyap: LyapunovSpec) -> LagrangianManifold:
-    man = cfg["manifold"]
-    return build_manifold(sys_, lyap, man["N"], man["tau_max"],
-                          budget=man["budget"],
-                          query_radius=man["query_radius"])
-
-
-def _build_law(cfg: dict, sys_: ControlSystem, lyap: LyapunovSpec,
-               man: LagrangianManifold) -> FeedbackLaw:
+        pieces = dict(drift=system["drift"], columns=system["columns"])
+    sys_ = ControlSystem(n=system["n"], omega=omega, name=system["name"],
+                         **pieces)
+    if manipulator and not is_manipulator(sys_):
+        raise ConfigError("observer needs the manipulator form "
+                          "(drift x2, f; single unit column)")
+    lyap = LyapunovSpec(cfg["lyapunov"]["V"], system["n"],
+                        epsilon=cfg["lyapunov"]["epsilon"])
+    block = cfg["manifold"]
+    man = build_manifold(sys_, lyap, block["N"], block["tau_max"],
+                         budget=block["budget"],
+                         query_radius=block["query_radius"])
+    if not law:
+        return cfg, sys_, man, None
     inner = cfg["inner"]["w"]
     if not inner:
         raise ConfigError("config.inner.w is required for feedback assembly")
-    return assemble_feedback(sys_, lyap, man, inner,
-                             k=cfg["control"]["k"], C=cfg["control"]["C"])
+    return cfg, sys_, man, assemble_feedback(sys_, lyap, man, inner,
+                                             k=control["k"], C=control["C"])
 
 
 def _sim_options(cfg: dict) -> dict:
@@ -193,12 +195,7 @@ def _sim_options(cfg: dict) -> dict:
 # ------------------------------------------------------------- subcommands
 
 def _cmd_synthesize(args) -> int:
-    cfg = load_config(args.config)
-    _echo(cfg)
-    sys_ = _build_system(cfg)
-    lyap = _build_lyapunov(cfg)
-    man = _build_manifold(cfg, sys_, lyap)
-    law = _build_law(cfg, sys_, lyap, man)
+    _, _, man, law = _pipeline(args)
     switches = sum(1 for b in man.branches for e in b.events
                    if e.kind == "switch")
     print(f"manifold: branches={len(man.branches)} "
@@ -214,12 +211,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    _echo(cfg)
-    sys_ = _build_system(cfg)
-    lyap = _build_lyapunov(cfg)
-    man = _build_manifold(cfg, sys_, lyap)
-    law = _build_law(cfg, sys_, lyap, man)
+    cfg, sys_, _, law = _pipeline(args)
     sim = cfg["simulation"]
     opts = _sim_options(cfg)
     if args.grid:
@@ -234,19 +226,16 @@ def _cmd_simulate(args) -> int:
               f"v-step-increase-max={report.v_inner_increase_max:.3e} "
               f"latest-convergence={report.latest_convergence:.6g}")
         if args.out:
+            verdicts = report.verdicts
             with open(args.out, "w", newline="") as fh:
-                import csv as _csv
-                writer = _csv.writer(fh)
-                n = law.system.n
-                writer.writerow([f"x{i+1}" for i in range(n)]
-                                + ["converged", "t_converged", "max_abs_u"])
-                for p, v in zip(report.points, report.verdicts):
-                    writer.writerow(
-                        [repr(float(c)) for c in p]
-                        + [str(int(v.converged)),
-                           "" if v.t_converged is None
-                           else repr(float(v.t_converged)),
-                           repr(v.max_abs_u)])
+                write_table(
+                    fh, [f"x{i+1}" for i in range(sys_.n)]
+                    + ["converged", "t_converged", "max_abs_u"],
+                    [*report.points.T,
+                     [int(v.converged) for v in verdicts],
+                     ["" if v.t_converged is None
+                      else repr(float(v.t_converged)) for v in verdicts],
+                     [v.max_abs_u for v in verdicts]])
             print(f"wrote {args.out}")
         if not report.all_converged:
             raise BlowupError(sim["t_max"],
@@ -269,11 +258,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_switching_curve(args) -> int:
-    cfg = load_config(args.config)
-    _echo(cfg)
-    sys_ = _build_system(cfg)
-    lyap = _build_lyapunov(cfg)
-    man = _build_manifold(cfg, sys_, lyap)
+    _, sys_, man, _ = _pipeline(args, law=False)
     points = switching_curve(man)
     families = sorted({p.family for p in points})
     print(f"switching-curve: points={len(points)} families={len(families)}")
@@ -293,25 +278,17 @@ def _cmd_switching_curve(args) -> int:
         else:
             print("reference-comparison: points=0 max-deviation=nan")
     with open(args.out, "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        n = sys_.n
-        writer.writerow(["family", "psi", "tau"]
-                        + [f"x{i+1}" for i in range(n)])
-        for p in points:
-            writer.writerow([str(p.family), repr(float(p.psi)),
-                             repr(float(p.tau))]
-                            + [repr(float(v)) for v in p.x])
+        write_table(fh, ["family", "psi", "tau"]
+                    + [f"x{i+1}" for i in range(sys_.n)],
+                    [[p.family for p in points], [p.psi for p in points],
+                     [p.tau for p in points],
+                     *([p.x[i] for p in points] for i in range(sys_.n))])
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_illuminate(args) -> int:
-    cfg = load_config(args.config)
-    _echo(cfg)
-    sys_ = _build_system(cfg)
-    lyap = _build_lyapunov(cfg)
-    man = _build_manifold(cfg, sys_, lyap)
+    cfg, sys_, man, _ = _pipeline(args, law=False)
     sim = cfg["simulation"]
     if "grid" not in sim:
         raise ConfigError("config.simulation.grid is required for illuminate")
@@ -320,26 +297,14 @@ def _cmd_illuminate(args) -> int:
     print(f"illumination: inner={report.inner} "
           f"illuminated={report.illuminated} dark={report.dark}")
     with open(args.out, "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        n = sys_.n
-        writer.writerow([f"x{i+1}" for i in range(n)] + ["status"])
-        for p, status in zip(report.points, report.status):
-            writer.writerow([repr(float(v)) for v in p] + [status])
+        write_table(fh, [f"x{i+1}" for i in range(sys_.n)] + ["status"],
+                    [*report.points.T, report.status])
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_observer(args) -> int:
-    cfg = load_config(args.config)
-    _echo(cfg)
-    sys_ = _build_system(cfg)
-    if not is_manipulator(sys_):
-        raise ConfigError("observer needs the manipulator form "
-                          "(drift x2, f; single unit column)")
-    lyap = _build_lyapunov(cfg)
-    man = _build_manifold(cfg, sys_, lyap)
-    law = _build_law(cfg, sys_, lyap, man)
+    cfg, sys_, _, law = _pipeline(args, manipulator=True)
     obs = cfg["observer"]
     if "x0" not in obs or "z0" not in obs:
         raise ConfigError("config.observer.x0 and .z0 are required")
@@ -499,9 +464,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmpstab",
         description="Synthesize and test piecewise-smooth stabilizing "
-                    "feedback from a Lagrangian manifold.",
-        epilog="Set PMP_STAB_THREADS to bound worker threads for manifold "
-               "construction and grid simulation.")
+                    "feedback from a Lagrangian manifold.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synthesize", help="build manifold and feedback law")

@@ -27,8 +27,8 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "ExprError", "ExprSyntaxError", "ExprDomainError",
     "parse", "evaluate", "diff", "diff_with_flag", "to_source",
-    "has_kink", "kink_arguments", "compile_scalar", "compile_batch",
-    "FUNCTIONS",
+    "has_kink", "kink_arguments", "substitute", "free_vars",
+    "compile_scalar", "compile_batch", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh", "sign")
@@ -435,6 +435,38 @@ def kink_arguments(e: Expr) -> list[Expr]:
     return out
 
 
+# ------------------------------------------------------------ substitution
+
+def substitute(e: Expr, mapping: dict[Var, Expr]) -> Expr:
+    """Replace every variable that is a key of `mapping` by its value.
+
+    Negations are rebuilt through `_neg`, so a substituted -(-a) folds to
+    a; every other node is rebuilt as it is.
+    """
+    if isinstance(e, Var):
+        return mapping.get(e, e)
+    if isinstance(e, Neg):
+        return _neg(substitute(e.arg, mapping))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, substitute(e.lhs, mapping), substitute(e.rhs, mapping))
+    if isinstance(e, Call):
+        return Call(e.fn, substitute(e.arg, mapping))
+    return e
+
+
+def free_vars(e: Expr) -> set[Var]:
+    """Every variable (state, control or t) that occurs in `e`."""
+    if isinstance(e, Var):
+        return {e}
+    if isinstance(e, Neg):
+        return free_vars(e.arg)
+    if isinstance(e, BinOp):
+        return free_vars(e.lhs) | free_vars(e.rhs)
+    if isinstance(e, Call):
+        return free_vars(e.arg)
+    return set()
+
+
 # ----------------------------------------------------------------- printing
 
 # precedence: '+-' 1, '*/' 2, unary '-' 3, '^' 4, atoms 5
@@ -495,11 +527,6 @@ def _codegen(e: Expr, array_mode: bool) -> str:
         rhs = _codegen(e.rhs, array_mode)
         return f"({lhs} {e.op} {rhs})"
     return f"{e.fn}({_codegen(e.arg, array_mode)})"
-
-
-def _np_sign_zero(v):
-    import numpy as np
-    return np.sign(v)
 
 
 def _scalar_namespace() -> dict:

@@ -14,9 +14,8 @@ a KD-tree, switching-curve extraction and rank/isotropy sections.
 
 from __future__ import annotations
 
+import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -180,61 +179,13 @@ def seed_manifold(lyap: LyapunovSpec, count: int,
 
 # ------------------------------------------------- reversed branch integration
 
-def _closed_dynamics_exprs(sys: ControlSystem, u: Sequence[float]) -> list[ex.Expr]:
-    """xdot expressions with the control frozen to numeric values."""
-    out = []
-    if sys.affine:
-        for i in range(sys.n):
-            e: ex.Expr = sys.drift_exprs[i]
-            for j in range(sys.m):
-                e = ex._add(e, ex._mul(ex._num(u[j]), sys.column_exprs[j][i]))
-            out.append(e)
-        return out
-    for i in range(sys.n):
-        e = sys.f_exprs[i]
-        for j in range(sys.m):
-            e = _subst_u(e, j + 1, float(u[j]))
-        out.append(e)
-    return out
-
-
-def _subst_u(e: ex.Expr, index: int, value: float) -> ex.Expr:
-    if isinstance(e, ex.Var):
-        if e.kind == "u" and e.index == index:
-            return ex._num(value)
-        return e
-    if isinstance(e, ex.Neg):
-        return ex._neg(_subst_u(e.arg, index, value))
-    if isinstance(e, ex.BinOp):
-        return ex.BinOp(e.op, _subst_u(e.lhs, index, value),
-                        _subst_u(e.rhs, index, value))
-    if isinstance(e, ex.Call):
-        return ex.Call(e.fn, _subst_u(e.arg, index, value))
-    return e
-
-
-def _shift_state(e: ex.Expr, offset: int) -> ex.Expr:
-    """Relabel x_i -> x_{i+offset} so costates can share one variable vector."""
-    if isinstance(e, ex.Var):
-        if e.kind == "x":
-            return ex.Var("x", e.index + offset)
-        return e
-    if isinstance(e, ex.Neg):
-        return ex.Neg(_shift_state(e.arg, offset))
-    if isinstance(e, ex.BinOp):
-        return ex.BinOp(e.op, _shift_state(e.lhs, offset),
-                        _shift_state(e.rhs, offset))
-    if isinstance(e, ex.Call):
-        return ex.Call(e.fn, _shift_state(e.arg, offset))
-    return e
-
-
 class _FlowCompiler:
     """Per-system cache of compiled reversed-flow right-hand sides.
 
     For a frozen control u the combined state is y = (x, nu, W); the RHS
     (-xdot, J^T nu, <nu, -xdot>) is emitted as one exec-compiled function so
-    the integrator loop stays free of per-call symbolic work.
+    the integrator loop stays free of per-call symbolic work.  The system
+    must be affine with a single input.
     """
 
     def __init__(self, sys: ControlSystem):
@@ -243,14 +194,11 @@ class _FlowCompiler:
         self._cache: dict[tuple[float, ...], object] = {}
         n = sys.n
         # sigma event needs <nu, b(x)> with nu relabelled to x_{n+1..2n}
-        if sys.affine and sys.m == 1:
-            sigma_e: ex.Expr = ex.Num(0.0)
-            for i in range(n):
-                sigma_e = ex._add(
-                    sigma_e, ex._mul(ex.Var("x", n + 1 + i), sys.column_exprs[0][i]))
-            self._sigma_fn = ex.compile_scalar([sigma_e])
-        else:
-            self._sigma_fn = None
+        sigma_e: ex.Expr = ex.Num(0.0)
+        for i in range(n):
+            sigma_e = ex._add(
+                sigma_e, ex._mul(ex.Var("x", n + 1 + i), sys.column_exprs[0][i]))
+        self._sigma_fn = ex.compile_scalar([sigma_e])
 
     def sigma(self, y: np.ndarray) -> float:
         return self._sigma_fn(0.0, y, ())[0]
@@ -261,7 +209,7 @@ class _FlowCompiler:
         if fn is not None:
             return fn
         n = self.n
-        xdot = _closed_dynamics_exprs(self.sys, key)
+        xdot = self.sys.closed_loop_exprs([ex._num(v) for v in key])
         body: list[ex.Expr] = [ex._neg(e) for e in xdot]
         for k in range(n):
             acc: ex.Expr = ex.Num(0.0)
@@ -492,7 +440,7 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
 # ----------------------------------------------------------------- assembly
 
 class LagrangianManifold:
-    """Assembled branch family with a uniform-cell nearest-sample index."""
+    """Assembled branch family with a cKDTree nearest-sample index."""
 
     def __init__(self, system: ControlSystem, lyapunov: LyapunovSpec,
                  epsilon: float, branches: list[Bicharacteristic],
@@ -569,32 +517,24 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
                    **integrate_kwargs) -> LagrangianManifold:
     """Seed {V = epsilon} and integrate every reversed branch.
 
-    Per-branch failures are tolerated up to half the seed count (failed
-    branches are dropped with a warning).  Set PMP_STAB_THREADS > 1 to
-    integrate branches concurrently; assembly order is by seed index
-    either way.
+    Branches are integrated one after another and assembled in seed
+    order.  Per-branch failures are tolerated up to half the seed count
+    (failed branches are dropped with a warning).
     """
     if epsilon is None:
         epsilon = lyap.epsilon
     seeds = seed_manifold(lyap, count, epsilon)
-    compiler = _FlowCompiler(sys)
+    # other systems are rejected by integrate_bicharacteristic, per branch
+    compiler = _FlowCompiler(sys) if sys.affine and sys.m == 1 else None
 
-    def run(seed: Seed):
+    branches, failures = [], []
+    for seed in seeds:
         try:
-            return integrate_bicharacteristic(
+            branches.append(integrate_bicharacteristic(
                 sys, seed, tau_max, budget=budget, epsilon=epsilon,
-                compiler=compiler, **integrate_kwargs)
+                compiler=compiler, **integrate_kwargs))
         except Exception as exc:  # aggregated below
-            return (seed.index, exc)
-
-    threads = int(os.environ.get("PMP_STAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(s) for s in seeds]
-    branches = [r for r in results if isinstance(r, Bicharacteristic)]
-    failures = [r for r in results if not isinstance(r, Bicharacteristic)]
+            failures.append((seed.index, exc))
     if len(failures) * 2 > len(seeds):
         detail = "; ".join(f"branch {i}: {e}" for i, e in failures[:5])
         raise RuntimeError(
@@ -655,6 +595,15 @@ class IlluminationReport:
     dark: int
 
 
+def box_grid(lower: Sequence[float], upper: Sequence[float],
+             res: int) -> np.ndarray:
+    """Nodes of a uniform box grid with `res` points per axis, one row per
+    node in row-major order (the last axis varies fastest)."""
+    axes = [np.linspace(lo, hi, res) for lo, hi in zip(lower, upper)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def illumination_check(man: LagrangianManifold,
                        points: Sequence[Sequence[float]]) -> list[str]:
     """Classify points: 'inner' if V <= eps, 'illuminated' if some branch
@@ -675,9 +624,7 @@ def illumination_check(man: LagrangianManifold,
 def illumination_grid(man: LagrangianManifold, lower: Sequence[float],
                       upper: Sequence[float], grid_res: int = 41) -> IlluminationReport:
     """illumination_check over a uniform box grid, with counts."""
-    axes = [np.linspace(lo, hi, grid_res) for lo, hi in zip(lower, upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = box_grid(lower, upper, grid_res)
     status = illumination_check(man, pts)
     return IlluminationReport(pts, status,
                               status.count("inner"),
@@ -789,30 +736,44 @@ def two_path_generating_values(man: LagrangianManifold, branch_a: int,
 
 # ------------------------------------------------------------------- export
 
-def write_manifold_rows(man: LagrangianManifold, fh) -> None:
-    import csv
+_WRITE_CHUNK = 4096
 
+
+def write_table(fh, header: Sequence[str], columns: Sequence) -> None:
+    """Write a header and equal-length columns as CSV rows.
+
+    Float columns are written with repr, so the text reads back to the
+    same doubles; every other column (int, str) is written with str.
+    Rows are formatted a chunk at a time to bound the memory held.
+    """
+    cols = [np.asarray(c) for c in columns]
+    fmts = [repr if c.dtype.kind == "f" else str for c in cols]
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for lo in range(0, len(cols[0]), _WRITE_CHUNK):
+        hi = lo + _WRITE_CHUNK
+        writer.writerows(zip(*(map(fmt, c[lo:hi].tolist())
+                               for fmt, c in zip(fmts, cols))))
+
+
+def manifold_table(man: LagrangianManifold) -> tuple[list[str], list]:
+    """Header and columns of the flat sample table, one row per sample."""
     n, m = man.system.n, man.system.m
     header = (["psi", "tau"] + [f"x{i+1}" for i in range(n)]
               + [f"nu{i+1}" for i in range(n)]
               + ([f"u{j+1}" for j in range(m)] if m > 1 else ["u"])
               + ["W", "S", "event_flag"])
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    for bi, b in enumerate(man.branches):
-        flags = np.zeros(len(b.tau), dtype=int)
+    flags = np.zeros(man.n_samples, dtype=int)
+    start = 0
+    for b in man.branches:
         for evt in b.events:
-            flags[evt.sample_index] = EVENT_FLAG[evt.kind]
-        for k in range(len(b.tau)):
-            row = ([repr(float(man.psi[bi])), repr(float(b.tau[k]))]
-                   + [repr(float(v)) for v in b.x[k]]
-                   + [repr(float(v)) for v in b.nu[k]]
-                   + [repr(float(v)) for v in b.u[k]]
-                   + [repr(float(b.w[k])), repr(float(b.s[k])),
-                      str(int(flags[k]))])
-            writer.writerow(row)
+            flags[start + evt.sample_index] = EVENT_FLAG[evt.kind]
+        start += len(b.tau)
+    return header, [man.psi[man.flat_branch], man.flat_tau, *man.flat_x.T,
+                    *man.flat_nu.T, *man.flat_u.T, man.flat_w, man.flat_s,
+                    flags]
 
 
 def export_manifold_csv(man: LagrangianManifold, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        write_manifold_rows(man, fh)
+        write_table(fh, *manifold_table(man))

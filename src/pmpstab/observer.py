@@ -12,7 +12,6 @@ feedback law is then evaluated at the surrogate state (x1, z2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,8 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exprs as ex
-from .exprs import Expr
-from .manifold import LagrangianManifold, NotCoveredError
+from .manifold import LagrangianManifold, NotCoveredError, write_table
 from .simulate import TrajectoryEvent, simulate_closed_loop
 from .systems import ControlSet, ControlSystem
 
@@ -162,19 +160,8 @@ def gamma_margin(man: LagrangianManifold) -> float:
     return -worst
 
 
-def _rename_states(e: Expr, mapping: dict[int, int]) -> Expr:
-    if isinstance(e, ex.Var):
-        if e.kind == "x" and e.index in mapping:
-            return ex.Var("x", mapping[e.index])
-        return e
-    if isinstance(e, ex.Num):
-        return e
-    if isinstance(e, ex.Neg):
-        return ex._neg(_rename_states(e.arg, mapping))
-    if isinstance(e, ex.BinOp):
-        return ex.BinOp(e.op, _rename_states(e.lhs, mapping),
-                        _rename_states(e.rhs, mapping))
-    return ex.Call(e.fn, _rename_states(e.arg, mapping))
+# relabels x1 as x3 (the estimate z1) in the inner law and in f
+_X1_AS_Z1 = {ex.Var("x", 1): ex.Var("x", 3)}
 
 
 class _SurrogateLaw:
@@ -188,14 +175,8 @@ class _SurrogateLaw:
         inner = getattr(law, "inner_exprs", None)
         self.inner_dynamics = None
         if inner is not None:
-            w_sur = [_rename_states(e, {1: 3}) for e in inner]
-            closed = []
-            for i in range(4):
-                cexpr = combined.drift_exprs[i]
-                for j, w in enumerate(w_sur):
-                    cexpr = ex._add(cexpr, ex._mul(w, combined.column_exprs[j][i]))
-                closed.append(cexpr)
-            fn = ex.compile_scalar(closed)
+            w_sur = [ex.substitute(e, _X1_AS_Z1) for e in inner]
+            fn = ex.compile_scalar(combined.closed_loop_exprs(w_sur))
             self.inner_dynamics = lambda t, y: fn(t, y, ())
 
     def _proj(self, y) -> tuple[float, float]:
@@ -219,7 +200,7 @@ class _SurrogateLaw:
 
 def _combined_system(sys: ControlSystem, gains: ObserverGains) -> ControlSystem:
     f_expr = sys.drift_exprs[1]
-    f_sur = _rename_states(f_expr, {1: 3})
+    f_sur = ex.substitute(f_expr, _X1_AS_Z1)
     b1 = repr(float(gains.beta1))
     b2 = repr(float(gains.beta2))
     drift = ("x2", ex.to_source(f_expr),
@@ -294,10 +275,7 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
         w[i] = q.w
         if law.boundary_value((p[0], z[i][1])) <= 0.0:
             continue
-        try:
-            u_true = law.control(p)
-        except NotCoveredError:
-            continue
+        u_true = law.control(p)
         sigma = law.switching_value(p)
         du = float(traj.u[i][0]) - u_true[0]
         mis_t.append(float(traj.t[i]))
@@ -312,11 +290,5 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
 
 def export_error_log(result: OutputFeedbackResult, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "e1", "e2", "V_e", "W"])
-        for i in range(len(result.t)):
-            writer.writerow([repr(float(result.t[i])),
-                             repr(float(result.e[i][0])),
-                             repr(float(result.e[i][1])),
-                             repr(float(result.v_e[i])),
-                             repr(float(result.w[i]))])
+        write_table(fh, ["t", "e1", "e2", "V_e", "W"],
+                    [result.t, *result.e.T, result.v_e, result.w])

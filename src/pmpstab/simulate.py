@@ -14,10 +14,7 @@ directional derivatives of the switching value.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
-import csv
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import exprs as ex
-from .manifold import NotCoveredError
+from .manifold import box_grid, write_table
 from .systems import ControlSystem
 
 EVENT_FLAG = {
@@ -334,11 +331,8 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             u = law.control(x)
             rhs = lambda tt, y, uu=tuple(u): sys.eval_dynamics(tt, y, uu)
 
-            def sigma_event(tt, y, s=sigma0):
-                try:
-                    return law.switching_value(y)
-                except NotCoveredError:
-                    return s
+            def sigma_event(tt, y):
+                return law.switching_value(y)
             sigma_event.terminal = True
             sigma_event.direction = -s0
 
@@ -481,26 +475,12 @@ class GridReport:
 
 def simulate_grid(law, lower: Sequence[float], upper: Sequence[float],
                   grid_res: int, t_max: float, **options) -> GridReport:
-    """Run the closed loop from every node of a box grid.
-
-    PMP_STAB_THREADS > 1 runs the starts concurrently; report order is
-    the row-major grid order either way.
-    """
-    n = law.system.n
-    axes = [np.linspace(lower[i], upper[i], grid_res) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-
-    def run(p):
-        traj = simulate_closed_loop(law, p, t_max, **options)
-        return stabilization_verdict(law, traj)
-
-    threads = int(os.environ.get("PMP_STAB_THREADS", "1"))
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            verdicts = tuple(pool.map(run, pts))
-    else:
-        verdicts = tuple(run(p) for p in pts)
+    """Run the closed loop from every node of a box grid, one start after
+    another; the report follows the row-major grid order."""
+    pts = box_grid(lower, upper, grid_res)
+    verdicts = tuple(
+        stabilization_verdict(law, simulate_closed_loop(law, p, t_max, **options))
+        for p in pts)
     return GridReport(pts, verdicts)
 
 
@@ -514,10 +494,4 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
               + ([f"u{j+1}" for j in range(m)] if m > 1 else ["u"])
               + ["event_flag"])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(traj.t)):
-            writer.writerow([repr(float(traj.t[i]))]
-                            + [repr(float(v)) for v in traj.x[i]]
-                            + [repr(float(v)) for v in traj.u[i]]
-                            + [str(int(flags[i]))])
+        write_table(fh, header, [traj.t, *traj.x.T, *traj.u.T, flags])

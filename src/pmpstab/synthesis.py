@@ -24,25 +24,9 @@ import numpy as np
 from . import exprs as ex
 from .exprs import Expr
 from .hamiltonian import SWITCH_TOL, switching_values
-from .manifold import (LagrangianManifold, NotCoveredError, build_manifold,
-                       write_manifold_rows)
+from .manifold import (LagrangianManifold, NotCoveredError, box_grid,
+                       build_manifold, manifold_table, write_table)
 from .systems import ControlSystem, ControlSet, LyapunovSpec
-
-
-def _subst_u_exprs(e: Expr, repl: Sequence[Expr]) -> Expr:
-    """Replace control variables by state expressions."""
-    if isinstance(e, ex.Var):
-        if e.kind == "u":
-            return repl[e.index]
-        return e
-    if isinstance(e, ex.Num):
-        return e
-    if isinstance(e, ex.Neg):
-        return ex._neg(_subst_u_exprs(e.arg, repl))
-    if isinstance(e, ex.BinOp):
-        return ex.BinOp(e.op, _subst_u_exprs(e.lhs, repl),
-                        _subst_u_exprs(e.rhs, repl))
-    return ex.Call(e.fn, _subst_u_exprs(e.arg, repl))
 
 
 class DecreaseViolation(ValueError):
@@ -105,18 +89,7 @@ class FeedbackLaw:
     @functools.cached_property
     def inner_dynamics(self):
         """Compiled closed-loop dynamics of the inner region, fn(t, x)."""
-        if self.system.affine:
-            closed = []
-            for i in range(self.system.n):
-                e = self.system.drift_exprs[i]
-                for j in range(self.system.m):
-                    e = ex._add(e, ex._mul(self.inner_exprs[j],
-                                           self.system.column_exprs[j][i]))
-                closed.append(e)
-        else:
-            closed = [_subst_u_exprs(e, self.inner_exprs)
-                      for e in self.system.f_exprs]
-        fn = ex.compile_scalar(closed)
+        fn = ex.compile_scalar(self.system.closed_loop_exprs(self.inner_exprs))
         return lambda t, x: fn(t, x, ())
 
 
@@ -278,10 +251,7 @@ def verify_bound(law: FeedbackLaw, lower: Sequence[float],
 
     Uncovered grid points are reported, not treated as violations.
     """
-    axes = [np.linspace(lower[i], upper[i], grid_res)
-            for i in range(law.system.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = box_grid(lower, upper, grid_res)
     max_abs = 0.0
     violations = []
     not_covered = []
@@ -368,4 +338,4 @@ def export_law_csv(law: FeedbackLaw, path: str) -> None:
         fh.write(f"# epsilon: {law.epsilon!r}\n")
         fh.write(f"# k: {law.k!r}\n")
         fh.write(f"# C: {law.C!r}\n")
-        write_manifold_rows(law.manifold, fh)
+        write_table(fh, *manifold_table(law.manifold))

@@ -7,15 +7,14 @@ language in `exprs`; compiled evaluators are cached on the instance.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .exprs import (
-    Expr, ExprError, compile_batch, compile_scalar, diff_with_flag,
-    evaluate, kink_arguments, parse, to_source,
+    Expr, Var, _add, _mul, compile_batch, compile_scalar, diff_with_flag,
+    evaluate, free_vars, kink_arguments, parse, substitute, to_source,
 )
 
 __all__ = [
@@ -89,6 +88,9 @@ class ControlSet:
         return [min(max(v, l), h) for v, l, h in zip(u, self.lower, self.upper)]
 
 
+_T = Var("t", 0)
+
+
 def _parse_all(sources: Sequence[str], n: int, m: int) -> tuple[Expr, ...]:
     return tuple(parse(s, n, m) for s in sources)
 
@@ -127,9 +129,9 @@ class ControlSystem:
             for col in self.column_exprs:
                 if len(col) != n:
                     raise SystemError("each column must have n components")
-            self._reject_t(self.drift_exprs)
-            for col in self.column_exprs:
-                self._reject_t(col)
+            pieces = self.drift_exprs + tuple(e for col in self.column_exprs for e in col)
+            if any(_T in free_vars(e) for e in pieces):
+                raise SystemError("affine pieces must be autonomous (no t)")
             self.f_exprs = None
             self._drift_fn = compile_scalar(self.drift_exprs)
             self._column_fns = tuple(compile_scalar(col) for col in self.column_exprs)
@@ -144,7 +146,7 @@ class ControlSystem:
             self.drift_exprs = None
             self.column_exprs = None
             self._f_fn = compile_scalar(self.f_exprs)
-            self.autonomous = not any(self._mentions_t(e) for e in self.f_exprs)
+            self.autonomous = not any(_T in free_vars(e) for e in self.f_exprs)
         self._jac_cache: dict[str, tuple] = {}
         if check_origin:
             if self.affine:
@@ -156,24 +158,6 @@ class ControlSystem:
                     "origin is not an equilibrium of the uncontrolled system "
                     f"(residual {max(abs(v) for v in r):.3e}); pass "
                     "check_origin=False to skip this check")
-
-    @staticmethod
-    def _mentions_t(e: Expr) -> bool:
-        from .exprs import BinOp, Call, Neg, Var
-        if isinstance(e, Var):
-            return e.kind == "t"
-        if isinstance(e, Neg):
-            return ControlSystem._mentions_t(e.arg)
-        if isinstance(e, BinOp):
-            return ControlSystem._mentions_t(e.lhs) or ControlSystem._mentions_t(e.rhs)
-        if isinstance(e, Call):
-            return ControlSystem._mentions_t(e.arg)
-        return False
-
-    @staticmethod
-    def _reject_t(exprs: Sequence[Expr]) -> None:
-        if any(ControlSystem._mentions_t(e) for e in exprs):
-            raise SystemError("affine pieces must be autonomous (no t)")
 
     # ------------------------------------------------------------- dynamics
 
@@ -197,6 +181,19 @@ class ControlSystem:
                     out[i] += uj * col[i]
             return out
         return self._f_fn(t, x, u)
+
+    def closed_loop_exprs(self, controls: Sequence[Expr]) -> list[Expr]:
+        """xdot expressions with each u_j replaced by controls[j]."""
+        if not self.affine:
+            mapping = {Var("u", j + 1): c for j, c in enumerate(controls)}
+            return [substitute(e, mapping) for e in self.f_exprs]
+        out = []
+        for i in range(self.n):
+            e = self.drift_exprs[i]
+            for j, c in enumerate(controls):
+                e = _add(e, _mul(c, self.column_exprs[j][i]))
+            out.append(e)
+        return out
 
     # ------------------------------------------------------------ jacobians
 

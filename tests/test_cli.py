@@ -103,11 +103,17 @@ class TestSynthesize:
         assert man_csv.read_text().splitlines()[0] == \
             "psi,tau,x1,x2,nu1,nu2,u,W,S,event_flag"
 
-    def test_artifacts_are_byte_identical_across_runs(self, config_path,
-                                                      tmp_path):
+    @pytest.mark.parametrize("command", [["synthesize"],
+                                         ["simulate", "--grid"],
+                                         ["switching-curve"],
+                                         ["illuminate"]],
+                             ids=["synthesize", "simulate-grid",
+                                  "switching-curve", "illuminate"])
+    def test_artifacts_are_byte_identical_across_runs(self, command,
+                                                      config_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["synthesize", "--config", config_path, "--out", str(a)]) == 0
-        assert main(["synthesize", "--config", config_path, "--out", str(b)]) == 0
+        assert main(command + ["--config", config_path, "--out", str(a)]) == 0
+        assert main(command + ["--config", config_path, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -14,9 +14,11 @@ from pmpstab.exprs import (
     diff,
     diff_with_flag,
     evaluate,
+    free_vars,
     has_kink,
     kink_arguments,
     parse,
+    substitute,
     to_source,
 )
 
@@ -139,6 +141,23 @@ class TestKinkDetection:
     def test_kink_arguments_lists_inner_expressions(self):
         args = kink_arguments(parse("abs(x1 - 2) + sign(x2)", 2))
         assert [to_source(a) for a in args] == ["x1 - 2", "x2"]
+
+
+class TestSubstitution:
+    def test_substitute_replaces_listed_variables_only(self):
+        e = parse("sin(x1) * u1 - x2^2 + t", 2, 1)
+        got = substitute(e, {exprs.Var("u", 1): parse("x2 - x1", 2),
+                             exprs.Var("x", 1): exprs.Var("x", 3)})
+        assert to_source(got) == "sin(x3) * (x2 - x1) - x2^2 + t"
+
+    def test_substituted_double_negation_folds(self):
+        got = substitute(parse("-u1", 1, 1), {exprs.Var("u", 1): parse("-x1", 1)})
+        assert got == exprs.Var("x", 1)
+
+    def test_free_vars_lists_states_controls_and_time(self):
+        assert free_vars(parse("-abs(x2) * u1 + t^2 + 3", 2, 1)) == {
+            exprs.Var("x", 2), exprs.Var("u", 1), exprs.Var("t", 0)}
+        assert free_vars(parse("pi + 1", 1)) == set()
 
 
 class TestSourceRoundTrip:

@@ -127,11 +127,8 @@ class TestVerdict:
 
 
 class TestGrid:
-    def test_coarse_grid_converges_and_is_deterministic(self, di_law_small,
-                                                        monkeypatch):
-        monkeypatch.setenv("PMP_STAB_THREADS", "2")
+    def test_coarse_grid_converges_and_is_deterministic(self, di_law_small):
         g1 = simulate_grid(di_law_small, (-2.0, -2.0), (2.0, 2.0), 5, 40.0)
-        monkeypatch.setenv("PMP_STAB_THREADS", "1")
         g2 = simulate_grid(di_law_small, (-2.0, -2.0), (2.0, 2.0), 5, 40.0)
         assert len(g1.points) == 25
         assert all(v.converged for v in g1.verdicts)
