@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys as _sys
 from typing import Sequence
 
@@ -24,8 +25,7 @@ import numpy as np
 
 from .exprs import ExprDomainError, ExprError
 from .manifold import (LagrangianManifold, NotCoveredError, build_manifold,
-                       export_manifold_csv, illumination_grid, switching_curve,
-                       write_table)
+                       illumination_grid, switching_curve, write_table)
 from .observer import (ObserverGains, select_gains, simulate_output_feedback,
                        export_error_log, is_manipulator)
 from .simulate import (BlowupError, export_trajectory_csv, simulate_closed_loop,
@@ -199,15 +199,28 @@ def _cmd_synthesize(args) -> int:
     switches = sum(1 for b in man.branches for e in b.events
                    if e.kind == "switch")
     print(f"manifold: branches={len(man.branches)} "
-          f"samples={man.n_samples} switches={switches}")
+          f"samples={man.n_samples} switches={switches} dropped={man.dropped}")
     print(f"law: epsilon={law.epsilon:g} k={law.k:g} C={law.C:g} "
           f"boundary-margin={law.boundary_margin:.6g}")
     export_law_csv(law, args.out)
     print(f"wrote {args.out}")
     if args.manifold_out:
-        export_manifold_csv(man, args.manifold_out)
+        _copy_sample_table(args.out, args.manifold_out)
         print(f"wrote {args.manifold_out}")
     return 0
+
+
+def _copy_sample_table(law_path: str, out_path: str) -> None:
+    """Write the manifold CSV as the bytes of a law CSV from the header
+    row of its sample table on, which are what export_manifold_csv
+    writes.  The '#' lines before it can run over several lines when an
+    inner-law source holds a newline; none of them starts with 'psi,'."""
+    with open(law_path, "rb") as src, open(out_path, "wb") as dst:
+        line = src.readline()
+        while line and not line.startswith(b"psi,"):
+            line = src.readline()
+        dst.write(line)
+        shutil.copyfileobj(src, dst)
 
 
 def _cmd_simulate(args) -> int:

@@ -19,6 +19,7 @@ and the kink arguments can be recovered with `kink_arguments`.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
@@ -28,7 +29,7 @@ __all__ = [
     "ExprError", "ExprSyntaxError", "ExprDomainError",
     "parse", "evaluate", "diff", "diff_with_flag", "to_source",
     "has_kink", "kink_arguments", "substitute", "free_vars",
-    "compile_scalar", "compile_batch", "FUNCTIONS",
+    "compile_scalar", "compile_ode", "compile_batch", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh", "sign")
@@ -523,8 +524,11 @@ def _codegen(e: Expr, array_mode: bool) -> str:
     if isinstance(e, BinOp):
         lhs = _codegen(e.lhs, array_mode)
         if e.op == "^":
-            return f"({lhs} ** {int(e.rhs.value)})"  # type: ignore[union-attr]
+            k = int(e.rhs.value)  # type: ignore[union-attr]
+            return f"_pow({lhs}, {k})" if array_mode else f"({lhs} ** {k})"
         rhs = _codegen(e.rhs, array_mode)
+        if e.op == "/" and array_mode:
+            return f"_div({lhs}, {rhs})"
         return f"({lhs} {e.op} {rhs})"
     return f"{e.fn}({_codegen(e.arg, array_mode)})"
 
@@ -535,13 +539,50 @@ def _scalar_namespace() -> dict:
     return ns
 
 
-def _batch_namespace() -> dict:
+def _elementwise(fn: Callable) -> Callable:
+    """fn applied to every element of its broadcast array arguments, with
+    fn's own results and exceptions."""
     import numpy as np
-    return {
-        "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-        "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh,
-        "sign": np.sign, "np": np,
-    }
+
+    def apply(*args):
+        arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+        flat = map(fn, *(a.ravel().tolist() for a in arrs))
+        return np.fromiter(flat, float, arrs[0].size).reshape(arrs[0].shape)
+
+    return apply
+
+
+def _batch_namespace() -> dict:
+    # numpy's own transcendental functions and integer powers may differ
+    # from the C library in the last bit, so every function, power and
+    # division is applied element by element with the scalar operation
+    ns = {name: _elementwise(fn) for name, fn in _scalar_namespace().items()}
+    ns["_pow"] = _elementwise(pow)
+    ns["_div"] = _elementwise(operator.truediv)
+    import numpy as np
+    ns["np"] = np
+    return ns
+
+
+_DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _exec_guarded(signature: str, prologue: Sequence[str],
+                  body: Sequence[str], ns: dict) -> Callable:
+    """exec-compile `def _fn(signature)`: the prologue lines, then the body
+    lines with the domain errors of their operations raised as
+    ExprDomainError.  The source is kept as fn._source."""
+    src = (f"def _fn({signature}):\n"
+           + "".join(f"    {line}\n" for line in prologue)
+           + "    try:\n"
+           + "".join(f"        {line}\n" for line in body)
+           + "    except _DOMAIN_ERRORS as exc:\n"
+           + "        raise ExprDomainError(str(exc)) from exc\n")
+    ns.update(_DOMAIN_ERRORS=_DOMAIN_ERRORS, ExprDomainError=ExprDomainError)
+    exec(src, ns)
+    fn = ns["_fn"]
+    fn._source = src
+    return fn
 
 
 def compile_scalar(exprs: Iterable[Expr]) -> Callable:
@@ -555,29 +596,52 @@ def compile_scalar(exprs: Iterable[Expr]) -> Callable:
     def fn(t, x, u):
         try:
             return raw(t, x, u)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except _DOMAIN_ERRORS as exc:
             raise ExprDomainError(str(exc)) from exc
 
     fn._source = src  # type: ignore[attr-defined]
     return fn
 
 
+def compile_ode(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:
+    """Compile to an ODE right-hand side fn(t, y) -> list[float].
+
+    y is read once with y.tolist(), and x1, x2, ... stand for y[0], y[1],
+    ...; the expressions may use t and x only.  The values v1, v2, ... of
+    `exprs` come first.  When `weights` lists 1-based state indices
+    w1..wr, one more entry follows: 0.0 + x_w1*v1 + ... + x_wr*vr, summed
+    left to right.  Domain errors raise ExprDomainError.  The whole
+    evaluation is one exec-compiled function, so an integrator pays a
+    single Python call per right-hand side.
+    """
+    exprs = list(exprs)
+    names = [f"v{k}" for k in range(len(exprs))]
+    body = [f"{name} = {_codegen(e, array_mode=False)}"
+            for name, e in zip(names, exprs)]
+    values = list(names)
+    if weights:
+        values.append("0.0" + "".join(f" + x[{w - 1}] * {name}"
+                                      for w, name in zip(weights, names)))
+    body.append(f"return [{', '.join(values)}]")
+    return _exec_guarded("t, y", ["x = y.tolist()"], body, _scalar_namespace())
+
+
 def compile_batch(exprs: Iterable[Expr]) -> Callable:
     """Compile to fn(t, X, U) -> (len(exprs), nsamples) stacked array.
 
-    Batch mode follows numpy semantics (inf/nan instead of raised domain
-    errors); use it for sampling diagnostics, not for validated evaluation.
+    Row k of the result is, bit for bit, what compile_scalar's function
+    gives at (t, X[k], U[k]): sums, differences, products and negations
+    run on whole numpy arrays, whose IEEE arithmetic rounds as Python's
+    does, and every function, integer power and division is applied
+    element by element with the scalar operation.  Domain errors raise
+    ExprDomainError as in compile_scalar; an overflow to inf or a nan,
+    which Python's arithmetic passes silently, raises no numpy warning.
     """
-    exprs = list(exprs)
     parts = []
     for e in exprs:
         code = _codegen(e, array_mode=True)
         # promote constants to full columns
         parts.append(f"np.broadcast_to(np.asarray({code}, dtype=float), (x.shape[0],))")
-    body = ", ".join(parts)
-    src = f"def _fn(t, x, u):\n    return np.stack([{body}])\n"
-    ns = _batch_namespace()
-    exec(src, ns)
-    raw = ns["_fn"]
-    raw._source = src  # type: ignore[attr-defined]
-    return raw
+    body = ["with np.errstate(over='ignore', invalid='ignore'):",
+            f"    return np.stack([{', '.join(parts)}])"]
+    return _exec_guarded("t, x, u", [], body, _batch_namespace())

@@ -24,6 +24,7 @@ from .systems import ControlSystem, SystemError, lie_bracket_adfb
 
 __all__ = [
     "MinimizerResult", "minimize_hamiltonian", "hamiltonian_value",
+    "hamiltonian_values",
     "branch_control", "reversed_rhs", "forward_rhs",
     "SWITCH_TOL",
 ]
@@ -47,6 +48,18 @@ def hamiltonian_value(sys: ControlSystem, t: float, x: Sequence[float],
         return minimize_hamiltonian(sys, t, x, nu).value
     xdot = sys.eval_dynamics(t, x, u)
     return float(sum(nv * xv for nv, xv in zip(nu, xdot)))
+
+
+def hamiltonian_values(sys: ControlSystem, x: np.ndarray, nu: np.ndarray,
+                       u: np.ndarray) -> np.ndarray:
+    """hamiltonian_value at every row of x, nu (K, n) and u (K, m) of an
+    affine system, equal to it bit for bit: 0 + nu_1 xdot_1 + nu_2 xdot_2
+    + ..., summed in that order.  Domain errors raise ExprDomainError."""
+    xdot = sys.eval_dynamics_batch(x, u)
+    s = 0.0
+    for i in range(sys.n):
+        s = s + nu[:, i] * xdot[i]
+    return s
 
 
 def switching_values(sys: ControlSystem, x: Sequence[float],

@@ -24,7 +24,7 @@ from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
 from . import exprs as ex
-from .hamiltonian import SWITCH_TOL, branch_control, hamiltonian_value, reversed_rhs
+from .hamiltonian import SWITCH_TOL, branch_control, hamiltonian_values, reversed_rhs
 from .systems import ControlSystem, LyapunovSpec, SystemError, lie_bracket_adfb
 
 __all__ = [
@@ -183,9 +183,10 @@ class _FlowCompiler:
     """Per-system cache of compiled reversed-flow right-hand sides.
 
     For a frozen control u the combined state is y = (x, nu, W); the RHS
-    (-xdot, J^T nu, <nu, -xdot>) is emitted as one exec-compiled function so
-    the integrator loop stays free of per-call symbolic work.  The system
-    must be affine with a single input.
+    (-xdot, J^T nu, <nu, -xdot>) is emitted by `exprs.compile_ode` as one
+    exec-compiled function that reads y once with y.tolist() and returns
+    all 2n+1 entries, so one solver call costs one Python call and no
+    per-call symbolic work.  The system must be affine with a single input.
     """
 
     def __init__(self, sys: ControlSystem):
@@ -217,16 +218,8 @@ class _FlowCompiler:
                 dik, _ = ex.diff_with_flag(xdot[i], f"x{k + 1}")
                 acc = ex._add(acc, ex._mul(dik, ex.Var("x", n + 1 + i)))
             body.append(acc)
-        core = ex.compile_scalar(body)
-
-        def fn(t, y, _core=core, _n=n):
-            vals = _core(t, y, ())
-            dw = 0.0
-            for k in range(_n):
-                dw += y[_n + k] * vals[k]
-            vals.append(dw)
-            return vals
-
+        # dW = <nu, -xdot> pairs nu_k = x_{n+k} with the first n entries
+        fn = ex.compile_ode(body, weights=range(n + 1, 2 * n + 1))
         self._cache[key] = fn
         return fn
 
@@ -281,15 +274,17 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
     if degenerate_seed:
         trans = float(np.dot(y[n:2 * n], lie_bracket_adfb(sys, y[:n], 0)))
         if non_transversal or abs(trans) <= transversality_tol:
+            # the branch is the seed sample alone
             record_event("transversality-failure", 0.0, y, trans, 0)
-            return Bicharacteristic(
-                seed, np.array([0.0]), y[:n].copy().reshape(1, n),
-                y[n:2 * n].copy().reshape(1, n),
-                np.array([u], dtype=float), np.array([w0]),
-                np.array([hamiltonian_value(sys, 0.0, y[:n], y[n:2 * n], u)]),
-                events, True, True)
-        # seed lies on the switching surface; sigma leaves zero with the
-        # resolved sign, so this is a departure, not a recorded switch
+            taus.append(np.array([0.0]))
+            xs.append(y[:n].reshape(1, n))
+            nus.append(y[n:2 * n].reshape(1, n))
+            ws.append(y[2 * n:])
+            us.append(np.array([u], dtype=float))
+            stopped = True
+        # otherwise the seed lies on the switching surface; sigma leaves
+        # zero with the resolved sign, so this is a departure, not a
+        # recorded switch
 
     tau0 = 0.0
     nudge_first = degenerate_seed
@@ -374,9 +369,7 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
     nu_all = np.vstack(nus)
     u_all = np.vstack(us)
     w_all = np.concatenate(ws)
-    s_all = np.empty(len(tau_all))
-    for i in range(len(tau_all)):
-        s_all[i] = hamiltonian_value(sys, tau_all[i], x_all[i], nu_all[i], u_all[i])
+    s_all = hamiltonian_values(sys, x_all, nu_all, u_all)
     return Bicharacteristic(seed, tau_all, x_all, nu_all, u_all, w_all, s_all,
                             events, degenerate_seed, stopped)
 
@@ -440,16 +433,21 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
 # ----------------------------------------------------------------- assembly
 
 class LagrangianManifold:
-    """Assembled branch family with a cKDTree nearest-sample index."""
+    """Assembled branch family with a cKDTree nearest-sample index.
+
+    `dropped` counts the seeds whose branch failed and is missing from
+    `branches`.
+    """
 
     def __init__(self, system: ControlSystem, lyapunov: LyapunovSpec,
                  epsilon: float, branches: list[Bicharacteristic],
                  tau_max: float, budget: float,
-                 query_radius: float | None = None):
+                 query_radius: float | None = None, dropped: int = 0):
         self.system = system
         self.lyapunov = lyapunov
         self.epsilon = epsilon
         self.branches = branches
+        self.dropped = dropped
         self.tau_max = tau_max
         self.budget = budget
         self.psi = np.array([b.seed.psi for b in branches])
@@ -518,8 +516,9 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
     """Seed {V = epsilon} and integrate every reversed branch.
 
     Branches are integrated one after another and assembled in seed
-    order.  Per-branch failures are tolerated up to half the seed count
-    (failed branches are dropped with a warning).
+    order.  Per-branch failures are tolerated up to half the seed count:
+    failed branches are dropped with a warning and counted in the
+    manifold's `dropped`.
     """
     if epsilon is None:
         epsilon = lyap.epsilon
@@ -544,7 +543,7 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
         warnings.warn(f"dropped {len(failures)} failed branches "
                       f"(first: branch {failures[0][0]}: {failures[0][1]})")
     return LagrangianManifold(sys, lyap, epsilon, branches, tau_max, budget,
-                              query_radius)
+                              query_radius, dropped=len(failures))
 
 
 def query_manifold(man: LagrangianManifold, x: Sequence[float]) -> QueryResult:

@@ -136,6 +136,7 @@ class ControlSystem:
             self._drift_fn = compile_scalar(self.drift_exprs)
             self._column_fns = tuple(compile_scalar(col) for col in self.column_exprs)
             self._drift_batch = compile_batch(self.drift_exprs)
+            self._column_batches = tuple(compile_batch(col) for col in self.column_exprs)
             self.autonomous = True
         else:
             if drift is not None or columns is not None:
@@ -181,6 +182,17 @@ class ControlSystem:
                     out[i] += uj * col[i]
             return out
         return self._f_fn(t, x, u)
+
+    def eval_dynamics_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """eval_dynamics at every row of x (K, n) and u (K, m) of an affine
+        system, as an (n, K) array equal to it bit for bit: the drift plus
+        u_j times column j, added channel by channel in order."""
+        if not self.affine:
+            raise SystemError("batched dynamics need the affine form")
+        out = self._drift_batch(0.0, x, None)
+        for j, fn in enumerate(self._column_batches):
+            out = out + u[:, j] * fn(0.0, x, None)
+        return out
 
     def closed_loop_exprs(self, controls: Sequence[Expr]) -> list[Expr]:
         """xdot expressions with each u_j replaced by controls[j]."""

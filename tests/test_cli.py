@@ -2,12 +2,16 @@
 reproducible artifacts.  Everything runs in-process through main()."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from pmpstab import cli
 from pmpstab.cli import ConfigError, load_config, main
+from pmpstab.manifold import export_manifold_csv
 
 
 BASE_CONFIG = {
@@ -102,6 +106,34 @@ class TestSynthesize:
         assert law_csv.read_text().startswith("# inner1: ")
         assert man_csv.read_text().splitlines()[0] == \
             "psi,tau,x1,x2,nu1,nu2,u,W,S,event_flag"
+
+    @pytest.mark.parametrize("inner", [BASE_CONFIG["inner"]["w"][0],
+                                       "-x1\n - x2*(1 - x1^2)/2"],
+                             ids=["one-line", "two-line"])
+    def test_manifold_csv_is_the_table_of_the_law_csv(self, inner, tmp_path,
+                                                       monkeypatch, capsys):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["inner"]["w"] = [inner]
+        config_path = write_config(tmp_path, cfg)
+        laws = []
+        export = cli.export_law_csv
+
+        def recording_export(law, path):
+            laws.append(law)
+            export(law, path)
+
+        monkeypatch.setattr(cli, "export_law_csv", recording_export)
+        law_csv, man_csv = tmp_path / "law.csv", tmp_path / "man.csv"
+        rc = main(["synthesize", "--config", config_path,
+                   "--out", str(law_csv), "--manifold-out", str(man_csv)])
+        assert rc == 0 and len(laws) == 1
+        ref_csv = tmp_path / "ref.csv"
+        export_manifold_csv(laws[0].manifold, str(ref_csv))
+        assert man_csv.read_bytes() == ref_csv.read_bytes()
+        law_bytes = law_csv.read_bytes()
+        assert law_bytes[law_bytes.index(b"psi,"):] == man_csv.read_bytes()
+        assert re.search(r"\nmanifold: branches=64 samples=\d+ switches=\d+ "
+                         r"dropped=0\n", capsys.readouterr().out)
 
     @pytest.mark.parametrize("command", [["synthesize"],
                                          ["simulate", "--grid"],
@@ -221,9 +253,13 @@ class TestPlot:
 
 class TestEntryPoint:
     def test_console_script_shows_usage(self):
+        # the child imports the same pmpstab as the suite, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c",
                                "from pmpstab.cli import main; main(['--help'])"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "synthesize" in proc.stdout
         assert "observer" in proc.stdout

@@ -10,6 +10,7 @@ from pmpstab.exprs import (
     ExprDomainError,
     ExprSyntaxError,
     compile_batch,
+    compile_ode,
     compile_scalar,
     diff,
     diff_with_flag,
@@ -214,3 +215,43 @@ class TestCompiled:
         out = fn(0.0, np.zeros((5, 1)), np.zeros((5, 0)))
         assert out.shape == (1, 5)
         assert np.all(out == 2.0)
+
+    def test_batch_equals_scalar_bit_for_bit(self):
+        # numpy's exp and integer powers differ from the C library in the
+        # last bit on some inputs; the batch path must not
+        srcs = ["exp(x1)*x2^3 - x1/(1 + x2^2)", "log(1 + x1^2) + sqrt(abs(x2))",
+                "tan(x1) - tanh(x2)*u1 + sign(x1 - x2)", "t*x1 - cos(u1)^2"]
+        es = [parse(s, 2, 1) for s in srcs]
+        batch, scalar = compile_batch(es), compile_scalar(es)
+        rng = np.random.default_rng(13)
+        X = 3.0 * rng.normal(size=(500, 2))
+        U = rng.normal(size=(500, 1))
+        out = batch(0.7, X, U)
+        want = np.array([scalar(0.7, x, u) for x, u in zip(X.tolist(), U.tolist())])
+        assert out.T.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("src, bad", [("sqrt(x1)", -1.0), ("log(x1)", 0.0),
+                                          ("1/x1", 0.0), ("exp(x1)", 1e3),
+                                          ("x1^3", 1e200)])
+    def test_batch_raises_domain_error_where_scalar_does(self, src, bad):
+        es = [parse(src, 1)]
+        with pytest.raises(ExprDomainError):
+            compile_scalar(es)(0.0, [bad], [])
+        X = np.array([[0.5], [bad], [2.0]])
+        with pytest.raises(ExprDomainError):
+            compile_batch(es)(0.0, X, np.zeros((3, 0)))
+
+    def test_ode_returns_values_then_weighted_sum(self):
+        es = [parse("-x2", 3), parse("sin(x1)*x3", 3)]
+        fn = compile_ode(es, weights=(3, 2))
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            y = rng.normal(size=3)
+            v1, v2 = compile_scalar(es)(0.0, y.tolist(), [])
+            assert fn(0.0, y) == [v1, v2, 0.0 + y[2] * v1 + y[1] * v2]
+        assert compile_ode(es)(0.0, y) == [v1, v2]
+
+    def test_ode_raises_domain_error(self):
+        fn = compile_ode([parse("sqrt(x1)", 1)])
+        with pytest.raises(ExprDomainError):
+            fn(0.0, np.array([-1.0]))

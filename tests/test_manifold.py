@@ -21,9 +21,13 @@ import math
 import numpy as np
 import pytest
 
+import pmpstab.exprs as ex
 import pmpstab.manifold as M
+from pmpstab.hamiltonian import hamiltonian_value, hamiltonian_values
 from pmpstab.manifold import NotCoveredError, flow_forward, seed_manifold
-from pmpstab.systems import LyapunovSpec
+from pmpstab.observer import manipulator_system
+from pmpstab.synthesis import double_integrator_system
+from pmpstab.systems import ControlSet, ControlSystem, LyapunovSpec
 
 
 def closed_nu(psi, tau):
@@ -323,6 +327,20 @@ class TestBuildControls:
         assert np.array_equal(m1.flat_w, m2.flat_w)
         assert np.array_equal(m1.flat_branch, m2.flat_branch)
 
+    def test_failed_branches_are_counted(self, di_lyap):
+        # sqrt(2 - x1) leaves its domain on the branches that reach x1 > 2
+        sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
+                            drift=("x2", "sqrt(2 - x1) - sqrt(2)"),
+                            columns=[("0", "1")])
+        with pytest.warns(UserWarning, match="dropped 4 failed branches"):
+            man = M.build_manifold(sys, di_lyap, 16, 2.0)
+        assert man.dropped == 4
+        assert len(man.branches) == 12
+
+    def test_nothing_dropped_is_counted_as_zero(self, di_manifold_small):
+        assert di_manifold_small.dropped == 0
+        assert len(di_manifold_small.branches) == 64
+
     def test_flat_index_covers_every_sample(self, di_manifold_small):
         man = di_manifold_small
         assert man.n_samples == sum(len(b.tau) for b in man.branches)
@@ -370,3 +388,101 @@ class TestExport:
         M.export_manifold_csv(di_manifold_small, str(a))
         M.export_manifold_csv(di_manifold_small, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def bits(values):
+    """The bytes of float64 values, so that == compares bit for bit."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def scalar_s(sys, x, nu, u):
+    return [hamiltonian_value(sys, 0.0, xi, ni, ui) for xi, ni, ui in zip(x, nu, u)]
+
+
+def reference_rhs(sys, u):
+    """The reversed-flow RHS in three layers, the reference for
+    compile_ode: a closure calling compile_scalar's wrapper of the body,
+    then dW accumulated in a loop."""
+    n = sys.n
+    xdot = sys.closed_loop_exprs([ex._num(v) for v in u])
+    body = [ex._neg(e) for e in xdot]
+    for k in range(n):
+        acc = ex.Num(0.0)
+        for i in range(n):
+            dik, _ = ex.diff_with_flag(xdot[i], f"x{k + 1}")
+            acc = ex._add(acc, ex._mul(dik, ex.Var("x", n + 1 + i)))
+        body.append(acc)
+    core = ex.compile_scalar(body)
+
+    def fn(t, y):
+        vals = core(t, y, ())
+        dw = 0.0
+        for k in range(n):
+            dw += y[n + k] * vals[k]
+        vals.append(dw)
+        return vals
+
+    return fn
+
+
+def rich_system():
+    """Powers, exp, tanh, a division and a state-dependent column."""
+    return ControlSystem(2, ControlSet.box([-2.0], [2.0]),
+                         drift=("x2", "-x1^3/3 - tanh(x2) + exp(-x1^2) - 1"),
+                         columns=[("0", "1 + x1/(2 + cos(x2))")])
+
+
+class TestBitIdentity:
+    """The batched Hamiltonian post-pass and the one-call reversed-flow RHS
+    reproduce the scalar evaluation bit for bit."""
+
+    def test_batched_s_matches_scalar_on_the_di_manifold(self, di_system,
+                                                         di_manifold_small):
+        man = di_manifold_small
+        assert bits(man.flat_s) == bits(
+            scalar_s(di_system, man.flat_x, man.flat_nu, man.flat_u))
+
+    def test_batched_s_matches_scalar_on_a_pendulum_manifold(self, pend_system,
+                                                             pend_lyap):
+        man = M.build_manifold(pend_system, pend_lyap, 16, 12.0)
+        assert bits(man.flat_s) == bits(
+            scalar_s(pend_system, man.flat_x, man.flat_nu, man.flat_u))
+
+    def test_batched_s_matches_scalar_on_random_rows(self):
+        sys = rich_system()
+        rng = np.random.default_rng(21)
+        x, nu = 2.0 * rng.normal(size=(400, 2)), rng.normal(size=(400, 2))
+        u = rng.choice([-2.0, 2.0], size=(400, 1))
+        assert bits(hamiltonian_values(sys, x, nu, u)) == bits(scalar_s(sys, x, nu, u))
+
+    @pytest.mark.parametrize("f", ["sqrt(1 + x1) - 1", "log(1 + x1)"])
+    def test_batched_s_raises_where_scalar_raises(self, f):
+        sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
+                            drift=("x2", f), columns=[("0", "1")])
+        x = np.array([[0.5, 0.1], [-2.0, 0.3], [1.0, -1.0]])
+        nu, u = np.ones((3, 2)), np.ones((3, 1))
+        with pytest.raises(ex.ExprDomainError):
+            hamiltonian_value(sys, 0.0, x[1], nu[1], u[1])
+        with pytest.raises(ex.ExprDomainError):
+            hamiltonian_values(sys, x, nu, u)
+        assert bits(hamiltonian_values(sys, x[::2], nu[::2], u[::2])) == bits(
+            scalar_s(sys, x[::2], nu[::2], u[::2]))
+
+    @pytest.mark.parametrize("make", [double_integrator_system,
+                                      lambda: manipulator_system("-sin(x1)"),
+                                      rich_system], ids=["di", "pendulum", "rich"])
+    def test_rhs_matches_the_three_layer_reference(self, make):
+        sys = make()
+        compiler = M._FlowCompiler(sys)
+        rng = np.random.default_rng(22)
+        for u in ([sys.omega.lower[0]], [sys.omega.upper[0]]):
+            rhs, ref = compiler.rhs(u), reference_rhs(sys, u)
+            for _ in range(200):
+                y = 3.0 * rng.normal(size=5)
+                assert bits(rhs(0.0, y)) == bits(ref(0.0, y))
+
+    def test_rhs_raises_domain_errors(self):
+        sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
+                            drift=("x2", "sqrt(1 + x1) - 1"), columns=[("0", "1")])
+        with pytest.raises(ex.ExprDomainError):
+            M._FlowCompiler(sys).rhs([1.0])(0.0, np.array([-2.0, 0.0, 1.0, 1.0, 0.0]))
