@@ -213,8 +213,7 @@ def _cmd_synthesize(args) -> int:
 def _copy_sample_table(law_path: str, out_path: str) -> None:
     """Write the manifold CSV as the bytes of a law CSV from the header
     row of its sample table on, which are what export_manifold_csv
-    writes.  The '#' lines before it can run over several lines when an
-    inner-law source holds a newline; none of them starts with 'psi,'."""
+    writes."""
     with open(law_path, "rb") as src, open(out_path, "wb") as dst:
         line = src.readline()
         while line and not line.startswith(b"psi,"):

@@ -345,7 +345,7 @@ def evaluate(e: Expr, x: Sequence[float] = (), u: Sequence[float] = (), t: float
 
 # ----------------------------------------------------------- differentiation
 
-def _as_var(var: Union[str, Var], n_hint: int = 64) -> Var:
+def _as_var(var: Union[str, Var]) -> Var:
     if isinstance(var, Var):
         return var
     if var == "t":
@@ -586,21 +586,20 @@ def _exec_guarded(signature: str, prologue: Sequence[str],
 
 
 def compile_scalar(exprs: Iterable[Expr]) -> Callable:
-    """Compile to fn(t, x, u) -> list[float]; domain errors raise ExprDomainError."""
+    """Compile to fn(t, x, u) -> list[float]; domain errors raise ExprDomainError.
+
+    An ndarray x or u is read once with .tolist(), so the expressions run
+    in Python float arithmetic, which raises on a division by zero where
+    numpy scalars return inf.
+    """
+    import numpy as np
     body = ", ".join(_codegen(e, array_mode=False) for e in exprs)
-    src = f"def _fn(t, x, u):\n    return [{body}]\n"
     ns = _scalar_namespace()
-    exec(src, ns)
-    raw = ns["_fn"]
-
-    def fn(t, x, u):
-        try:
-            return raw(t, x, u)
-        except _DOMAIN_ERRORS as exc:
-            raise ExprDomainError(str(exc)) from exc
-
-    fn._source = src  # type: ignore[attr-defined]
-    return fn
+    ns["ndarray"] = np.ndarray
+    return _exec_guarded("t, x, u",
+                         ["if x.__class__ is ndarray: x = x.tolist()",
+                          "if u.__class__ is ndarray: u = u.tolist()"],
+                         [f"return [{body}]"], ns)
 
 
 def compile_ode(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:

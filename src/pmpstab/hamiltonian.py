@@ -4,8 +4,10 @@ characteristic flows.
 For a costate nu the Hamiltonian is S(nu, t, x, u) = <nu, xdot(t, x, u)> and
 the minimizing control is taken over the admissible set.  For affine systems
 with a box set this reduces to a per-channel sign rule on the switching
-values sigma_j = <nu, b_j(x)>; a channel with |sigma_j| <= switch_tol is
-degenerate and the minimizer is not unique.
+values sigma_j = <nu, b_j(x)>; a channel with |sigma_j| <= SWITCH_TOL is
+degenerate and the minimizer is not unique.  SWITCH_TOL is the one
+switching tolerance of the package: the manifold, the feedback law and the
+closed-loop simulator all read it from here.
 
 The forward flow is xdot = dS/dnu, nudot = -dS/dx; the reversed flow negates
 both.  Both are evaluated at the frozen minimizing control, which is valid
@@ -26,10 +28,12 @@ __all__ = [
     "MinimizerResult", "minimize_hamiltonian", "hamiltonian_value",
     "hamiltonian_values",
     "branch_control", "reversed_rhs", "forward_rhs",
-    "SWITCH_TOL",
+    "SWITCH_TOL", "MINIMIZER_GRID_RES",
 ]
 
 SWITCH_TOL = 1e-10
+# points per channel of the grid scan for general dynamics over a box
+MINIMIZER_GRID_RES = 101
 
 
 @dataclass(frozen=True)
@@ -72,13 +76,12 @@ def switching_values(sys: ControlSystem, x: Sequence[float],
 
 
 def minimize_hamiltonian(sys: ControlSystem, t: float, x: Sequence[float],
-                         nu: Sequence[float], switch_tol: float = SWITCH_TOL,
-                         grid_res: int = 101) -> MinimizerResult:
+                         nu: Sequence[float]) -> MinimizerResult:
     """Minimize S over the admissible control set.
 
     Affine + box uses the exact per-channel rule; finite sets are scanned
     exhaustively with first-index ties; general dynamics with a box set fall
-    back to a cartesian grid of grid_res points per channel.
+    back to a cartesian grid of MINIMIZER_GRID_RES points per channel.
     """
     omega = sys.omega
     if omega.is_box and sys.affine:
@@ -86,9 +89,9 @@ def minimize_hamiltonian(sys: ControlSystem, t: float, x: Sequence[float],
         u = []
         degenerate = False
         for j, s in enumerate(sig):
-            if s > switch_tol:
+            if s > SWITCH_TOL:
                 u.append(omega.lower[j])
-            elif s < -switch_tol:
+            elif s < -SWITCH_TOL:
                 u.append(omega.upper[j])
             else:
                 degenerate = True
@@ -102,10 +105,10 @@ def minimize_hamiltonian(sys: ControlSystem, t: float, x: Sequence[float],
         degenerate = False
         for vals in omega.values:
             s = hamiltonian_value(sys, t, x, nu, vals)
-            if s < best - switch_tol:
+            if s < best - SWITCH_TOL:
                 best, best_u = s, vals
                 degenerate = False
-            elif s <= best + switch_tol and vals != best_u:
+            elif s <= best + SWITCH_TOL and vals != best_u:
                 # another admissible value achieves the minimum within tol
                 degenerate = True
                 if s < best:
@@ -113,8 +116,8 @@ def minimize_hamiltonian(sys: ControlSystem, t: float, x: Sequence[float],
         return MinimizerResult(tuple(best_u), best, degenerate)
 
     # general dynamics over a box: grid scan
-    axes = [np.linspace(lo, hi, grid_res) if hi > lo else np.array([lo])
-            for lo, hi in zip(omega.lower, omega.upper)]
+    axes = [np.linspace(lo, hi, MINIMIZER_GRID_RES) if hi > lo
+            else np.array([lo]) for lo, hi in zip(omega.lower, omega.upper)]
     best_u = None
     best = float("inf")
     second = float("inf")
@@ -125,13 +128,12 @@ def minimize_hamiltonian(sys: ControlSystem, t: float, x: Sequence[float],
             best, best_u = s, combo
         elif s < second:
             second = s
-    degenerate = (second - best) <= switch_tol
+    degenerate = (second - best) <= SWITCH_TOL
     return MinimizerResult(tuple(float(v) for v in best_u), best, degenerate)
 
 
 def branch_control(sys: ControlSystem, x: Sequence[float], nu: Sequence[float],
-                   direction: str = "reversed",
-                   switch_tol: float = SWITCH_TOL) -> tuple[list[float], float, float, bool]:
+                   direction: str = "reversed") -> tuple[list[float], float, float, bool]:
     """Minimizing control for a single-input affine system with the
     degenerate case resolved by the sign sigma is about to take.
 
@@ -143,9 +145,9 @@ def branch_control(sys: ControlSystem, x: Sequence[float], nu: Sequence[float],
     if not (sys.affine and sys.m == 1 and sys.omega.is_box):
         raise SystemError("branch control needs a single-input affine box system")
     sigma = switching_values(sys, x, nu)[0]
-    if sigma > switch_tol:
+    if sigma > SWITCH_TOL:
         s_eff = 1.0
-    elif sigma < -switch_tol:
+    elif sigma < -SWITCH_TOL:
         s_eff = -1.0
     else:
         trans = float(np.dot(nu, lie_bracket_adfb(sys, x, 0)))

@@ -35,11 +35,19 @@ __all__ = [
     "illumination_check", "illumination_grid", "flow_forward",
     "switching_curve", "switching_polylines", "export_manifold_csv",
     "cross_path_integral", "two_path_generating_values",
-    "TRANSVERSALITY_TOL", "FORCED_TAU_STEP",
+    "TRANSVERSALITY_TOL", "FORCED_TAU_STEP", "FLOW_RTOL", "FLOW_ATOL",
+    "CHART_DET_TOL",
 ]
 
+# a switch with |<nu, ad_f b>| at or below this ends the branch
 TRANSVERSALITY_TOL = 1e-8
+# tau spacing of the forced sample grid added to the solver steps
 FORCED_TAU_STEP = 0.01
+# DOP853 tolerances of the reversed branches and of flow_forward
+FLOW_RTOL = 1e-10
+FLOW_ATOL = 1e-12
+# jacobian_info flags the (psi, tau) chart degenerate at |det| <= this
+CHART_DET_TOL = 1e-6
 _EVENT_NUDGE = 1e-12
 
 EVENT_FLAG = {"": 0, "switch": 1, "transversality-failure": 2, "budget": 3}
@@ -225,32 +233,23 @@ class _FlowCompiler:
 
 
 def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
-                               budget: float = 1e6,
-                               epsilon: float | None = None,
-                               compiler: _FlowCompiler | None = None,
-                               lyap: LyapunovSpec | None = None,
-                               rtol: float = 1e-10, atol: float = 1e-12,
-                               switch_tol: float = SWITCH_TOL,
-                               transversality_tol: float = TRANSVERSALITY_TOL,
-                               forced_step: float = FORCED_TAU_STEP) -> Bicharacteristic:
+                               budget: float, epsilon: float,
+                               compiler: _FlowCompiler) -> Bicharacteristic:
     """Integrate one reversed branch from `seed` up to tau_max.
 
-    The branch stops early on a non-transversal switch (|<nu, ad_f b>| below
-    transversality_tol at sigma = 0) or when |x| reaches `budget`.
+    W starts at `epsilon`, the level of the seed set, and `compiler` holds
+    the compiled right-hand sides of `sys`.  The branch stops early on a
+    non-transversal switch (|<nu, ad_f b>| at or below TRANSVERSALITY_TOL
+    at sigma = 0) or when |x| reaches `budget`.
     """
     if not (sys.affine and sys.m == 1 and sys.omega.is_box):
         raise SystemError("branch integration needs a single-input affine box system")
     n = sys.n
-    if compiler is None:
-        compiler = _FlowCompiler(sys)
-    w0 = epsilon
-    if w0 is None:
-        w0 = lyap.value(seed.x0) if lyap is not None else 0.0
 
     y = np.empty(2 * n + 1)
     y[:n] = seed.x0
     y[n:2 * n] = seed.nu0
-    y[2 * n] = w0
+    y[2 * n] = epsilon
 
     taus: list[np.ndarray] = []
     xs: list[np.ndarray] = []
@@ -262,8 +261,8 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
     stopped = False
 
     u, s_eff, sigma0, non_transversal = branch_control(
-        sys, y[:n], y[n:2 * n], "reversed", switch_tol)
-    degenerate_seed = abs(sigma0) <= switch_tol
+        sys, y[:n], y[n:2 * n], "reversed")
+    degenerate_seed = abs(sigma0) <= SWITCH_TOL
 
     def record_event(kind: str, tau: float, yv: np.ndarray, trans: float,
                      sample_index: int) -> None:
@@ -273,7 +272,7 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
 
     if degenerate_seed:
         trans = float(np.dot(y[n:2 * n], lie_bracket_adfb(sys, y[:n], 0)))
-        if non_transversal or abs(trans) <= transversality_tol:
+        if non_transversal or abs(trans) <= TRANSVERSALITY_TOL:
             # the branch is the seed sample alone
             record_event("transversality-failure", 0.0, y, trans, 0)
             taus.append(np.array([0.0]))
@@ -313,15 +312,15 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
         budget_event.direction = 1.0
 
         sol = solve_ivp(rhs, (tau0, tau_max), y, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True,
+                        rtol=FLOW_RTOL, atol=FLOW_ATOL, dense_output=True,
                         events=[sigma_event, budget_event])
         if not sol.success:
             raise RuntimeError(
                 f"branch {seed.index} integration failed: {sol.message}")
 
         seg_end = sol.t[-1]
-        grid = np.arange(math.floor(tau0 / forced_step) * forced_step + forced_step,
-                         seg_end, forced_step)
+        grid = np.arange(math.floor(tau0 / FORCED_TAU_STEP) * FORCED_TAU_STEP
+                         + FORCED_TAU_STEP, seg_end, FORCED_TAU_STEP)
         times = np.union1d(sol.t, grid)
         # drop near-duplicates (event restarts sit 1e-12 after the event)
         keep = np.concatenate(([True], np.diff(times) > 10 * _EVENT_NUDGE))
@@ -346,7 +345,7 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
 
         if hit_sigma:
             trans = float(np.dot(y[n:2 * n], lie_bracket_adfb(sys, y[:n], 0)))
-            if abs(trans) <= transversality_tol:
+            if abs(trans) <= TRANSVERSALITY_TOL:
                 record_event("transversality-failure", tau0, y, trans,
                              sample_count - 1)
                 stopped = True
@@ -375,9 +374,7 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
 
 
 def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
-                 duration: float, compiler: _FlowCompiler | None = None,
-                 rtol: float = 1e-10, atol: float = 1e-12,
-                 switch_tol: float = SWITCH_TOL) -> tuple[np.ndarray, np.ndarray, int]:
+                 duration: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrate the forward characteristic flow for `duration`, re-selecting
     the control at switching events; returns (x, nu, switch count).
 
@@ -386,15 +383,14 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
     if not (sys.affine and sys.m == 1 and sys.omega.is_box):
         raise SystemError("forward flow needs a single-input affine box system")
     n = sys.n
-    if compiler is None:
-        compiler = _FlowCompiler(sys)
+    compiler = _FlowCompiler(sys)
     y = np.empty(2 * n + 1)
     y[:n] = x0
     y[n:2 * n] = nu0
     y[2 * n] = 0.0
     t0 = 0.0
     switches = 0
-    u, s_eff, _, degen = branch_control(sys, y[:n], y[n:2 * n], "forward", switch_tol)
+    u, s_eff, _, degen = branch_control(sys, y[:n], y[n:2 * n], "forward")
     if degen:
         raise SystemError("forward flow started at a non-transversal switch point")
     while t0 < duration:
@@ -403,7 +399,7 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
         def rhs(t, yv, _rev=rev):
             return [-v for v in _rev(t, yv)]
 
-        if abs(compiler.sigma(y)) <= switch_tol:
+        if abs(compiler.sigma(y)) <= SWITCH_TOL:
             # starting on the surface: step off before arming the event
             y = y + _EVENT_NUDGE * np.asarray(rhs(t0, y))
             t0 = t0 + _EVENT_NUDGE
@@ -414,7 +410,7 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
         sigma_event.terminal = True
         sigma_event.direction = -s_eff
         sol = solve_ivp(rhs, (t0, duration), y, method="DOP853",
-                        rtol=rtol, atol=atol, events=[sigma_event])
+                        rtol=FLOW_RTOL, atol=FLOW_ATOL, events=[sigma_event])
         if not sol.success:
             raise RuntimeError(f"forward flow failed: {sol.message}")
         y = sol.y[:, -1].copy()
@@ -422,7 +418,7 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
         if len(sol.t_events[0]) and t0 < duration:
             switches += 1
             u, s_eff, _, degen = branch_control(sys, y[:n], y[n:2 * n],
-                                                "forward", switch_tol)
+                                                "forward")
             if degen:
                 raise SystemError("non-transversal switch on the forward flow")
         else:
@@ -511,8 +507,8 @@ class LagrangianManifold:
 
 def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
                    tau_max: float, epsilon: float | None = None,
-                   budget: float = 1e6, query_radius: float | None = None,
-                   **integrate_kwargs) -> LagrangianManifold:
+                   budget: float = 1e6,
+                   query_radius: float | None = None) -> LagrangianManifold:
     """Seed {V = epsilon} and integrate every reversed branch.
 
     Branches are integrated one after another and assembled in seed
@@ -530,8 +526,7 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
     for seed in seeds:
         try:
             branches.append(integrate_bicharacteristic(
-                sys, seed, tau_max, budget=budget, epsilon=epsilon,
-                compiler=compiler, **integrate_kwargs))
+                sys, seed, tau_max, budget, epsilon, compiler))
         except Exception as exc:  # aggregated below
             failures.append((seed.index, exc))
     if len(failures) * 2 > len(seeds):
@@ -552,13 +547,14 @@ def query_manifold(man: LagrangianManifold, x: Sequence[float]) -> QueryResult:
 
 # -------------------------------------------------------------- diagnostics
 
-def jacobian_info(man: LagrangianManifold, branch: int, tau: float,
-                  det_tol: float = 1e-6) -> JacobianInfo:
+def jacobian_info(man: LagrangianManifold, branch: int,
+                  tau: float) -> JacobianInfo:
     """Jacobian columns of the chart (psi, tau) -> x at a branch point.
 
     d x/d psi is a centered difference across the neighbouring branches
     (psi is periodic); d x/d tau is the exact reversed flow velocity.  The
-    chart is flagged degenerate when |det| falls below det_tol (planar only).
+    chart is flagged degenerate when |det| is at most CHART_DET_TOL
+    (planar only).
     """
     count = len(man.branches)
     b = man.branches[branch]
@@ -577,7 +573,7 @@ def jacobian_info(man: LagrangianManifold, branch: int, tau: float,
         det = float(dx_dpsi[0] * dx_dtau[1] - dx_dpsi[1] * dx_dtau[0])
     else:
         det = float(np.linalg.det(np.column_stack([dx_dpsi, dx_dtau])))
-    return JacobianInfo(det, dx_dpsi, dx_dtau, abs(det) <= det_tol)
+    return JacobianInfo(det, dx_dpsi, dx_dtau, abs(det) <= CHART_DET_TOL)
 
 
 def jacobian_along(man: LagrangianManifold, branch: int, tau: float) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import exprs as ex
+from .hamiltonian import SWITCH_TOL
 from .manifold import box_grid, write_table
 from .systems import ControlSystem
 
@@ -32,6 +33,11 @@ EVENT_FLAG = {
     "sliding-exit": 4,
     "converged": 5,
 }
+
+# CHATTER_LIMIT control switches within t_max/1000 turn into sliding
+CHATTER_LIMIT = 50
+# sliding segments take explicit steps of t_max/SLIDE_STEPS
+SLIDE_STEPS = 5000
 
 
 class BlowupError(RuntimeError):
@@ -116,13 +122,13 @@ def _probe_h(law, sys: ControlSystem, x, u) -> float:
     return scale / max(speed, 1e-9)
 
 
-def _sliding_state(law, sys: ControlSystem, x: np.ndarray,
-                   switch_tol: float) -> tuple[bool, list[float], float]:
+def _sliding_state(law, sys: ControlSystem,
+                   x: np.ndarray) -> tuple[bool, list[float], float]:
     """Classify x against the switching surface: (sliding, u, sigma).
 
     The surface test must serve sampled switching fields, which are
     piecewise constant in x with jumps of order one: |sigma| stays far
-    from zero there, so besides |sigma| <= switch_tol the point counts as
+    from zero there, so besides |sigma| <= SWITCH_TOL the point counts as
     on-surface when the two one-sided probes straddle a sign change.
     Sliding requires the one-sided flows to point at each other
     (sigma decreasing from the + side, increasing from the - side); u is
@@ -138,7 +144,7 @@ def _sliding_state(law, sys: ControlSystem, x: np.ndarray,
     s_m = law.switching_value(_rk4(sys, x, u_minus, h_m))
     rate_plus = (s_p - sigma) / h_p
     rate_minus = (s_m - sigma) / h_m
-    on_surface = abs(sigma) <= switch_tol or (s_p < 0.0) != (s_m < 0.0)
+    on_surface = abs(sigma) <= SWITCH_TOL or (s_p < 0.0) != (s_m < 0.0)
     if on_surface and rate_plus < 0.0 < rate_minus:
         alpha = rate_minus / (rate_minus - rate_plus)
         u_eq = sys.omega.clip([alpha * up + (1.0 - alpha) * um
@@ -150,8 +156,7 @@ def _sliding_state(law, sys: ControlSystem, x: np.ndarray,
     return False, list(law.control(x)), sigma
 
 
-def filippov_step(law, x: Sequence[float], h: float,
-                  switch_tol: float = 1e-10):
+def filippov_step(law, x: Sequence[float], h: float):
     """One explicit step of the Filippov closed loop.
 
     Returns (x_next, u_used, sliding).  Off the switching surface this is
@@ -160,7 +165,7 @@ def filippov_step(law, x: Sequence[float], h: float,
     """
     sys = law.system
     x = np.asarray(x, dtype=float)
-    sliding, u, _ = _sliding_state(law, sys, x, switch_tol)
+    sliding, u, _ = _sliding_state(law, sys, x)
     return _rk4(sys, x, u, h), list(u), sliding
 
 
@@ -177,34 +182,25 @@ class _Recorder:
         self.us.append([float(v) for v in u])
         return len(self.ts) - 1
 
-    def mark(self, kind: str, idx: int | None = None):
-        i = len(self.ts) - 1 if idx is None else idx
+    def mark(self, kind: str):
+        i = len(self.ts) - 1
         self.events.append(TrajectoryEvent(
             kind, self.ts[i], tuple(self.xs[i]), i))
 
 
 def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
                          rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-                         switch_tol: float = 1e-10,
                          convergence_radius: float = 1e-2,
                          dwell: float = 1.0,
                          blowup: float = 1e6,
-                         chatter_limit: int = 50,
-                         slide_steps: int = 5000,
-                         max_step: float | None = None,
                          record_dt: float | None = None) -> Trajectory:
     """Integrate the closed loop from x0 until t_max, convergence or blowup.
 
     Convergence means |x| entered the convergence ball and stayed there
     for a dwell period; the trajectory then stops early.  Blowup raises
-    BlowupError.  Sliding segments use explicit steps of t_max/slide_steps.
+    BlowupError.  Sliding segments use explicit steps of t_max/SLIDE_STEPS.
     record_dt switches sampling from solver steps to a fixed grid (events
     are always recorded).
-
-    max_step caps the solver step (default t_max/1000).  Events are only
-    sampled at step endpoints, and on segments with polynomial solutions
-    the step would otherwise grow without bound and jump over short-lived
-    event crossings, e.g. an arc that dips through the inner region.
     """
     sys = law.system
     x = np.asarray(x0, dtype=float)
@@ -213,10 +209,12 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
     rec = _Recorder()
     t = 0.0
     nominal_dt = t_max / 1000.0
-    h_slide = t_max / slide_steps
-    if max_step is None:
-        max_step = t_max / 1000.0
-    switch_times: collections.deque = collections.deque(maxlen=chatter_limit)
+    h_slide = t_max / SLIDE_STEPS
+    # events are sampled only at step endpoints; on segments with polynomial
+    # solutions the step would otherwise grow without bound and jump over
+    # short-lived crossings, e.g. an arc that dips through the inner region
+    max_step = t_max / 1000.0
+    switch_times: collections.deque = collections.deque(maxlen=CHATTER_LIMIT)
     mode = "inner" if law.boundary_value(x) <= 0.0 else "outer"
     inner_rhs = getattr(law, "inner_dynamics", None)
     if inner_rhs is None:
@@ -281,50 +279,39 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             raise BlowupError(t, x)
 
         if mode == "inner":
-            if float(np.dot(x, x)) <= convergence_radius ** 2:
+            if float(np.dot(x, x)) > convergence_radius ** 2:
+                def exit_event(tt, y):
+                    return law.boundary_value(y) - 1e-9
+                exit_event.terminal = True
+                exit_event.direction = 1.0
+                t, x, fired = run_segment(
+                    inner_rhs, t, x, [ball_event, exit_event, blowup_event],
+                    lambda y: law.control(y))
+                if fired == 2:
+                    raise BlowupError(t, x)
+                if fired == 1:
+                    rec.mark("boundary-cross")
+                    mode = "outer"
+                if fired != 0:
+                    continue
+            elif not rec.ts:
                 # already in the ball: no crossing event will fire
-                if not rec.ts:
-                    rec.add(t, x, law.control(x))
-                ok, t_end, x_end = dwell_check(t, x, inner_rhs)
-                if ok:
-                    converged, t_converged = True, t
-                rec.add(t_end, x_end, law.control(x_end))
-                if ok:
-                    rec.mark("converged")
-                t, x = t_end, np.asarray(x_end)
-                if not converged and law.boundary_value(x) > 0.0:
-                    rec.mark("boundary-cross")
-                    mode = "outer"
-                continue
-            def exit_event(tt, y):
-                return law.boundary_value(y) - 1e-9
-            exit_event.terminal = True
-            exit_event.direction = 1.0
-            t, x, fired = run_segment(
-                inner_rhs, t, x, [ball_event, exit_event, blowup_event],
-                lambda y: law.control(y))
-            if fired == 2:
-                raise BlowupError(t, x)
-            if fired == 0:
-                ok, t_end, x_end = dwell_check(t, x, inner_rhs)
-                if ok:
-                    converged, t_converged = True, t
-                rec.add(t_end, x_end, law.control(x_end))
-                if ok:
-                    rec.mark("converged")
-                t, x = t_end, np.asarray(x_end)
-                if not converged and law.boundary_value(x) > 0.0:
-                    rec.mark("boundary-cross")
-                    mode = "outer"
-                continue
-            if fired == 1:
+                rec.add(t, x, law.control(x))
+            ok, t_end, x_end = dwell_check(t, x, inner_rhs)
+            if ok:
+                converged, t_converged = True, t
+            rec.add(t_end, x_end, law.control(x_end))
+            if ok:
+                rec.mark("converged")
+            t, x = t_end, np.asarray(x_end)
+            if not converged and law.boundary_value(x) > 0.0:
                 rec.mark("boundary-cross")
                 mode = "outer"
             continue
 
         if mode == "outer":
             sigma0 = law.switching_value(x)
-            if abs(sigma0) <= switch_tol:
+            if abs(sigma0) <= SWITCH_TOL:
                 mode = "sliding-decision"
                 continue
             s0 = 1.0 if sigma0 > 0.0 else -1.0
@@ -353,7 +340,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             if fired == 0:
                 rec.mark("control-switch")
                 switch_times.append(t)
-                if (len(switch_times) == chatter_limit
+                if (len(switch_times) == CHATTER_LIMIT
                         and switch_times[-1] - switch_times[0] < nominal_dt):
                     rec.mark("sliding-enter")
                     mode = "sliding"
@@ -362,7 +349,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             continue
 
         if mode == "sliding-decision":
-            sliding, u, _ = _sliding_state(law, sys, x, switch_tol)
+            sliding, u, _ = _sliding_state(law, sys, x)
             if sliding:
                 rec.mark("sliding-enter")
                 mode = "sliding"
@@ -378,7 +365,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
         # sliding
         in_ball_since = None
         while t < t_max:
-            x_next, u_eq, sliding = filippov_step(law, x, h_slide, switch_tol)
+            x_next, u_eq, sliding = filippov_step(law, x, h_slide)
             if not sliding:
                 rec.mark("sliding-exit")
                 mode = "outer"
@@ -421,11 +408,6 @@ class Verdict:
     final_norm: float
     max_abs_u: float
     v_inner_increase_max: float
-
-    def ok(self, radius: float, u_bound: float,
-           v_step_tol: float = 1e-9) -> bool:
-        return (self.converged and self.max_abs_u <= u_bound + 1e-12
-                and self.v_inner_increase_max <= v_step_tol)
 
 
 def stabilization_verdict(law, traj: Trajectory) -> Verdict:

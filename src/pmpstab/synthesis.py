@@ -28,6 +28,13 @@ from .manifold import (LagrangianManifold, NotCoveredError, box_grid,
                        build_manifold, manifold_table, write_table)
 from .systems import ControlSystem, ControlSet, LyapunovSpec
 
+# assembly checks the inner law on SHELL_LEVELS level sets of V inside
+# {V <= epsilon}, at SHELL_RAYS directions each, and accepts a rate of
+# change <grad V, f> up to DECREASE_TOL
+SHELL_LEVELS = 8
+SHELL_RAYS = 64
+DECREASE_TOL = 1e-9
+
 
 class DecreaseViolation(ValueError):
     """Inner law fails Lyapunov decrease at a sampled point."""
@@ -52,7 +59,6 @@ class FeedbackLaw:
     C: float
     epsilon: float
     boundary_margin: float
-    switch_tol: float = SWITCH_TOL
 
     def inner_value(self, x: Sequence[float]) -> list[float]:
         return [ex.evaluate(e, x) for e in self.inner_exprs]
@@ -64,10 +70,10 @@ class FeedbackLaw:
     def region(self, x: Sequence[float]) -> str:
         return "inner" if self.boundary_value(x) <= 0.0 else "outer"
 
-    def switching_value(self, x: Sequence[float], channel: int = 0) -> float:
-        """<nu_q, b_j(x)> with nu_q projected from the manifold."""
+    def switching_value(self, x: Sequence[float]) -> float:
+        """<nu_q, b_1(x)> with nu_q projected from the manifold."""
         q = self.manifold.query(x, bounded=False)
-        return switching_values(self.system, x, q.nu)[channel]
+        return switching_values(self.system, x, q.nu)[0]
 
     def control(self, x: Sequence[float]) -> list[float]:
         return eval_feedback(self, x)
@@ -93,18 +99,17 @@ class FeedbackLaw:
         return lambda t, x: fn(t, x, ())
 
 
-def _shell_points(lyap: LyapunovSpec, epsilon: float, levels: int,
-                  rays: int) -> list[np.ndarray]:
+def _shell_points(lyap: LyapunovSpec, epsilon: float) -> list[np.ndarray]:
     """Radial sample of {0 < V <= epsilon}, outermost shell exactly V=eps."""
     pts = []
     n = lyap.n
     if n == 1:
         dirs = [np.array([1.0]), np.array([-1.0])]
     else:
-        angles = np.linspace(0.0, 2.0 * math.pi, rays, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * math.pi, SHELL_RAYS, endpoint=False)
         dirs = [np.array([math.cos(a), math.sin(a)]) for a in angles]
-    for i in range(1, levels + 1):
-        level = epsilon * i / levels
+    for i in range(1, SHELL_LEVELS + 1):
+        level = epsilon * i / SHELL_LEVELS
         for d in dirs:
             pts.append(lyap.radial_point(d, level))
     return pts
@@ -113,14 +118,12 @@ def _shell_points(lyap: LyapunovSpec, epsilon: float, levels: int,
 def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
                       man: LagrangianManifold,
                       inner_sources: Sequence[str],
-                      k: float | None = None, C: float = 1.0,
-                      levels: int = 8, rays: int = 64,
-                      decrease_tol: float = 1e-9) -> FeedbackLaw:
+                      k: float | None = None, C: float = 1.0) -> FeedbackLaw:
     """Validate the inner law and wrap it with the manifold bang-bang law.
 
     k is the common box amplitude; the control set must be the symmetric
     box [-k, k]^m.  Raises ValueError when |w| exceeds C at a sampled
-    point and DecreaseViolation when <grad V, f(x, w)> > decrease_tol.
+    point and DecreaseViolation when <grad V, f(x, w)> > DECREASE_TOL.
     """
     omega = sys.omega
     if not omega.is_box:
@@ -143,14 +146,14 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
 
     worst = -math.inf
     boundary_worst = -math.inf
-    for p in _shell_points(lyap, epsilon, levels, rays):
+    for p in _shell_points(lyap, epsilon):
         w = [ex.evaluate(e, p) for e in inner]
         for j, wj in enumerate(w):
             if abs(wj) > C + 1e-12:
                 raise ValueError(
                     f"inner law violates |w| <= C at x={tuple(p)}: "
                     f"|w_{j+1}| = {abs(wj):.6g} > {C:g}")
-        if not omega.contains(w, tol=1e-12):
+        if not omega.contains(w):
             raise ValueError(
                 f"inner law leaves the control set at x={tuple(p)}: w={w}")
         xdot = sys.eval_dynamics(0.0, p, w)
@@ -158,7 +161,7 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
         worst = max(worst, decay)
         if abs(lyap.value(p) - epsilon) <= 1e-9 * max(epsilon, 1.0):
             boundary_worst = max(boundary_worst, decay)
-        if decay > decrease_tol:
+        if decay > DECREASE_TOL:
             raise DecreaseViolation(p, decay)
     return FeedbackLaw(sys, lyap, man, tuple(inner_sources), inner,
                        float(k), float(C), float(epsilon),
@@ -184,9 +187,9 @@ def eval_feedback(law: FeedbackLaw, x: Sequence[float]) -> list[float]:
     sig = switching_values(law.system, x, q.nu)
     u = []
     for j, s in enumerate(sig):
-        if s > law.switch_tol:
+        if s > SWITCH_TOL:
             u.append(-law.k)
-        elif s < -law.switch_tol:
+        elif s < -SWITCH_TOL:
             u.append(law.k)
         else:
             u.append(float(q.u[j]))
@@ -205,7 +208,7 @@ def _resolve_projection(law: FeedbackLaw, x, ties):
     signs = set()
     for q in ties:
         s = switching_values(law.system, x, q.nu)[0]
-        if abs(s) > law.switch_tol:
+        if abs(s) > SWITCH_TOL:
             signs.add(1 if s > 0 else -1)
     if len(signs) > 1:
         return min(ties, key=lambda q: q.w)
@@ -226,7 +229,7 @@ def projection_diagnostic(law: FeedbackLaw, x: Sequence[float],
     """Report multiplicity of the nearest-sample projection at x."""
     ties = law.manifold.query_ties(x, tie_tol, bounded=False)
     sigs = [switching_values(law.system, x, q.nu)[0] for q in ties]
-    signs = tuple(0 if abs(s) <= law.switch_tol else (1 if s > 0 else -1)
+    signs = tuple(0 if abs(s) <= SWITCH_TOL else (1 if s > 0 else -1)
                   for s in sigs)
     nonzero = {s for s in signs if s != 0}
     return ProjectionDiagnostic(
@@ -313,8 +316,7 @@ def double_integrator_lyapunov(epsilon: float = 0.5) -> LyapunovSpec:
 def build_double_integrator_law(count: int = 256, tau_max: float = 10.0,
                                 k: float | None = None, C: float = 1.5,
                                 inner_sources: Sequence[str] = ("-x1 - x2",),
-                                epsilon: float = 0.5,
-                                **manifold_kwargs) -> FeedbackLaw:
+                                epsilon: float = 0.5) -> FeedbackLaw:
     """Planar benchmark law.
 
     The default inner law -x1 - x2 attains |w| = sqrt(2*epsilon*2) on the
@@ -326,7 +328,7 @@ def build_double_integrator_law(count: int = 256, tau_max: float = 10.0,
         k = C
     sys = double_integrator_system(k)
     lyap = double_integrator_lyapunov(epsilon)
-    man = build_manifold(sys, lyap, count, tau_max, **manifold_kwargs)
+    man = build_manifold(sys, lyap, count, tau_max)
     return assemble_feedback(sys, lyap, man, inner_sources, k=k, C=C)
 
 
@@ -334,7 +336,8 @@ def export_law_csv(law: FeedbackLaw, path: str) -> None:
     """Manifold sample table prefixed by a '#' header with the law data."""
     with open(path, "w", newline="") as fh:
         for j, src in enumerate(law.inner_sources):
-            fh.write(f"# inner{j+1}: {src}\n")
+            # a multi-line source goes on one '#' line
+            fh.write(f"# inner{j+1}: {' '.join(src.splitlines())}\n")
         fh.write(f"# epsilon: {law.epsilon!r}\n")
         fh.write(f"# k: {law.k!r}\n")
         fh.write(f"# C: {law.C!r}\n")

@@ -23,6 +23,16 @@ __all__ = [
     "lie_bracket_adfb", "equilibrium_residual", "rank_condition",
 ]
 
+# slack of ControlSet.contains on each bound or listed value
+CONTAINS_TOL = 1e-12
+# rank_condition: |det [b, ad_f b]| must exceed this times |b| |ad_f b|
+RANK_TOL = 1e-9
+# LyapunovSpec checks V > 0 at random points of the box [-1, 1]^n
+POSITIVITY_BOX = 1.0
+# radial_point: bisection width, and the radius at which the search gives up
+RADIAL_TOL = 1e-12
+RADIAL_MAX = 1e6
+
 
 class SystemError(ValueError):
     pass
@@ -68,13 +78,13 @@ class ControlSet:
     def is_box(self) -> bool:
         return self.lower is not None
 
-    def contains(self, u: Sequence[float], tol: float = 1e-12) -> bool:
+    def contains(self, u: Sequence[float]) -> bool:
         if len(u) != self.m:
             return False
         if self.is_box:
-            return all(l - tol <= v <= h + tol
+            return all(l - CONTAINS_TOL <= v <= h + CONTAINS_TOL
                        for v, l, h in zip(u, self.lower, self.upper))
-        return any(all(abs(v - c) <= tol for v, c in zip(u, vals))
+        return any(all(abs(v - c) <= CONTAINS_TOL for v, c in zip(u, vals))
                    for vals in self.values)
 
     def midpoint(self) -> list[float]:
@@ -282,7 +292,7 @@ def equilibrium_residual(sys: ControlSystem, x: Sequence[float], j: int = 0) -> 
     return f[0] * b[1] - f[1] * b[0]
 
 
-def rank_condition(sys: ControlSystem, x: Sequence[float], tol: float = 1e-9) -> bool:
+def rank_condition(sys: ControlSystem, x: Sequence[float]) -> bool:
     """True when [b, ad_f b] has full rank at x (planar single-input)."""
     if sys.n != 2 or sys.m != 1:
         raise SystemError("rank condition implemented for n=2, m=1")
@@ -290,7 +300,7 @@ def rank_condition(sys: ControlSystem, x: Sequence[float], tol: float = 1e-9) ->
     ad = lie_bracket_adfb(sys, x, 0)
     det = b[0] * ad[1] - b[1] * ad[0]
     scale = max(1.0, float(np.linalg.norm(b) * np.linalg.norm(ad)))
-    return abs(det) > tol * scale
+    return abs(det) > RANK_TOL * scale
 
 
 class LyapunovSpec:
@@ -301,8 +311,7 @@ class LyapunovSpec:
     at construction; the gradient is formed symbolically.
     """
 
-    def __init__(self, source: str, n: int, epsilon: float | None = None,
-                 check_box: float = 1.0):
+    def __init__(self, source: str, n: int, epsilon: float | None = None):
         if epsilon is not None and epsilon <= 0.0:
             raise SystemError("epsilon must be positive")
         self.n = n
@@ -321,7 +330,7 @@ class LyapunovSpec:
             raise SystemError(f"V(0) = {v0:.3e}, expected 0")
         rng = np.random.default_rng(20260825)
         for _ in range(200):
-            pt = rng.uniform(-check_box, check_box, size=n)
+            pt = rng.uniform(-POSITIVITY_BOX, POSITIVITY_BOX, size=n)
             if float(np.linalg.norm(pt)) < 1e-6:
                 continue
             if self.value(pt) <= 0.0:
@@ -334,8 +343,7 @@ class LyapunovSpec:
     def gradient(self, x: Sequence[float]) -> list[float]:
         return self._grad_fn(0.0, x, [])
 
-    def radial_point(self, direction: Sequence[float], level: float,
-                     tol: float = 1e-12, r_max: float = 1e6) -> np.ndarray:
+    def radial_point(self, direction: Sequence[float], level: float) -> np.ndarray:
         """Point x = r*d with V(x) = level, found by bisection along the ray."""
         d = np.asarray(direction, dtype=float)
         norm = float(np.linalg.norm(d))
@@ -345,7 +353,7 @@ class LyapunovSpec:
         lo, hi = 0.0, 1.0
         while self.value(hi * d) < level:
             hi *= 2.0
-            if hi > r_max:
+            if hi > RADIAL_MAX:
                 raise SystemError(
                     f"level {level} not reached along direction {d.tolist()}")
         for _ in range(200):
@@ -354,6 +362,6 @@ class LyapunovSpec:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= tol:
+            if hi - lo <= RADIAL_TOL:
                 break
         return 0.5 * (lo + hi) * d

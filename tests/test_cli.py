@@ -132,6 +132,10 @@ class TestSynthesize:
         assert man_csv.read_bytes() == ref_csv.read_bytes()
         law_bytes = law_csv.read_bytes()
         assert law_bytes[law_bytes.index(b"psi,"):] == man_csv.read_bytes()
+        header = law_bytes[:law_bytes.index(b"psi,")].splitlines()
+        assert all(line.startswith(b"#") for line in header)
+        assert main(["plot", "--kind", "manifold", "--in", str(law_csv),
+                     "--out", str(tmp_path / "law.svg")]) == 0
         assert re.search(r"\nmanifold: branches=64 samples=\d+ switches=\d+ "
                          r"dropped=0\n", capsys.readouterr().out)
 

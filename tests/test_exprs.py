@@ -198,6 +198,9 @@ class TestCompiled:
         fn = compile_scalar([parse("1/x1", 1)])
         with pytest.raises(ExprDomainError):
             fn(0.0, (0.0,), ())
+        # numpy scalars divide by zero without raising; ndarray input must not
+        with pytest.raises(ExprDomainError):
+            fn(0.0, np.array([0.0]), ())
 
     def test_batch_matches_evaluate_columnwise(self):
         es = [parse("x1 + x2", 2), parse("sin(x1)*x2", 2), parse("3", 2)]
