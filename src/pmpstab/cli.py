@@ -42,8 +42,8 @@ class ConfigError(ValueError):
 # ------------------------------------------------------------------- config
 
 _SCHEMA = {
-    "system": {"name", "n", "drift", "columns", "general"},
-    "control": {"lower", "upper", "values", "k", "C"},
+    "system": {"name", "n", "drift", "columns"},
+    "control": {"lower", "upper", "k", "C"},
     "lyapunov": {"V", "epsilon"},
     "inner": {"w"},
     "manifold": {"N", "tau_max", "budget", "query_radius"},
@@ -89,16 +89,18 @@ def load_config(path: str) -> dict:
     if "n" not in system:
         raise ConfigError("config.system.n is required")
     system.setdefault("name", "")
-    if "general" not in system and "drift" not in system:
-        raise ConfigError("config.system needs drift/columns or general")
+    if "drift" not in system or "columns" not in system:
+        raise ConfigError("config.system.drift and .columns are required")
+    if not isinstance(system["columns"], list) or len(system["columns"]) != 1:
+        raise ConfigError("config.system.columns must hold one column: "
+                          "the supported form is control-affine, single-input, "
+                          "box-controlled")
 
     control = cfg["control"]
     control.setdefault("k", 1.0)
     control.setdefault("C", 1.0)
-    if "values" not in control:
-        m = len(system.get("columns", [[0]]))
-        control.setdefault("lower", [-control["k"]] * m)
-        control.setdefault("upper", [control["k"]] * m)
+    control.setdefault("lower", [-control["k"]])
+    control.setdefault("upper", [control["k"]])
 
     lyap = cfg["lyapunov"]
     if "V" not in lyap:
@@ -150,25 +152,23 @@ def _pipeline(args, *, law: bool = True, manipulator: bool = False
     """Load and echo the config, then build the system, the Lyapunov
     function, the manifold and, with `law`, the feedback law.
 
-    With `manipulator`, a system outside the manipulator form is rejected
-    before the manifold is built.
+    With `manipulator`, a system outside the manipulator form is rejected,
+    and with `law`, a missing inner law, before the manifold is built.
     """
     cfg = load_config(args.config)
     _echo(cfg)
     system, control = cfg["system"], cfg["control"]
-    if "values" in control:
-        omega = ControlSet.finite(control["values"])
-    else:
-        omega = ControlSet.box(control["lower"], control["upper"])
-    if "general" in system:
-        pieces = dict(general=system["general"])
-    else:
-        pieces = dict(drift=system["drift"], columns=system["columns"])
-    sys_ = ControlSystem(n=system["n"], omega=omega, name=system["name"],
-                         **pieces)
+    sys_ = ControlSystem(n=system["n"],
+                         omega=ControlSet.box(control["lower"],
+                                              control["upper"]),
+                         name=system["name"], drift=system["drift"],
+                         columns=system["columns"])
     if manipulator and not is_manipulator(sys_):
         raise ConfigError("observer needs the manipulator form "
                           "(drift x2, f; single unit column)")
+    inner = cfg["inner"]["w"]
+    if law and not inner:
+        raise ConfigError("config.inner.w is required for feedback assembly")
     lyap = LyapunovSpec(cfg["lyapunov"]["V"], system["n"],
                         epsilon=cfg["lyapunov"]["epsilon"])
     block = cfg["manifold"]
@@ -177,9 +177,6 @@ def _pipeline(args, *, law: bool = True, manipulator: bool = False
                          query_radius=block["query_radius"])
     if not law:
         return cfg, sys_, man, None
-    inner = cfg["inner"]["w"]
-    if not inner:
-        raise ConfigError("config.inner.w is required for feedback assembly")
     return cfg, sys_, man, assemble_feedback(sys_, lyap, man, inner,
                                              k=control["k"], C=control["C"])
 

@@ -320,7 +320,10 @@ def evaluate(e: Expr, x: Sequence[float] = (), u: Sequence[float] = (), t: float
     if isinstance(e, BinOp):
         a = evaluate(e.lhs, x, u, t)
         if e.op == "^":
-            return a ** int(e.rhs.value)  # type: ignore[union-attr]
+            try:
+                return a ** int(e.rhs.value)  # type: ignore[union-attr]
+            except OverflowError as exc:
+                raise ExprDomainError(str(exc)) from exc
         b = evaluate(e.rhs, x, u, t)
         if e.op == "+":
             return a + b
@@ -497,9 +500,8 @@ def to_source(e: Expr) -> str:
         if e.op == "^":
             text = f"{p(e.lhs, 5)}^{_fmt_num(e.rhs.value)}"  # type: ignore[union-attr]
         else:
-            # left-assoc: rhs needs one notch more for '-' and '/'
-            rhs_min = prec + 1 if e.op in ("-", "/") else prec
-            text = f"{p(e.lhs, prec)} {e.op} {p(e.rhs, rhs_min)}"
+            # left-assoc: a rhs of the same precedence keeps its parentheses
+            text = f"{p(e.lhs, prec)} {e.op} {p(e.rhs, prec + 1)}"
         return f"({text})" if prec < min_prec else text
 
     return p(e, 0)

@@ -194,10 +194,14 @@ class _FlowCompiler:
     (-xdot, J^T nu, <nu, -xdot>) is emitted by `exprs.compile_ode` as one
     exec-compiled function that reads y once with y.tolist() and returns
     all 2n+1 entries, so one solver call costs one Python call and no
-    per-call symbolic work.  The system must be affine with a single input.
+    per-call symbolic work.  The system must be affine with a single input
+    and a box control set; any other raises SystemError.
     """
 
     def __init__(self, sys: ControlSystem):
+        if not (sys.affine and sys.m == 1 and sys.omega.is_box):
+            raise SystemError("the manifold needs a control-affine system "
+                              "with a single input and a box control set")
         self.sys = sys
         self.n = sys.n
         self._cache: dict[tuple[float, ...], object] = {}
@@ -380,10 +384,8 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
 
     Used to check that branch samples flow back onto the seed set.
     """
-    if not (sys.affine and sys.m == 1 and sys.omega.is_box):
-        raise SystemError("forward flow needs a single-input affine box system")
-    n = sys.n
     compiler = _FlowCompiler(sys)
+    n = sys.n
     y = np.empty(2 * n + 1)
     y[:n] = x0
     y[n:2 * n] = nu0
@@ -514,13 +516,13 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
     Branches are integrated one after another and assembled in seed
     order.  Per-branch failures are tolerated up to half the seed count:
     failed branches are dropped with a warning and counted in the
-    manifold's `dropped`.
+    manifold's `dropped`.  A system that is not control-affine with a
+    single input and a box control set raises SystemError before seeding.
     """
     if epsilon is None:
         epsilon = lyap.epsilon
+    compiler = _FlowCompiler(sys)
     seeds = seed_manifold(lyap, count, epsilon)
-    # other systems are rejected by integrate_bicharacteristic, per branch
-    compiler = _FlowCompiler(sys) if sys.affine and sys.m == 1 else None
 
     branches, failures = [], []
     for seed in seeds:

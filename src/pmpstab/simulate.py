@@ -34,10 +34,14 @@ EVENT_FLAG = {
     "converged": 5,
 }
 
-# CHATTER_LIMIT control switches within t_max/1000 turn into sliding
+# CHATTER_LIMIT control switches within MAX_STEP turn into sliding
 CHATTER_LIMIT = 50
-# sliding segments take explicit steps of t_max/SLIDE_STEPS
-SLIDE_STEPS = 5000
+# events are sampled only at step endpoints; on segments with polynomial
+# solutions the step would otherwise grow without bound and jump over
+# short-lived crossings, e.g. an arc that dips through the inner region
+MAX_STEP = 0.1
+# sliding segments take explicit steps of SLIDE_STEP
+SLIDE_STEP = 0.02
 
 
 class BlowupError(RuntimeError):
@@ -198,7 +202,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
 
     Convergence means |x| entered the convergence ball and stayed there
     for a dwell period; the trajectory then stops early.  Blowup raises
-    BlowupError.  Sliding segments use explicit steps of t_max/SLIDE_STEPS.
+    BlowupError.  Sliding segments use explicit steps of SLIDE_STEP.
     record_dt switches sampling from solver steps to a fixed grid (events
     are always recorded).
     """
@@ -208,12 +212,6 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
         raise ValueError(f"x0 must have {sys.n} components")
     rec = _Recorder()
     t = 0.0
-    nominal_dt = t_max / 1000.0
-    h_slide = t_max / SLIDE_STEPS
-    # events are sampled only at step endpoints; on segments with polynomial
-    # solutions the step would otherwise grow without bound and jump over
-    # short-lived crossings, e.g. an arc that dips through the inner region
-    max_step = t_max / 1000.0
     switch_times: collections.deque = collections.deque(maxlen=CHATTER_LIMIT)
     mode = "inner" if law.boundary_value(x) <= 0.0 else "outer"
     inner_rhs = getattr(law, "inner_dynamics", None)
@@ -242,7 +240,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
                 t_eval = np.concatenate([t_eval, [t_max]])
         sol = solve_ivp(rhs, (t0, t_max), y0, method="DOP853",
                         rtol=rel_tol, atol=abs_tol, t_eval=t_eval,
-                        max_step=max_step, events=events)
+                        max_step=MAX_STEP, events=events)
         fired, te = None, None
         for i, arr in enumerate(sol.t_events):
             if arr.size and (te is None or float(arr[0]) < te):
@@ -268,7 +266,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
         exit_event.terminal = True
         exit_event.direction = 1.0
         sol = solve_ivp(rhs, (tt, tt + dwell), y, method="DOP853",
-                        rtol=rel_tol, atol=abs_tol, max_step=max_step,
+                        rtol=rel_tol, atol=abs_tol, max_step=MAX_STEP,
                         events=[exit_event])
         if sol.t_events[0].size:
             return False, float(sol.t_events[0][0]), sol.y_events[0][0]
@@ -341,7 +339,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
                 rec.mark("control-switch")
                 switch_times.append(t)
                 if (len(switch_times) == CHATTER_LIMIT
-                        and switch_times[-1] - switch_times[0] < nominal_dt):
+                        and switch_times[-1] - switch_times[0] < MAX_STEP):
                     rec.mark("sliding-enter")
                     mode = "sliding"
                     continue
@@ -365,12 +363,12 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
         # sliding
         in_ball_since = None
         while t < t_max:
-            x_next, u_eq, sliding = filippov_step(law, x, h_slide)
+            x_next, u_eq, sliding = filippov_step(law, x, SLIDE_STEP)
             if not sliding:
                 rec.mark("sliding-exit")
                 mode = "outer"
                 break
-            t = t + h_slide
+            t = t + SLIDE_STEP
             x = x_next
             rec.add(t, x, u_eq)
             if law.boundary_value(x) <= 0.0:

@@ -24,8 +24,8 @@ import numpy as np
 from . import exprs as ex
 from .exprs import Expr
 from .hamiltonian import SWITCH_TOL, switching_values
-from .manifold import (LagrangianManifold, NotCoveredError, box_grid,
-                       build_manifold, manifold_table, write_table)
+from .manifold import (LagrangianManifold, box_grid, build_manifold,
+                       illumination_check, manifold_table, write_table)
 from .systems import ControlSystem, ControlSet, LyapunovSpec
 
 # assembly checks the inner law on SHELL_LEVELS level sets of V inside
@@ -252,18 +252,17 @@ def verify_bound(law: FeedbackLaw, lower: Sequence[float],
                  upper: Sequence[float], grid_res: int = 21) -> BoundReport:
     """Sample |u_j(x)| over a box grid and compare against C.
 
-    Uncovered grid points are reported, not treated as violations.
+    Every point is checked, as the law is total; the dark points of
+    `illumination_check` are also listed in `not_covered`.
     """
     pts = box_grid(lower, upper, grid_res)
     max_abs = 0.0
     violations = []
-    not_covered = []
+    not_covered = [tuple(float(v) for v in p) for p, status
+                   in zip(pts, illumination_check(law.manifold, pts))
+                   if status == "dark"]
     for p in pts:
-        try:
-            u = eval_feedback(law, p)
-        except NotCoveredError:
-            not_covered.append(tuple(float(v) for v in p))
-            continue
+        u = eval_feedback(law, p)
         worst = max(abs(v) for v in u)
         max_abs = max(max_abs, worst)
         if worst > law.C + 1e-12:

@@ -76,6 +76,44 @@ class TestLoadConfig:
             load_config(str(tmp_path / "missing.json"))
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("build_manifold was called")
+
+
+class TestSupportedSystems:
+    @pytest.mark.parametrize("block, key, value, detail", [
+        ("system", "general", ["x2", "u1"], "unknown key config.system.general"),
+        ("control", "values", [[-1.0], [1.0]],
+         "unknown key config.control.values"),
+        ("system", "columns", [["0", "1"], ["1", "0"]],
+         "the supported form is control-affine, single-input, "
+         "box-controlled"),
+    ], ids=["general", "values", "two-columns"])
+    def test_rejected_before_the_manifold_is_built(self, block, key, value,
+                                                   detail, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_manifold", _no_build)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[block][key] = value
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "law.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert detail in err
+
+    def test_missing_inner_law_is_rejected_before_the_build(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_manifold", _no_build)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        del cfg["inner"]
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "law.csv")])
+        assert rc == 1
+        assert "config.inner.w is required for feedback assembly" in \
+            capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_invalid_input_exits_one(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BASE_CONFIG))

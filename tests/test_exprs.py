@@ -1,9 +1,12 @@
 """Expression parsing, evaluation, differentiation and compilation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pmpstab import exprs
 from pmpstab.exprs import (
@@ -258,3 +261,109 @@ class TestCompiled:
         fn = compile_ode([parse("sqrt(x1)", 1)])
         with pytest.raises(ExprDomainError):
             fn(0.0, np.array([-1.0]))
+
+
+# ------------------------------------------------------------ property tests
+
+_VARS = [exprs.Var("x", 1), exprs.Var("x", 2), exprs.Var("u", 1),
+         exprs.Var("t", 0)]
+
+
+def _trees(functions=exprs.FUNCTIONS, max_leaves=12, max_number=1e3):
+    """Expression trees of the grammar: finite literals in [0, max_number],
+    x1, x2, u1 and t, negation, the four operators, integer powers 0..4
+    and the given functions."""
+    numbers = st.floats(0.0, max_number, allow_nan=False).map(
+        lambda v: exprs.Num(abs(v)))
+    leaves = st.one_of(numbers, st.sampled_from(_VARS))
+
+    def extend(child):
+        return st.one_of(
+            st.builds(exprs.BinOp, st.sampled_from("+-*/"), child, child),
+            st.builds(exprs.BinOp, st.just("^"), child,
+                      st.integers(0, 4).map(lambda k: exprs.Num(float(k)))),
+            st.builds(exprs.Call, st.sampled_from(functions), child),
+            child.map(exprs.Neg))
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+# x1, x2, u1, t
+_points = st.tuples(*[st.floats(allow_nan=False)] * 4)
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _scalar_outcome(fn, *args):
+    """The bits of fn's single result, or the string 'domain' when fn
+    raises ExprDomainError."""
+    try:
+        (value,) = fn(*args)
+    except ExprDomainError:
+        return "domain"
+    return _bits(value)
+
+
+class TestProperties:
+    @_PROPERTY
+    @given(_trees())
+    def test_source_round_trip_is_structural(self, e):
+        assert parse(to_source(e), 2, 1) == e
+
+    @_PROPERTY
+    @given(_trees(), _points)
+    def test_compile_scalar_equals_evaluate(self, e, p):
+        x, u, t = p[:2], p[2:3], p[3]
+        want = _scalar_outcome(lambda: [evaluate(e, x, u, t)])
+        assert _scalar_outcome(compile_scalar([e]), t, x, u) == want
+
+    @_PROPERTY
+    @given(_trees(), st.lists(_points, min_size=1, max_size=5))
+    def test_compile_batch_rows_equal_compile_scalar(self, e, rows):
+        t = rows[0][3]
+        X = np.array([r[:2] for r in rows])
+        U = np.array([r[2:3] for r in rows])
+        scalar = compile_scalar([e])
+        want = [_scalar_outcome(scalar, t, x, u)
+                for x, u in zip(X.tolist(), U.tolist())]
+        if "domain" in want:
+            with pytest.raises(ExprDomainError):
+                compile_batch([e])(t, X, U)
+        else:
+            got = compile_batch([e])(t, X, U)
+            assert [_bits(v) for v in got[0].tolist()] == want
+
+    @settings(_PROPERTY, max_examples=1000)
+    @given(_trees(tuple(f for f in exprs.FUNCTIONS
+                        if f not in ("abs", "sign")), 6, 10.0),
+           st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+    def test_diff_agrees_with_central_differences(self, e, p):
+        h = 1e-5
+
+        def f(k, step):
+            q = list(p)
+            q[k] += step
+            return evaluate(e, q[:2], q[2:3], q[3])
+
+        checked = 0
+        for k, var in enumerate(_VARS):
+            try:
+                exact = evaluate(diff(e, var), p[:2], p[2:3], p[3])
+                values = [f(k, s * h) for s in (1.0, -1.0, 0.5, -0.5)]
+            except ExprDomainError:
+                continue
+            if not all(map(math.isfinite, [exact, *values])):
+                continue
+            coarse = (values[0] - values[1]) / (2 * h)
+            fine = (values[2] - values[3]) / h
+            # rounding of the values, amplified by the quotient
+            noise = 1e-15 * max(map(abs, values)) / h
+            # only where halving the step leaves the quotient converged
+            if abs(coarse - fine) > 1e-7 * (1.0 + abs(fine)) + noise:
+                continue
+            assert abs(exact - fine) <= 1e-5 * (1.0 + abs(fine)) + noise, var
+            checked += 1
+        assume(checked)

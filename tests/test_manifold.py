@@ -311,6 +311,24 @@ class TestReversal:
             flow_forward(di_system, (1.0, 1.0), (0.0, 0.0), 1.0)
 
 
+class TestSupportedSystems:
+    @pytest.mark.parametrize("sys", [
+        ControlSystem(2, ControlSet.box((-1.0,), (1.0,)), general=("x2", "u1")),
+        ControlSystem(2, ControlSet.finite([(-1.0,), (1.0,)]),
+                      drift=("x2", "0"), columns=(("0", "1"),)),
+        ControlSystem(2, ControlSet.box((-1.0, -1.0), (1.0, 1.0)),
+                      drift=("x2", "0"), columns=(("0", "1"), ("1", "0"))),
+    ], ids=["general", "finite", "two-inputs"])
+    def test_rejected_before_seeding(self, sys, di_lyap, monkeypatch):
+        def no_seeding(*args, **kwargs):
+            raise AssertionError("seed_manifold was called")
+
+        monkeypatch.setattr(M, "seed_manifold", no_seeding)
+        with pytest.raises(M.SystemError, match="control-affine system with "
+                           "a single input and a box control set"):
+            M.build_manifold(sys, di_lyap, 8, 1.0)
+
+
 class TestBuildControls:
     def test_budget_stops_branches_early(self, di_system, di_lyap):
         man = M.build_manifold(di_system, di_lyap, 8, 10.0, budget=2.0)

@@ -101,6 +101,14 @@ class TestDoubleIntegratorLoop:
             if t > t_in + 1e-9:
                 assert di_law.lyapunov.value(x) <= eps + 1e-9
 
+    def test_sampling_does_not_depend_on_the_horizon(self, di_law):
+        runs = [simulate_closed_loop(di_law, (3.0, 3.0), t_max)
+                for t_max in (30.0, 100.0, 200.0)]
+        assert all(r.converged for r in runs)
+        assert len({r.t_converged for r in runs}) == 1
+        assert len({tuple(r.event_times("control-switch"))
+                    for r in runs}) == 1
+
     def test_record_grid_is_respected(self, di_law):
         traj = simulate_closed_loop(di_law, (2.0, 1.0), 30.0, record_dt=0.25)
         ts = np.asarray(traj.t)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pmpstab.synthesis as SY
+from pmpstab.manifold import illumination_grid
 from pmpstab.synthesis import (
     DecreaseViolation,
     assemble_feedback,
@@ -183,7 +184,14 @@ class TestVerifyBound:
         rep = verify_bound(di_law_small, (-5.0, -5.0), (5.0, 5.0), grid_res=11)
         assert rep.max_abs <= di_law_small.k + 1e-12
         assert rep.violations == ()
-        assert rep.not_covered == ()
+        cover = illumination_grid(di_law_small.manifold, (-5.0, -5.0),
+                                  (5.0, 5.0), 11)
+        dark = tuple(tuple(p) for p, status in zip(cover.points.tolist(),
+                                                   cover.status)
+                     if status == "dark")
+        # N = 64 at tau_max = 10 leaves dark strips in [-5, 5]^2
+        assert dark
+        assert rep.not_covered == dark
 
 
 class TestBenchmarkLaw:
