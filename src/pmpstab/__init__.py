@@ -20,8 +20,7 @@ from .manifold import (Bicharacteristic, BranchEvent, IlluminationReport,
                        Seed, SwitchPoint, build_manifold, cross_path_integral,
                        export_manifold_csv, flow_forward, illumination_check,
                        illumination_grid, integrate_bicharacteristic,
-                       jacobian_along, jacobian_info, query_manifold,
-                       seed_manifold, switching_curve, switching_polylines,
+                       jacobian_info, seed_manifold, switching_curve, switching_polylines,
                        two_path_generating_values)
 from .synthesis import (BoundReport, DecreaseViolation, FeedbackLaw,
                         ProjectionDiagnostic, assemble_feedback,

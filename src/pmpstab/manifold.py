@@ -5,7 +5,10 @@ Seeds are the points of {V = eps} paired with nu = grad V; each seed is flowed
 by the reversed characteristic system (xdot = -dS/dnu, nudot = +dS/dx) at the
 frozen Hamiltonian-minimizing control, with the control re-resolved at every
 switching event sigma = <nu, b(x)> = 0.  The generating value
-W = V(x0) + int nu . dx is accumulated along each branch.
+W = V(x0) + int nu . dx is accumulated along each branch.  The reversed
+branches and `flow_forward`, which runs the flow forwards, are both loops
+over `_FlowCompiler.segment` (one solver run between switches) with
+`hamiltonian.branch_control` as the switch rule.
 
 Branches store dense sample arrays (solver steps, a forced tau grid and the
 event points); the assembled manifold supports nearest-sample queries through
@@ -31,7 +34,7 @@ __all__ = [
     "Seed", "BranchEvent", "Bicharacteristic", "LagrangianManifold",
     "QueryResult", "NotCoveredError", "SwitchPoint", "JacobianInfo",
     "seed_manifold", "integrate_bicharacteristic", "build_manifold",
-    "query_manifold", "jacobian_along", "jacobian_info",
+    "jacobian_info",
     "illumination_check", "illumination_grid", "flow_forward",
     "switching_curve", "switching_polylines", "export_manifold_csv",
     "cross_path_integral", "two_path_generating_values",
@@ -43,7 +46,7 @@ __all__ = [
 TRANSVERSALITY_TOL = 1e-8
 # tau spacing of the forced sample grid added to the solver steps
 FORCED_TAU_STEP = 0.01
-# DOP853 tolerances of the reversed branches and of flow_forward
+# DOP853 tolerances of every _FlowCompiler.segment run
 FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
 # jacobian_info flags the (psi, tau) chart degenerate at |det| <= this
@@ -153,16 +156,14 @@ class JacobianInfo:
 
 # ------------------------------------------------------------------- seeds
 
-def seed_manifold(lyap: LyapunovSpec, count: int,
-                  epsilon: float | None = None) -> list[Seed]:
-    """Seeds on {V = epsilon} with nu = grad V.
+def seed_manifold(lyap: LyapunovSpec, count: int) -> list[Seed]:
+    """Seeds on {V = epsilon} with nu = grad V, where epsilon is the level
+    stored on the LyapunovSpec.
 
     Planar systems use `count` rays at angles 2*pi*k/count; scalar systems
-    always produce the two boundary points of the level interval.  epsilon
-    defaults to the level stored on the LyapunovSpec.
+    always produce the two boundary points of the level interval.
     """
-    if epsilon is None:
-        epsilon = lyap.epsilon
+    epsilon = lyap.epsilon
     if epsilon is None or epsilon <= 0.0:
         raise SystemError("epsilon must be positive")
     seeds = []
@@ -185,17 +186,20 @@ def seed_manifold(lyap: LyapunovSpec, count: int,
     return seeds
 
 
-# ------------------------------------------------- reversed branch integration
+# ------------------------------------------------------- characteristic flow
 
 class _FlowCompiler:
-    """Per-system cache of compiled reversed-flow right-hand sides.
+    """Per-system cache of the compiled characteristic flow, and the one
+    solver segment that both flows are built from.
 
-    For a frozen control u the combined state is y = (x, nu, W); the RHS
-    (-xdot, J^T nu, <nu, -xdot>) is emitted by `exprs.compile_ode` as one
-    exec-compiled function that reads y once with y.tolist() and returns
-    all 2n+1 entries, so one solver call costs one Python call and no
-    per-call symbolic work.  The system must be affine with a single input
-    and a box control set; any other raises SystemError.
+    For a frozen control u the combined state is y = (x, nu, W); the
+    reversed RHS (-xdot, J^T nu, <nu, -xdot>) is emitted by
+    `exprs.compile_ode` as one exec-compiled function that reads y once
+    with y.tolist() and returns all 2n+1 entries, so one solver call costs
+    one Python call and no per-call symbolic work.  The forward RHS is the
+    same body negated entry by entry, which IEEE negation makes exact.
+    The system must be affine with a single input and a box control set;
+    any other raises SystemError.
     """
 
     def __init__(self, sys: ControlSystem):
@@ -204,7 +208,7 @@ class _FlowCompiler:
                               "with a single input and a box control set")
         self.sys = sys
         self.n = sys.n
-        self._cache: dict[tuple[float, ...], object] = {}
+        self._cache: dict[tuple, object] = {}
         n = sys.n
         # sigma event needs <nu, b(x)> with nu relabelled to x_{n+1..2n}
         sigma_e: ex.Expr = ex.Num(0.0)
@@ -216,13 +220,15 @@ class _FlowCompiler:
     def sigma(self, y: np.ndarray) -> float:
         return self._sigma_fn(0.0, y, ())[0]
 
-    def rhs(self, u: Sequence[float]):
-        key = tuple(float(v) for v in u)
+    def rhs(self, u: Sequence[float], direction: str = "reversed"):
+        """Compiled RHS fn(t, y) of the flow at frozen control u, in the
+        'reversed' or the 'forward' time direction."""
+        key = (tuple(float(v) for v in u), direction)
         fn = self._cache.get(key)
         if fn is not None:
             return fn
         n = self.n
-        xdot = self.sys.closed_loop_exprs([ex._num(v) for v in key])
+        xdot = self.sys.closed_loop_exprs([ex._num(v) for v in key[0]])
         body: list[ex.Expr] = [ex._neg(e) for e in xdot]
         for k in range(n):
             acc: ex.Expr = ex.Num(0.0)
@@ -230,36 +236,62 @@ class _FlowCompiler:
                 dik, _ = ex.diff_with_flag(xdot[i], f"x{k + 1}")
                 acc = ex._add(acc, ex._mul(dik, ex.Var("x", n + 1 + i)))
             body.append(acc)
-        # dW = <nu, -xdot> pairs nu_k = x_{n+k} with the first n entries
+        if direction == "forward":
+            body = [ex._neg(e) for e in body]
+        # dW pairs nu_k = x_{n+k} with the first n entries: <nu, -xdot>
+        # reversed, <nu, xdot> forward
         fn = ex.compile_ode(body, weights=range(n + 1, 2 * n + 1))
         self._cache[key] = fn
         return fn
 
+    def segment(self, y: np.ndarray, t0: float, t_end: float,
+                u: Sequence[float], s_eff: float, direction: str,
+                events: Sequence = (), dense: bool = False):
+        """One DOP853 run of the flow at frozen control u from (t0, y)
+        toward t_end, ended by the next switch or by a terminal event of
+        `events`.
 
-def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
-                               budget: float, epsilon: float,
-                               compiler: _FlowCompiler) -> Bicharacteristic:
-    """Integrate one reversed branch from `seed` up to tau_max.
+        A start on the switching surface (|sigma| <= SWITCH_TOL) first
+        steps off it by _EVENT_NUDGE along the flow; sol.t[0] is the start
+        after that step.  The switch event is t_events[0]: sigma crossing
+        zero against its current sign s_eff.  Raises RuntimeError when the
+        solver fails.
+        """
+        rhs = self.rhs(u, direction)
+        if abs(self.sigma(y)) <= SWITCH_TOL:
+            y = y + _EVENT_NUDGE * np.asarray(rhs(t0, y))
+            t0 = t0 + _EVENT_NUDGE
 
-    W starts at `epsilon`, the level of the seed set, and `compiler` holds
-    the compiled right-hand sides of `sys`.  The branch stops early on a
-    non-transversal switch (|<nu, ad_f b>| at or below TRANSVERSALITY_TOL
-    at sigma = 0) or when |x| reaches `budget`.
+        def sigma_event(t, yv):
+            return self._sigma_fn(0.0, yv, ())[0]
+
+        sigma_event.terminal = True
+        sigma_event.direction = -s_eff
+        sol = solve_ivp(rhs, (t0, t_end), y, method="DOP853",
+                        rtol=FLOW_RTOL, atol=FLOW_ATOL, dense_output=dense,
+                        events=[sigma_event, *events])
+        if not sol.success:
+            raise RuntimeError(f"{direction} flow failed: {sol.message}")
+        return sol
+
+
+def integrate_bicharacteristic(compiler: _FlowCompiler, seed: Seed,
+                               tau_max: float, budget: float,
+                               epsilon: float) -> Bicharacteristic:
+    """Integrate one reversed branch of `compiler.sys` from `seed` up to
+    tau_max.
+
+    W starts at `epsilon`, the level of the seed set.  The branch stops
+    early on a non-transversal switch (|<nu, ad_f b>| at or below
+    TRANSVERSALITY_TOL at sigma = 0) or when |x| reaches `budget`.
     """
-    if not (sys.affine and sys.m == 1 and sys.omega.is_box):
-        raise SystemError("branch integration needs a single-input affine box system")
+    sys = compiler.sys
     n = sys.n
 
-    y = np.empty(2 * n + 1)
-    y[:n] = seed.x0
-    y[n:2 * n] = seed.nu0
-    y[2 * n] = epsilon
+    y = np.concatenate([seed.x0, seed.nu0, [epsilon]])
 
-    taus: list[np.ndarray] = []
-    xs: list[np.ndarray] = []
-    nus: list[np.ndarray] = []
-    us: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
+    # per segment: (tau, y rows, u rows)
+    segments: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     events: list[BranchEvent] = []
     sample_count = 0
     stopped = False
@@ -274,54 +306,32 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
                                   tuple(yv[:n]), tuple(yv[n:2 * n]),
                                   float(trans), sample_index))
 
+    def transversality(yv: np.ndarray) -> float:
+        return float(np.dot(yv[n:2 * n], lie_bracket_adfb(sys, yv[:n], 0)))
+
+    def budget_event(t, yv, _b2=budget * budget):
+        return sum(v * v for v in yv[:n].tolist()) - _b2
+
+    budget_event.terminal = True
+    budget_event.direction = 1.0
+
     if degenerate_seed:
-        trans = float(np.dot(y[n:2 * n], lie_bracket_adfb(sys, y[:n], 0)))
+        trans = transversality(y)
         if non_transversal or abs(trans) <= TRANSVERSALITY_TOL:
             # the branch is the seed sample alone
             record_event("transversality-failure", 0.0, y, trans, 0)
-            taus.append(np.array([0.0]))
-            xs.append(y[:n].reshape(1, n))
-            nus.append(y[n:2 * n].reshape(1, n))
-            ws.append(y[2 * n:])
-            us.append(np.array([u], dtype=float))
+            segments.append((np.array([0.0]), y.reshape(1, -1),
+                             np.array([u], dtype=float)))
             stopped = True
         # otherwise the seed lies on the switching surface; sigma leaves
         # zero with the resolved sign, so this is a departure, not a
         # recorded switch
 
     tau0 = 0.0
-    nudge_first = degenerate_seed
     while tau0 < tau_max and not stopped:
-        rhs = compiler.rhs(u)
-        if nudge_first or tau0 > 0.0:
-            # step off the switching surface before restarting the solver
-            dy = np.asarray(rhs(tau0, y))
-            y = y + _EVENT_NUDGE * dy
-            tau0 = tau0 + _EVENT_NUDGE
-            nudge_first = False
-
-        def sigma_event(t, yv):
-            return compiler.sigma(yv)
-
-        sigma_event.terminal = True
-        sigma_event.direction = -s_eff
-
-        def budget_event(t, yv, _b2=budget * budget, _n=n):
-            acc = 0.0
-            for i in range(_n):
-                acc += yv[i] * yv[i]
-            return acc - _b2
-
-        budget_event.terminal = True
-        budget_event.direction = 1.0
-
-        sol = solve_ivp(rhs, (tau0, tau_max), y, method="DOP853",
-                        rtol=FLOW_RTOL, atol=FLOW_ATOL, dense_output=True,
-                        events=[sigma_event, budget_event])
-        if not sol.success:
-            raise RuntimeError(
-                f"branch {seed.index} integration failed: {sol.message}")
-
+        sol = compiler.segment(y, tau0, tau_max, u, s_eff, "reversed",
+                               events=(budget_event,), dense=True)
+        tau0 = sol.t[0]
         seg_end = sol.t[-1]
         grid = np.arange(math.floor(tau0 / FORCED_TAU_STEP) * FORCED_TAU_STEP
                          + FORCED_TAU_STEP, seg_end, FORCED_TAU_STEP)
@@ -332,46 +342,35 @@ def integrate_bicharacteristic(sys: ControlSystem, seed: Seed, tau_max: float,
         if sample_count > 0:
             times = times[times > tau0 + 10 * _EVENT_NUDGE]
         yy = sol.sol(times) if len(times) else np.empty((2 * n + 1, 0))
-
-        hit_sigma = len(sol.t_events[0]) > 0
-        hit_budget = len(sol.t_events[1]) > 0
-
-        taus.append(times)
-        xs.append(yy[:n].T.copy())
-        nus.append(yy[n:2 * n].T.copy())
-        ws.append(yy[2 * n].copy())
-        u_arr = np.broadcast_to(np.asarray(u, dtype=float), (len(times), sys.m)).copy()
-        us.append(u_arr)
+        u_rows = np.broadcast_to(np.asarray(u, dtype=float),
+                                 (len(times), sys.m)).copy()
+        segments.append((times, yy.T, u_rows))
         sample_count += len(times)
 
         y = sol.y[:, -1].copy()
         tau0 = seg_end
 
-        if hit_sigma:
-            trans = float(np.dot(y[n:2 * n], lie_bracket_adfb(sys, y[:n], 0)))
+        if len(sol.t_events[0]):
+            trans = transversality(y)
             if abs(trans) <= TRANSVERSALITY_TOL:
                 record_event("transversality-failure", tau0, y, trans,
                              sample_count - 1)
                 stopped = True
                 break
             record_event("switch", tau0, y, trans, sample_count - 1)
-            s_eff = 1.0 if -trans > 0 else -1.0
-            lo, hi = sys.omega.lower[0], sys.omega.upper[0]
-            u = [lo] if s_eff > 0 else [hi]
+            u, s_eff, _, _ = branch_control(sys, y[:n], y[n:2 * n], "reversed")
             # the event sample carries the post-switch control
-            us[-1][-1] = u
-        elif hit_budget:
+            u_rows[-1] = u
+        elif len(sol.t_events[1]):
             record_event("budget", tau0, y, 0.0, sample_count - 1)
             stopped = True
             break
         else:
             break  # reached tau_max
 
-    tau_all = np.concatenate(taus)
-    x_all = np.vstack(xs)
-    nu_all = np.vstack(nus)
-    u_all = np.vstack(us)
-    w_all = np.concatenate(ws)
+    tau_all, y_all, u_all = (np.concatenate(part) for part in zip(*segments))
+    x_all, nu_all = y_all[:, :n].copy(), y_all[:, n:2 * n].copy()
+    w_all = y_all[:, 2 * n].copy()
     s_all = hamiltonian_values(sys, x_all, nu_all, u_all)
     return Bicharacteristic(seed, tau_all, x_all, nu_all, u_all, w_all, s_all,
                             events, degenerate_seed, stopped)
@@ -386,45 +385,22 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
     """
     compiler = _FlowCompiler(sys)
     n = sys.n
-    y = np.empty(2 * n + 1)
-    y[:n] = x0
-    y[n:2 * n] = nu0
-    y[2 * n] = 0.0
+    y = np.concatenate([x0, nu0, [0.0]])
     t0 = 0.0
     switches = 0
     u, s_eff, _, degen = branch_control(sys, y[:n], y[n:2 * n], "forward")
     if degen:
         raise SystemError("forward flow started at a non-transversal switch point")
     while t0 < duration:
-        rev = compiler.rhs(u)
-
-        def rhs(t, yv, _rev=rev):
-            return [-v for v in _rev(t, yv)]
-
-        if abs(compiler.sigma(y)) <= SWITCH_TOL:
-            # starting on the surface: step off before arming the event
-            y = y + _EVENT_NUDGE * np.asarray(rhs(t0, y))
-            t0 = t0 + _EVENT_NUDGE
-
-        def sigma_event(t, yv):
-            return compiler.sigma(yv)
-
-        sigma_event.terminal = True
-        sigma_event.direction = -s_eff
-        sol = solve_ivp(rhs, (t0, duration), y, method="DOP853",
-                        rtol=FLOW_RTOL, atol=FLOW_ATOL, events=[sigma_event])
-        if not sol.success:
-            raise RuntimeError(f"forward flow failed: {sol.message}")
+        sol = compiler.segment(y, t0, duration, u, s_eff, "forward")
         y = sol.y[:, -1].copy()
         t0 = sol.t[-1]
-        if len(sol.t_events[0]) and t0 < duration:
-            switches += 1
-            u, s_eff, _, degen = branch_control(sys, y[:n], y[n:2 * n],
-                                                "forward")
-            if degen:
-                raise SystemError("non-transversal switch on the forward flow")
-        else:
+        if not (len(sol.t_events[0]) and t0 < duration):
             break
+        switches += 1
+        u, s_eff, _, degen = branch_control(sys, y[:n], y[n:2 * n], "forward")
+        if degen:
+            raise SystemError("non-transversal switch on the forward flow")
     return y[:n].copy(), y[n:2 * n].copy(), switches
 
 
@@ -508,10 +484,10 @@ class LagrangianManifold:
 
 
 def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
-                   tau_max: float, epsilon: float | None = None,
-                   budget: float = 1e6,
+                   tau_max: float, budget: float = 1e6,
                    query_radius: float | None = None) -> LagrangianManifold:
-    """Seed {V = epsilon} and integrate every reversed branch.
+    """Seed {V = epsilon} at the level epsilon of `lyap` and integrate
+    every reversed branch.
 
     Branches are integrated one after another and assembled in seed
     order.  Per-branch failures are tolerated up to half the seed count:
@@ -519,16 +495,15 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
     manifold's `dropped`.  A system that is not control-affine with a
     single input and a box control set raises SystemError before seeding.
     """
-    if epsilon is None:
-        epsilon = lyap.epsilon
     compiler = _FlowCompiler(sys)
-    seeds = seed_manifold(lyap, count, epsilon)
+    seeds = seed_manifold(lyap, count)
+    epsilon = lyap.epsilon
 
     branches, failures = [], []
     for seed in seeds:
         try:
             branches.append(integrate_bicharacteristic(
-                sys, seed, tau_max, budget, epsilon, compiler))
+                compiler, seed, tau_max, budget, epsilon))
         except Exception as exc:  # aggregated below
             failures.append((seed.index, exc))
     if len(failures) * 2 > len(seeds):
@@ -541,10 +516,6 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
                       f"(first: branch {failures[0][0]}: {failures[0][1]})")
     return LagrangianManifold(sys, lyap, epsilon, branches, tau_max, budget,
                               query_radius, dropped=len(failures))
-
-
-def query_manifold(man: LagrangianManifold, x: Sequence[float]) -> QueryResult:
-    return man.query(x)
 
 
 # -------------------------------------------------------------- diagnostics
@@ -576,11 +547,6 @@ def jacobian_info(man: LagrangianManifold, branch: int,
     else:
         det = float(np.linalg.det(np.column_stack([dx_dpsi, dx_dtau])))
     return JacobianInfo(det, dx_dpsi, dx_dtau, abs(det) <= CHART_DET_TOL)
-
-
-def jacobian_along(man: LagrangianManifold, branch: int, tau: float) -> float:
-    """det(dx/dpsi, dx/dtau) of the chart at a branch point."""
-    return jacobian_info(man, branch, tau).det
 
 
 @dataclass(frozen=True)
@@ -755,11 +721,9 @@ def write_table(fh, header: Sequence[str], columns: Sequence) -> None:
 
 def manifold_table(man: LagrangianManifold) -> tuple[list[str], list]:
     """Header and columns of the flat sample table, one row per sample."""
-    n, m = man.system.n, man.system.m
+    n = man.system.n
     header = (["psi", "tau"] + [f"x{i+1}" for i in range(n)]
-              + [f"nu{i+1}" for i in range(n)]
-              + ([f"u{j+1}" for j in range(m)] if m > 1 else ["u"])
-              + ["W", "S", "event_flag"])
+              + [f"nu{i+1}" for i in range(n)] + ["u", "W", "S", "event_flag"])
     flags = np.zeros(man.n_samples, dtype=int)
     start = 0
     for b in man.branches:

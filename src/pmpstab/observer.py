@@ -50,7 +50,6 @@ class ObserverGains:
     beta1: float
     beta2: float
     L: float
-    M: float | None = None
 
     def __post_init__(self):
         if min(self.delta, self.beta1, self.beta2) <= 0.0:
@@ -171,22 +170,16 @@ class _SurrogateLaw:
         self.base = law
         self.system = combined
         self.gains = gains
-        self.fd_scale = getattr(law, "fd_scale", 1e-6)
-        inner = getattr(law, "inner_exprs", None)
-        self.inner_dynamics = None
-        if inner is not None:
-            w_sur = [ex.substitute(e, _X1_AS_Z1) for e in inner]
-            fn = ex.compile_scalar(combined.closed_loop_exprs(w_sur))
-            self.inner_dynamics = lambda t, y: fn(t, y, ())
+        self.fd_scale = law.fd_scale
+        w_sur = [ex.substitute(e, _X1_AS_Z1) for e in law.inner_exprs]
+        fn = ex.compile_scalar(combined.closed_loop_exprs(w_sur))
+        self.inner_dynamics = lambda t, y: fn(t, y, ())
 
     def _proj(self, y) -> tuple[float, float]:
         return (float(y[0]), float(y[3]))
 
     def boundary_value(self, y) -> float:
         return self.base.boundary_value(self._proj(y))
-
-    def region(self, y) -> str:
-        return self.base.region(self._proj(y))
 
     def switching_value(self, y) -> float:
         return self.base.switching_value(self._proj(y))
@@ -239,7 +232,8 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
     plant and the estimator copy is the law at (x1, z2).  The log holds
     the estimate error, its Lyapunov value, the generating value W along
     the true state, and the switching-mismatch record
-    |sigma(x) du| <= 2 M |e2| at samples where both states are outer.
+    |sigma(x) du| <= 2 M |e2| at samples where both states are outer,
+    with M = estimate_nu2_lipschitz(law.manifold).
     """
     if not is_manipulator(sys):
         raise ValueError("output feedback needs the manipulator form")
@@ -253,24 +247,17 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
     e = z - x
     v_e = np.array([error_lyapunov(gains, ei) for ei in e])
 
-    M = gains.M
-    if M is None and hasattr(law, "manifold"):
-        M = estimate_nu2_lipschitz(law.manifold)
-    if M is None:
-        M = 0.0
+    M = estimate_nu2_lipschitz(law.manifold)
 
     w = np.full(len(traj.t), math.nan)
     mis_t, mis_lhs, mis_rhs = [], [], []
-    lyap = getattr(law, "lyapunov", None)
     for i, p in enumerate(x):
-        inner_p = law.boundary_value(p) <= 0.0
-        if inner_p:
-            if lyap is not None:
-                w[i] = lyap.value(p)
+        if law.boundary_value(p) <= 0.0:
+            w[i] = law.lyapunov.value(p)
             continue
         try:
             q = law.manifold.query(p)
-        except (NotCoveredError, AttributeError):
+        except NotCoveredError:
             continue
         w[i] = q.w
         if law.boundary_value((p[0], z[i][1])) <= 0.0:

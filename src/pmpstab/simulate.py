@@ -98,9 +98,6 @@ class StaticSwitchingLaw:
     def boundary_value(self, x: Sequence[float]) -> float:
         return 1.0
 
-    def region(self, x: Sequence[float]) -> str:
-        return "outer"
-
     def control(self, x: Sequence[float]) -> list[float]:
         s = self.switching_value(x)
         sgn = 0.0 if s == 0.0 else math.copysign(1.0, s)

@@ -67,9 +67,6 @@ class FeedbackLaw:
         """V(x) - epsilon; negative inside the handover set."""
         return self.lyapunov.value(x) - self.epsilon
 
-    def region(self, x: Sequence[float]) -> str:
-        return "inner" if self.boundary_value(x) <= 0.0 else "outer"
-
     def switching_value(self, x: Sequence[float]) -> float:
         """<nu_q, b_1(x)> with nu_q projected from the manifold."""
         q = self.manifold.query(x, bounded=False)
@@ -142,6 +139,8 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
     if C <= 0.0:
         raise ValueError("bound C must be positive")
     inner = tuple(ex.parse(src, sys.n, 0) for src in inner_sources)
+    if any(ex.Var("t", 0) in ex.free_vars(e) for e in inner):
+        raise ValueError("the inner law must be stationary (no t)")
     epsilon = man.epsilon
 
     worst = -math.inf

@@ -113,6 +113,17 @@ class TestSupportedSystems:
         assert "config.inner.w is required for feedback assembly" in \
             capsys.readouterr().err
 
+    def test_time_dependent_inner_law_is_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["inner"]["w"] = ["-x1 - x2*(1 - x1^2)/2 + 0.5*t"]
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "law.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert "stationary" in err
+        assert not (tmp_path / "law.csv").exists()
+
 
 class TestExitCodes:
     def test_invalid_input_exits_one(self, tmp_path, capsys):

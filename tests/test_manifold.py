@@ -23,7 +23,8 @@ import pytest
 
 import pmpstab.exprs as ex
 import pmpstab.manifold as M
-from pmpstab.hamiltonian import hamiltonian_value, hamiltonian_values
+from pmpstab.hamiltonian import (branch_control, hamiltonian_value,
+                                 hamiltonian_values)
 from pmpstab.manifold import NotCoveredError, flow_forward, seed_manifold
 from pmpstab.observer import manipulator_system
 from pmpstab.synthesis import double_integrator_system
@@ -192,11 +193,6 @@ class TestQuery:
         dmin = min(t.distance for t in ties)
         assert all(t.distance <= dmin + 0.05 + 1e-12 for t in ties)
 
-    def test_query_function_wrapper_matches_method(self, di_manifold_small):
-        b = di_manifold_small.branches[10]
-        p = tuple(b.x[7])
-        assert M.query_manifold(di_manifold_small, p) == di_manifold_small.query(p)
-
 
 class TestSwitchingCurve:
     def test_two_families_with_correct_angle_ranges(self, di_manifold_small):
@@ -239,10 +235,6 @@ class TestJacobian:
         # tau column is the reversed velocity (-x2, -u) = (-x2, 1) pre switch
         x2 = math.sin(3 * math.pi / 4) + 0.5
         assert info.dx_dtau == pytest.approx((-x2, 1.0), abs=1e-6)
-
-    def test_jacobian_along_returns_the_determinant(self, di_manifold_small):
-        info = M.jacobian_info(di_manifold_small, 24, 0.5)
-        assert M.jacobian_along(di_manifold_small, 24, 0.5) == pytest.approx(info.det)
 
     def test_determinant_never_vanishes_on_regular_branches(self, di_manifold_small):
         # Liouville: the bicharacteristic flow cannot fold regular branches
@@ -327,6 +319,30 @@ class TestSupportedSystems:
         with pytest.raises(M.SystemError, match="control-affine system with "
                            "a single input and a box control set"):
             M.build_manifold(sys, di_lyap, 8, 1.0)
+
+
+class TestSwitchRule:
+    """branch_control is the one switch rule: every stored switch sample
+    carries the control it resolves after the switch."""
+
+    @staticmethod
+    def assert_post_switch_controls(man):
+        checked = 0
+        for b in man.branches:
+            for e in b.events:
+                if e.kind != "switch":
+                    continue
+                want = branch_control(man.system, e.x, e.nu, "reversed")[0]
+                assert b.u[e.sample_index].tolist() == want
+                checked += 1
+        assert checked > 0
+
+    def test_double_integrator(self, di_manifold_small):
+        self.assert_post_switch_controls(di_manifold_small)
+
+    def test_pendulum(self, pend_system, pend_lyap):
+        self.assert_post_switch_controls(
+            M.build_manifold(pend_system, pend_lyap, 16, 12.0))
 
 
 class TestBuildControls:
@@ -495,9 +511,13 @@ class TestBitIdentity:
         rng = np.random.default_rng(22)
         for u in ([sys.omega.lower[0]], [sys.omega.upper[0]]):
             rhs, ref = compiler.rhs(u), reference_rhs(sys, u)
+            fwd = compiler.rhs(u, "forward")
             for _ in range(200):
                 y = 3.0 * rng.normal(size=5)
-                assert bits(rhs(0.0, y)) == bits(ref(0.0, y))
+                want = ref(0.0, y)
+                assert bits(rhs(0.0, y)) == bits(want)
+                # by value: the negated forward body may flip signed zeros
+                assert fwd(0.0, y) == [-v for v in want]
 
     def test_rhs_raises_domain_errors(self):
         sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),

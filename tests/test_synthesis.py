@@ -85,6 +85,14 @@ class TestAssembleValidation:
             assemble_feedback(di_system, di_lyap, di_manifold_small,
                               ["-x1 - x2"], k=1.0, C=1.5)
 
+    def test_time_dependent_inner_law_rejected(self, di_system, di_lyap,
+                                               di_manifold_small):
+        # the shell checks and control() read the law at t = 0, while the
+        # closed loop would integrate it at the running time
+        with pytest.raises(ValueError, match="stationary"):
+            assemble_feedback(di_system, di_lyap, di_manifold_small,
+                              ["-x1 - x2*(1 - x1^2)/2 + 0.5*t"], k=1.0, C=1.0)
+
     def test_increasing_inner_law_rejected(self, di_system, di_lyap,
                                            di_manifold_small):
         with pytest.raises(DecreaseViolation):
@@ -100,10 +108,11 @@ class TestAssembleValidation:
 
 class TestLawEvaluation:
     def test_region_split(self, di_law_small):
-        assert di_law_small.region((0.1, 0.1)) == "inner"
-        assert di_law_small.region((3.0, 0.0)) == "outer"
+        # boundary_value <= 0 is the inner region
+        assert di_law_small.boundary_value((0.1, 0.1)) < 0.0
+        assert di_law_small.boundary_value((3.0, 0.0)) > 0.0
         # handover circle belongs to the inner region
-        assert di_law_small.region((1.0, 0.0)) == "inner"
+        assert di_law_small.boundary_value((1.0, 0.0)) <= 0.0
 
     def test_inner_value_matches_the_expression(self, di_law_small):
         x = (0.5, 0.5)
