@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -198,15 +199,16 @@ class _FlowCompiler:
     with y.tolist() and returns all 2n+1 entries, so one solver call costs
     one Python call and no per-call symbolic work.  The forward RHS is the
     same body negated entry by entry, which IEEE negation makes exact.
-    The system must be affine with a single input and a box control set;
-    any other raises SystemError.
+    The system must have a single input and a box control set; any other
+    raises SystemError.  The compiler refers to its system weakly, so that
+    the `_compiler` cache does not keep systems alive.
     """
 
     def __init__(self, sys: ControlSystem):
-        if not (sys.affine and sys.m == 1 and sys.omega.is_box):
+        if not (sys.m == 1 and sys.omega.is_box):
             raise SystemError("the manifold needs a control-affine system "
                               "with a single input and a box control set")
-        self.sys = sys
+        self._sys = weakref.ref(sys)
         self.n = sys.n
         self._cache: dict[tuple, object] = {}
         n = sys.n
@@ -216,6 +218,10 @@ class _FlowCompiler:
             sigma_e = ex._add(
                 sigma_e, ex._mul(ex.Var("x", n + 1 + i), sys.column_exprs[0][i]))
         self._sigma_fn = ex.compile_scalar([sigma_e])
+
+    @property
+    def sys(self) -> ControlSystem:
+        return self._sys()
 
     def sigma(self, y: np.ndarray) -> float:
         return self._sigma_fn(0.0, y, ())[0]
@@ -273,6 +279,18 @@ class _FlowCompiler:
         if not sol.success:
             raise RuntimeError(f"{direction} flow failed: {sol.message}")
         return sol
+
+
+_COMPILERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _compiler(sys: ControlSystem) -> _FlowCompiler:
+    """The one _FlowCompiler of `sys`, shared by build_manifold and every
+    flow_forward call; built on first use, dropped with the system."""
+    compiler = _COMPILERS.get(sys)
+    if compiler is None:
+        compiler = _COMPILERS[sys] = _FlowCompiler(sys)
+    return compiler
 
 
 def integrate_bicharacteristic(compiler: _FlowCompiler, seed: Seed,
@@ -383,7 +401,7 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
 
     Used to check that branch samples flow back onto the seed set.
     """
-    compiler = _FlowCompiler(sys)
+    compiler = _compiler(sys)
     n = sys.n
     y = np.concatenate([x0, nu0, [0.0]])
     t0 = 0.0
@@ -495,7 +513,7 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
     manifold's `dropped`.  A system that is not control-affine with a
     single input and a box control set raises SystemError before seeding.
     """
-    compiler = _FlowCompiler(sys)
+    compiler = _compiler(sys)
     seeds = seed_manifold(lyap, count)
     epsilon = lyap.epsilon
 
@@ -570,17 +588,18 @@ def box_grid(lower: Sequence[float], upper: Sequence[float],
 def illumination_check(man: LagrangianManifold,
                        points: Sequence[Sequence[float]]) -> list[str]:
     """Classify points: 'inner' if V <= eps, 'illuminated' if some branch
-    sample lies within the query radius, 'dark' otherwise."""
+    sample lies within the query radius, 'dark' otherwise.  The nearest
+    samples of all points come from one batched KD-tree query."""
+    dist, _ = man._tree.query(
+        np.asarray(points, dtype=float).reshape(-1, man.system.n))
     out = []
-    for p in points:
+    for p, d in zip(points, dist.tolist()):
         if man.lyapunov.value(p) <= man.epsilon:
             out.append("inner")
-            continue
-        try:
-            man.query(p)
-            out.append("illuminated")
-        except NotCoveredError:
+        elif d > man.query_radius:
             out.append("dark")
+        else:
+            out.append("illuminated")
     return out
 
 

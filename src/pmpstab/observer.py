@@ -37,7 +37,7 @@ def manipulator_system(f_source: str, omega: ControlSet | None = None,
 
 
 def is_manipulator(sys: ControlSystem) -> bool:
-    if not (sys.affine and sys.n == 2 and sys.m == 1):
+    if not (sys.n == 2 and sys.m == 1):
         return False
     x2 = ex.parse("x2", 2, 0)
     col = tuple(ex.parse(s, 2, 0) for s in ("0", "1"))

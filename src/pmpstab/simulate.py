@@ -109,18 +109,17 @@ class StaticSwitchingLaw:
 
 def _rk4(sys: ControlSystem, x: np.ndarray, u: Sequence[float],
          h: float) -> np.ndarray:
-    k1 = np.asarray(sys.eval_dynamics(0.0, x, u))
-    k2 = np.asarray(sys.eval_dynamics(0.0, x + 0.5 * h * k1, u))
-    k3 = np.asarray(sys.eval_dynamics(0.0, x + 0.5 * h * k2, u))
-    k4 = np.asarray(sys.eval_dynamics(0.0, x + h * k3, u))
+    k1 = np.asarray(sys.eval_dynamics(x, u))
+    k2 = np.asarray(sys.eval_dynamics(x + 0.5 * h * k1, u))
+    k3 = np.asarray(sys.eval_dynamics(x + 0.5 * h * k2, u))
+    k4 = np.asarray(sys.eval_dynamics(x + h * k3, u))
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _probe_h(law, sys: ControlSystem, x, u) -> float:
     """Micro-step length whose displacement matches the law's FD scale."""
-    scale = getattr(law, "fd_scale", 1e-6)
-    speed = math.sqrt(sum(v * v for v in sys.eval_dynamics(0.0, x, u)))
-    return scale / max(speed, 1e-9)
+    speed = math.sqrt(sum(v * v for v in sys.eval_dynamics(x, u)))
+    return law.fd_scale / max(speed, 1e-9)
 
 
 def _sliding_state(law, sys: ControlSystem,
@@ -211,9 +210,6 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
     t = 0.0
     switch_times: collections.deque = collections.deque(maxlen=CHATTER_LIMIT)
     mode = "inner" if law.boundary_value(x) <= 0.0 else "outer"
-    inner_rhs = getattr(law, "inner_dynamics", None)
-    if inner_rhs is None:
-        inner_rhs = lambda tt, y: sys.eval_dynamics(tt, y, law.control(y))
 
     def blowup_event(tt, y):
         return float(np.dot(y, y)) - blowup * blowup
@@ -280,7 +276,8 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
                 exit_event.terminal = True
                 exit_event.direction = 1.0
                 t, x, fired = run_segment(
-                    inner_rhs, t, x, [ball_event, exit_event, blowup_event],
+                    law.inner_dynamics, t, x,
+                    [ball_event, exit_event, blowup_event],
                     lambda y: law.control(y))
                 if fired == 2:
                     raise BlowupError(t, x)
@@ -292,7 +289,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             elif not rec.ts:
                 # already in the ball: no crossing event will fire
                 rec.add(t, x, law.control(x))
-            ok, t_end, x_end = dwell_check(t, x, inner_rhs)
+            ok, t_end, x_end = dwell_check(t, x, law.inner_dynamics)
             if ok:
                 converged, t_converged = True, t
             rec.add(t_end, x_end, law.control(x_end))
@@ -311,7 +308,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
                 continue
             s0 = 1.0 if sigma0 > 0.0 else -1.0
             u = law.control(x)
-            rhs = lambda tt, y, uu=tuple(u): sys.eval_dynamics(tt, y, uu)
+            rhs = lambda tt, y, uu=tuple(u): sys.eval_dynamics(y, uu)
 
             def sigma_event(tt, y):
                 return law.switching_value(y)
@@ -412,15 +409,12 @@ def stabilization_verdict(law, traj: Trajectory) -> Verdict:
     consecutive samples that both lie in the handover set; it should stay
     below the per-step tolerance when the inner law decreases V.
     """
-    v = np.array([law.lyapunov.value(p) for p in traj.x]) \
-        if hasattr(law, "lyapunov") else None
+    v = np.array([law.lyapunov.value(p) for p in traj.x])
+    inside = v <= law.epsilon
     inc = -math.inf
-    if v is not None:
-        eps = getattr(law, "epsilon", math.inf)
-        inside = v <= eps
-        for i in range(len(v) - 1):
-            if inside[i] and inside[i + 1]:
-                inc = max(inc, float(v[i + 1] - v[i]))
+    for i in range(len(v) - 1):
+        if inside[i] and inside[i + 1]:
+            inc = max(inc, float(v[i + 1] - v[i]))
     max_u = float(np.max(np.abs(traj.u))) if traj.u.size else 0.0
     return Verdict(traj.converged, traj.t_converged,
                    float(np.linalg.norm(traj.x[-1])), max_u,

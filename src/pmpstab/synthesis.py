@@ -26,7 +26,7 @@ from .exprs import Expr
 from .hamiltonian import SWITCH_TOL, switching_values
 from .manifold import (LagrangianManifold, box_grid, build_manifold,
                        illumination_check, manifold_table, write_table)
-from .systems import ControlSystem, ControlSet, LyapunovSpec
+from .systems import ControlSystem, ControlSet, LyapunovSpec, parse_stationary
 
 # assembly checks the inner law on SHELL_LEVELS level sets of V inside
 # {V <= epsilon}, at SHELL_RAYS directions each, and accepts a rate of
@@ -138,9 +138,8 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
             f"need {sys.m} inner control expressions, got {len(inner_sources)}")
     if C <= 0.0:
         raise ValueError("bound C must be positive")
-    inner = tuple(ex.parse(src, sys.n, 0) for src in inner_sources)
-    if any(ex.Var("t", 0) in ex.free_vars(e) for e in inner):
-        raise ValueError("the inner law must be stationary (no t)")
+    inner = tuple(parse_stationary(src, sys.n, "the inner law must be stationary")
+                  for src in inner_sources)
     epsilon = man.epsilon
 
     worst = -math.inf
@@ -155,7 +154,7 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
         if not omega.contains(w):
             raise ValueError(
                 f"inner law leaves the control set at x={tuple(p)}: w={w}")
-        xdot = sys.eval_dynamics(0.0, p, w)
+        xdot = sys.eval_dynamics(p, w)
         decay = float(np.dot(lyap.gradient(p), xdot))
         worst = max(worst, decay)
         if abs(lyap.value(p) - epsilon) <= 1e-9 * max(epsilon, 1.0):

@@ -1,8 +1,9 @@
 """Control system and Lyapunov function descriptions.
 
-A system is either control-affine, xdot = f(x) + sum_j u_j b_j(x), or a
-general xdot = f(t, x, u).  All fields are parsed from the small expression
-language in `exprs`; compiled evaluators are cached on the instance.
+A system is control-affine and autonomous, xdot = f(x) + sum_j u_j b_j(x).
+Its drift and columns, Lyapunov functions and inner laws are stationary
+expressions of x1..xn in the small expression language of `exprs`, read
+through `parse_stationary`; compiled evaluators are cached on the instance.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import numpy as np
 
 from .exprs import (
     Expr, Var, _add, _mul, compile_batch, compile_scalar, diff_with_flag,
-    evaluate, free_vars, kink_arguments, parse, substitute, to_source,
+    evaluate, free_vars, kink_arguments, parse, to_source,
 )
 
 __all__ = [
     "ControlSet", "ControlSystem", "LyapunovSpec",
     "KinkError", "SystemError",
     "lie_bracket_adfb", "equilibrium_residual", "rank_condition",
+    "parse_stationary",
 ]
 
 # slack of ControlSet.contains on each bound or listed value
@@ -87,11 +89,6 @@ class ControlSet:
         return any(all(abs(v - c) <= CONTAINS_TOL for v, c in zip(u, vals))
                    for vals in self.values)
 
-    def midpoint(self) -> list[float]:
-        if self.is_box:
-            return [(l + h) / 2.0 for l, h in zip(self.lower, self.upper)]
-        return list(self.values[0])
-
     def clip(self, u: Sequence[float]) -> list[float]:
         if not self.is_box:
             raise SystemError("clip is defined for box control sets only")
@@ -101,104 +98,74 @@ class ControlSet:
 _T = Var("t", 0)
 
 
-def _parse_all(sources: Sequence[str], n: int, m: int) -> tuple[Expr, ...]:
-    return tuple(parse(s, n, m) for s in sources)
+def parse_stationary(source: str, n: int, what: str) -> Expr:
+    """Parse `source` as an expression of x1..xn alone: a control u_j fails
+    to parse, and t raises SystemError("<what> (no t)")."""
+    e = parse(source, n, 0)
+    if _T in free_vars(e):
+        raise SystemError(f"{what} (no t)")
+    return e
+
+
+def _parse_all(sources: Sequence[str], n: int) -> tuple[Expr, ...]:
+    return tuple(parse_stationary(s, n, "affine pieces must be autonomous")
+                 for s in sources)
 
 
 class ControlSystem:
-    """A finite-dimensional control system with compiled evaluators.
-
-    Affine form stores the drift f and input columns b_j of
-    xdot = f(x) + sum_j u_j b_j(x); general form stores xdot = f(t, x, u)
-    directly.  Affine pieces must be autonomous.
-    """
+    """A control-affine system xdot = f(x) + sum_j u_j b_j(x) with compiled
+    evaluators; f and the columns b_j are autonomous, and f(0) = 0."""
 
     def __init__(self, n: int, omega: ControlSet, *,
-                 drift: Sequence[str] | None = None,
-                 columns: Sequence[Sequence[str]] | None = None,
-                 general: Sequence[str] | None = None,
-                 name: str = "",
-                 check_origin: bool = True):
+                 drift: Sequence[str], columns: Sequence[Sequence[str]],
+                 name: str = ""):
         if n < 1:
             raise SystemError("state dimension must be positive")
         self.n = n
         self.m = omega.m
         self.omega = omega
         self.name = name
-        self.affine = general is None
-        if self.affine:
-            if drift is None or columns is None:
-                raise SystemError("affine form needs drift and columns")
-            if len(drift) != n:
-                raise SystemError("drift must have n components")
-            if len(columns) != self.m:
-                raise SystemError("need one column per control channel")
-            # affine pieces may not mention u (m=0 at parse time) or t
-            self.drift_exprs = _parse_all(drift, n, 0)
-            self.column_exprs = tuple(_parse_all(col, n, 0) for col in columns)
-            for col in self.column_exprs:
-                if len(col) != n:
-                    raise SystemError("each column must have n components")
-            pieces = self.drift_exprs + tuple(e for col in self.column_exprs for e in col)
-            if any(_T in free_vars(e) for e in pieces):
-                raise SystemError("affine pieces must be autonomous (no t)")
-            self.f_exprs = None
-            self._drift_fn = compile_scalar(self.drift_exprs)
-            self._column_fns = tuple(compile_scalar(col) for col in self.column_exprs)
-            self._drift_batch = compile_batch(self.drift_exprs)
-            self._column_batches = tuple(compile_batch(col) for col in self.column_exprs)
-            self.autonomous = True
-        else:
-            if drift is not None or columns is not None:
-                raise SystemError("give either affine pieces or a general f, not both")
-            if len(general) != n:
-                raise SystemError("f must have n components")
-            self.f_exprs = _parse_all(general, n, self.m)
-            self.drift_exprs = None
-            self.column_exprs = None
-            self._f_fn = compile_scalar(self.f_exprs)
-            self.autonomous = not any(_T in free_vars(e) for e in self.f_exprs)
+        if len(drift) != n:
+            raise SystemError("drift must have n components")
+        if len(columns) != self.m:
+            raise SystemError("need one column per control channel")
+        self.drift_exprs = _parse_all(drift, n)
+        self.column_exprs = tuple(_parse_all(col, n) for col in columns)
+        for col in self.column_exprs:
+            if len(col) != n:
+                raise SystemError("each column must have n components")
+        self._drift_fn = compile_scalar(self.drift_exprs)
+        self._column_fns = tuple(compile_scalar(col) for col in self.column_exprs)
+        self._drift_batch = compile_batch(self.drift_exprs)
+        self._column_batches = tuple(compile_batch(col) for col in self.column_exprs)
         self._jac_cache: dict[str, tuple] = {}
-        if check_origin:
-            if self.affine:
-                r = self._drift_fn(0.0, [0.0] * n, [])
-            else:
-                r = self._f_fn(0.0, [0.0] * n, self.omega.midpoint())
-            if max(abs(v) for v in r) > 1e-12:
-                raise SystemError(
-                    "origin is not an equilibrium of the uncontrolled system "
-                    f"(residual {max(abs(v) for v in r):.3e}); pass "
-                    "check_origin=False to skip this check")
+        r = self._drift_fn(0.0, [0.0] * n, [])
+        if max(abs(v) for v in r) > 1e-12:
+            raise SystemError(
+                "origin is not an equilibrium of the uncontrolled system "
+                f"(residual {max(abs(v) for v in r):.3e})")
 
     # ------------------------------------------------------------- dynamics
 
     def eval_drift(self, x: Sequence[float]) -> list[float]:
-        if not self.affine:
-            raise SystemError("drift is defined for affine systems only")
         return self._drift_fn(0.0, x, [])
 
     def eval_columns(self, x: Sequence[float]) -> list[list[float]]:
-        if not self.affine:
-            raise SystemError("columns are defined for affine systems only")
         return [fn(0.0, x, []) for fn in self._column_fns]
 
-    def eval_dynamics(self, t: float, x: Sequence[float], u: Sequence[float]) -> list[float]:
-        if self.affine:
-            out = self._drift_fn(0.0, x, [])
-            for j, fn in enumerate(self._column_fns):
-                col = fn(0.0, x, [])
-                uj = u[j]
-                for i in range(self.n):
-                    out[i] += uj * col[i]
-            return out
-        return self._f_fn(t, x, u)
+    def eval_dynamics(self, x: Sequence[float], u: Sequence[float]) -> list[float]:
+        out = self._drift_fn(0.0, x, [])
+        for j, fn in enumerate(self._column_fns):
+            col = fn(0.0, x, [])
+            uj = u[j]
+            for i in range(self.n):
+                out[i] += uj * col[i]
+        return out
 
     def eval_dynamics_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """eval_dynamics at every row of x (K, n) and u (K, m) of an affine
-        system, as an (n, K) array equal to it bit for bit: the drift plus
-        u_j times column j, added channel by channel in order."""
-        if not self.affine:
-            raise SystemError("batched dynamics need the affine form")
+        """eval_dynamics at every row of x (K, n) and u (K, m), as an (n, K)
+        array equal to it bit for bit: the drift plus u_j times column j,
+        added channel by channel in order."""
         out = self._drift_batch(0.0, x, None)
         for j, fn in enumerate(self._column_batches):
             out = out + u[:, j] * fn(0.0, x, None)
@@ -206,9 +173,6 @@ class ControlSystem:
 
     def closed_loop_exprs(self, controls: Sequence[Expr]) -> list[Expr]:
         """xdot expressions with each u_j replaced by controls[j]."""
-        if not self.affine:
-            mapping = {Var("u", j + 1): c for j, c in enumerate(controls)}
-            return [substitute(e, mapping) for e in self.f_exprs]
         out = []
         for i in range(self.n):
             e = self.drift_exprs[i]
@@ -219,60 +183,47 @@ class ControlSystem:
 
     # ------------------------------------------------------------ jacobians
 
-    def _jacobian_exprs(self, key: str, exprs: Sequence[Expr], m: int):
+    def _jacobian_exprs(self, key: str, exprs: Sequence[Expr]):
         cached = self._jac_cache.get(key)
         if cached is not None:
             return cached
-        rows = []
+        flat: list[Expr] = []
         kink_args: list[Expr] = []
         for e in exprs:
-            row = []
             for j in range(1, self.n + 1):
                 de, kinked = diff_with_flag(e, f"x{j}")
-                row.append(de)
+                flat.append(de)
                 if kinked:
                     kink_args.extend(kink_arguments(e))
-            rows.append(row)
-        flat = [de for row in rows for de in row]
-        fn = compile_scalar(flat)
-        cached = (fn, kink_args, m)
-        self._jac_cache[key] = cached
+        cached = self._jac_cache[key] = (compile_scalar(flat), kink_args)
         return cached
 
-    def _eval_jac(self, key: str, exprs: Sequence[Expr], t: float,
-                  x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        fn, kink_args, _ = self._jacobian_exprs(key, exprs, len(u))
+    def _eval_jac(self, key: str, exprs: Sequence[Expr],
+                  x: Sequence[float]) -> np.ndarray:
+        fn, kink_args = self._jacobian_exprs(key, exprs)
         for arg in kink_args:
-            if abs(evaluate(arg, x, u, t)) <= 1e-14:
+            if abs(evaluate(arg, x)) <= 1e-14:
                 raise KinkError(
                     f"Jacobian requested on a kink of {to_source(arg)} at x={list(x)}")
-        flat = fn(t, x, u)
+        flat = fn(0.0, x, [])
         return np.asarray(flat, dtype=float).reshape(self.n, self.n)
 
     def jacobian_drift(self, x: Sequence[float]) -> np.ndarray:
-        if not self.affine:
-            raise SystemError("drift Jacobian is defined for affine systems only")
-        return self._eval_jac("drift", self.drift_exprs, 0.0, x, [])
+        return self._eval_jac("drift", self.drift_exprs, x)
 
     def jacobian_column(self, j: int, x: Sequence[float]) -> np.ndarray:
-        if not self.affine:
-            raise SystemError("column Jacobian is defined for affine systems only")
-        return self._eval_jac(f"col{j}", self.column_exprs[j], 0.0, x, [])
+        return self._eval_jac(f"col{j}", self.column_exprs[j], x)
 
-    def jacobian_x(self, t: float, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
+    def jacobian_x(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
         """d(xdot)/dx at frozen u."""
-        if self.affine:
-            jac = self.jacobian_drift(x)
-            for j in range(self.m):
-                jac = jac + u[j] * self.jacobian_column(j, x)
-            return jac
-        return self._eval_jac("general", self.f_exprs, t, x, u)
+        jac = self.jacobian_drift(x)
+        for j in range(self.m):
+            jac = jac + u[j] * self.jacobian_column(j, x)
+        return jac
 
 
 def lie_bracket_adfb(sys: ControlSystem, x: Sequence[float], j: int = 0) -> np.ndarray:
     """ad_f b_j = (db_j/dx) f - (df/dx) b_j with f the stored drift."""
-    if not sys.affine:
-        raise SystemError("Lie bracket needs the affine form")
     f = np.asarray(sys.eval_drift(x), dtype=float)
     b = np.asarray(sys.eval_columns(x)[j], dtype=float)
     jac_f = sys.jacobian_drift(x)
@@ -285,8 +236,6 @@ def equilibrium_residual(sys: ControlSystem, x: Sequence[float], j: int = 0) -> 
     drift and the control column are parallel."""
     if sys.n != 2:
         raise SystemError("residual is defined for planar systems")
-    if not sys.affine:
-        raise SystemError("residual needs the affine form")
     f = sys.eval_drift(x)
     b = sys.eval_columns(x)[j]
     return f[0] * b[1] - f[1] * b[0]
@@ -317,7 +266,7 @@ class LyapunovSpec:
         self.n = n
         self.source = source
         self.epsilon = epsilon
-        self.expr = parse(source, n, 0)
+        self.expr = parse_stationary(source, n, "V must be stationary")
         self._v_fn = compile_scalar([self.expr])
         grads = []
         for j in range(1, n + 1):

@@ -108,8 +108,8 @@ def test_c04_homogeneity_and_minimizer_invariance(di_system):
         x = rng.uniform(-5.0, 5.0, size=2)
         nu = rng.uniform(-3.0, 3.0, size=2)
         lam = float(rng.uniform(0.1, 10.0))
-        r1 = ps.minimize_hamiltonian(di_system, 0.0, x, nu)
-        r2 = ps.minimize_hamiltonian(di_system, 0.0, x, lam * nu)
+        r1 = ps.minimize_hamiltonian(di_system, x, nu)
+        r2 = ps.minimize_hamiltonian(di_system, x, lam * nu)
         rel = abs(r2.value - lam * r1.value) / max(1.0, abs(lam * r1.value))
         worst = max(worst, rel)
         if not (r1.degenerate or r2.degenerate):
@@ -327,10 +327,10 @@ def test_c10_minimizer_oracle_equivalence():
         nu = rng.uniform(-2.0, 2.0, size=2)
         best_u, best = None, math.inf
         for vals in values:
-            s = ps.hamiltonian_value(sys, 0.0, x, nu, vals)
+            s = ps.hamiltonian_value(sys, x, nu, vals)
             if s < best:
                 best, best_u = s, vals
-        r = ps.minimize_hamiltonian(sys, 0.0, x, nu)
+        r = ps.minimize_hamiltonian(sys, x, nu)
         if r.u != best_u or r.value != best:
             mismatches += 1
     ok = mismatches == 0

@@ -125,6 +125,19 @@ class TestSupportedSystems:
         assert not (tmp_path / "law.csv").exists()
 
 
+    def test_time_dependent_lyapunov_function_is_rejected(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_manifold", _no_build)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["lyapunov"]["V"] = "(x1^2 + x2^2)/2 + 0*t"
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "law.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert "stationary" in err
+
+
 class TestExitCodes:
     def test_invalid_input_exits_one(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BASE_CONFIG))

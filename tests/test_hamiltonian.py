@@ -22,12 +22,12 @@ def di():
 class TestHamiltonianValue:
     def test_affine_value_at_given_control(self):
         # H = nu . (f + u b) = nu1 x2 + nu2 u
-        assert hamiltonian_value(di(), 0.0, (1.0, 2.0), (0.5, -0.6), (1.0,)) \
+        assert hamiltonian_value(di(), (1.0, 2.0), (0.5, -0.6), (1.0,)) \
             == pytest.approx(0.4)
 
     def test_default_control_is_the_minimizer(self):
         sys = di()
-        assert hamiltonian_value(sys, 0.0, (1.0, 2.0), (0.5, -0.6)) \
+        assert hamiltonian_value(sys, (1.0, 2.0), (0.5, -0.6)) \
             == pytest.approx(0.4)
 
     def test_switching_values_are_column_inner_products(self):
@@ -41,30 +41,30 @@ class TestHamiltonianValue:
 class TestMinimizeAffineBox:
     def test_bang_controls_per_sign(self):
         sys = di()
-        r = minimize_hamiltonian(sys, 0.0, (1.0, 2.0), (0.5, -0.6))
+        r = minimize_hamiltonian(sys, (1.0, 2.0), (0.5, -0.6))
         assert r.u == (1.0,) and not r.degenerate
         assert r.value == pytest.approx(0.4)
-        r = minimize_hamiltonian(sys, 0.0, (1.0, 2.0), (0.5, 0.6))
+        r = minimize_hamiltonian(sys, (1.0, 2.0), (0.5, 0.6))
         assert r.u == (-1.0,)
 
     def test_asymmetric_box_uses_the_correct_face(self):
         sys = ControlSystem(2, ControlSet.box((-2.0,), (5.0,)),
                             drift=("x2", "0"), columns=(("0", "1"),))
-        assert minimize_hamiltonian(sys, 0.0, (0.0, 0.0), (0.0, -1.0)).u == (5.0,)
-        assert minimize_hamiltonian(sys, 0.0, (0.0, 0.0), (0.0, 1.0)).u == (-2.0,)
+        assert minimize_hamiltonian(sys, (0.0, 0.0), (0.0, -1.0)).u == (5.0,)
+        assert minimize_hamiltonian(sys, (0.0, 0.0), (0.0, 1.0)).u == (-2.0,)
 
     def test_channels_minimized_independently(self):
         sys = ControlSystem(2, ControlSet.box((-1.0, 0.0), (1.0, 2.0)),
                             drift=("x2", "0"),
                             columns=(("0", "1"), ("1", "0")))
-        r = minimize_hamiltonian(sys, 0.0, (0.0, 0.0), (-0.3, 0.8))
+        r = minimize_hamiltonian(sys, (0.0, 0.0), (-0.3, 0.8))
         # sigma = (0.8, -0.3): first channel to its lower face, second upper
         assert r.u == (-1.0, 2.0)
 
     def test_degenerate_channel_reports_midpoint(self):
         sys = ControlSystem(2, ControlSet.box((-2.0,), (4.0,)),
                             drift=("x2", "0"), columns=(("0", "1"),))
-        r = minimize_hamiltonian(sys, 0.0, (1.0, 2.0), (0.5, 0.0))
+        r = minimize_hamiltonian(sys, (1.0, 2.0), (0.5, 0.0))
         assert r.degenerate
         assert r.u == (1.0,)
 
@@ -73,7 +73,7 @@ class TestMinimizeFiniteSet:
     def test_exhaustive_minimum(self):
         sys = ControlSystem(2, ControlSet.finite([(-1.0,), (0.0,), (1.0,)]),
                             drift=("x2", "0"), columns=(("0", "1"),))
-        r = minimize_hamiltonian(sys, 0.0, (1.0, 2.0), (0.5, -0.6))
+        r = minimize_hamiltonian(sys, (1.0, 2.0), (0.5, -0.6))
         assert r.u == (1.0,) and r.value == pytest.approx(0.4)
         assert not r.degenerate
 
@@ -81,29 +81,10 @@ class TestMinimizeFiniteSet:
         sys = ControlSystem(2, ControlSet.finite([(-1.0,), (0.0,), (1.0,)]),
                             drift=("x2", "0"), columns=(("0", "1"),))
         # sigma = 0: every value gives H = 1, first listed wins, tie flagged
-        r = minimize_hamiltonian(sys, 0.0, (1.0, 2.0), (0.5, 0.0))
+        r = minimize_hamiltonian(sys, (1.0, 2.0), (0.5, 0.0))
         assert r.u == (-1.0,)
         assert r.value == pytest.approx(1.0)
         assert r.degenerate
-
-
-class TestMinimizeGeneral:
-    def test_grid_scan_on_a_concave_channel(self):
-        # H(u) = -x1 + u - u^2/4 with nu = (0,1): decreasing toward u = -1
-        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                            general=("x2", "-x1 + u1 - u1^2/4"))
-        r = minimize_hamiltonian(sys, 0.0, (1.0, 2.0), (0.0, 1.0))
-        assert r.u == (-1.0,)
-        assert r.value == pytest.approx(-2.25)
-        assert not r.degenerate
-
-    def test_symmetric_channel_is_flagged_degenerate(self):
-        # H(u) = u^2 has a flat pair of near-minimal grid values around 0
-        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                            general=("x2", "u1^2 - x1"))
-        r = minimize_hamiltonian(sys, 0.0, (0.0, 0.0), (0.0, 1.0))
-        assert abs(r.u[0]) < 1e-9
-        assert r.value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBranchControl:
@@ -145,7 +126,7 @@ class TestRightSides:
 
     def test_forward_rhs_pushes_up_when_costate_points_down(self):
         sys = di()
-        dx, dnu = forward_rhs(sys, 0.0, (0.0, 0.0), (0.0, -1.0))
+        dx, dnu = forward_rhs(sys, (0.0, 0.0), (0.0, -1.0))
         assert dx == pytest.approx([0.0, 1.0])
         assert dnu == pytest.approx([0.0, 0.0])
 
@@ -159,7 +140,7 @@ class TestRightSides:
                 continue
             u = [1.0 if nu[1] < 0 else -1.0]
             dx_r, dnu_r = reversed_rhs(sys, x, nu, u)
-            dx_f, dnu_f = forward_rhs(sys, 0.0, x, nu, u)
+            dx_f, dnu_f = forward_rhs(sys, x, nu, u)
             assert dx_f == pytest.approx([-v for v in dx_r], abs=1e-14)
             assert dnu_f == pytest.approx([-v for v in dnu_r], abs=1e-14)
 
@@ -168,17 +149,17 @@ class TestRightSides:
         sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
                             drift=("x2", "-sin(x1)"), columns=(("0", "1"),))
         x, nu, u = (0.7, -0.2), (0.3, 0.9), (0.5,)
-        _, dnu = forward_rhs(sys, 0.0, x, nu, u)
-        jac = sys.jacobian_x(0.0, x, u)
+        _, dnu = forward_rhs(sys, x, nu, u)
+        jac = sys.jacobian_x(x, u)
         assert dnu == pytest.approx(list(-(jac.T @ np.asarray(nu))), abs=1e-14)
 
     def test_hamiltonian_constant_along_either_flow(self):
         sys = di()
         x, nu = np.array([1.3, -0.4]), np.array([0.8, 0.6])
         u = [-1.0]
-        dx, dnu = forward_rhs(sys, 0.0, x, nu, u)
+        dx, dnu = forward_rhs(sys, x, nu, u)
         h = 1e-7
-        before = hamiltonian_value(sys, 0.0, x, nu, u)
-        after = hamiltonian_value(sys, 0.0, x + h * np.asarray(dx),
+        before = hamiltonian_value(sys, x, nu, u)
+        after = hamiltonian_value(sys, x + h * np.asarray(dx),
                                   nu + h * np.asarray(dnu), u)
         assert after - before == pytest.approx(0.0, abs=1e-12)

@@ -15,8 +15,10 @@ The costate second component vanishes at tau* = -tan psi, so a branch
 switches at most once and only when tan psi < 0.
 """
 
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -302,15 +304,37 @@ class TestReversal:
         with pytest.raises(Exception, match="non-transversal"):
             flow_forward(di_system, (1.0, 1.0), (0.0, 0.0), 1.0)
 
+    def test_one_compiler_per_system(self, monkeypatch):
+        built = []
+
+        class Counting(M._FlowCompiler):
+            def __init__(self, sys):
+                built.append(sys)
+                super().__init__(sys)
+
+        monkeypatch.setattr(M, "_FlowCompiler", Counting)
+        sys = double_integrator_system()
+        first = flow_forward(sys, (1.2, 0.3), (0.8, 0.6), 0.5)
+        second = flow_forward(sys, (1.2, 0.3), (0.8, 0.6), 0.5)
+        assert built == [sys]
+        assert bits(first[:2]) == bits(second[:2]) and first[2] == second[2]
+
+    def test_compiler_cache_does_not_keep_the_system_alive(self):
+        sys = double_integrator_system()
+        flow_forward(sys, (1.2, 0.3), (0.8, 0.6), 0.5)
+        ref = weakref.ref(sys)
+        del sys
+        gc.collect()
+        assert ref() is None
+
 
 class TestSupportedSystems:
     @pytest.mark.parametrize("sys", [
-        ControlSystem(2, ControlSet.box((-1.0,), (1.0,)), general=("x2", "u1")),
         ControlSystem(2, ControlSet.finite([(-1.0,), (1.0,)]),
                       drift=("x2", "0"), columns=(("0", "1"),)),
         ControlSystem(2, ControlSet.box((-1.0, -1.0), (1.0, 1.0)),
                       drift=("x2", "0"), columns=(("0", "1"), ("1", "0"))),
-    ], ids=["general", "finite", "two-inputs"])
+    ], ids=["finite", "two-inputs"])
     def test_rejected_before_seeding(self, sys, di_lyap, monkeypatch):
         def no_seeding(*args, **kwargs):
             raise AssertionError("seed_manifold was called")
@@ -401,6 +425,23 @@ class TestIllumination:
         statuses = dict(zip([tuple(p) for p in rep.points], rep.status))
         assert statuses[(0.0, 0.0)] == "inner"
 
+    def test_batched_check_matches_pointwise_queries(self, di_manifold_small):
+        man = di_manifold_small
+        pts = M.box_grid((-8.0, -8.0), (8.0, 8.0), 41)
+        want = []
+        for p in pts:
+            if man.lyapunov.value(p) <= man.epsilon:
+                want.append("inner")
+                continue
+            try:
+                man.query(p)
+                want.append("illuminated")
+            except NotCoveredError:
+                want.append("dark")
+        assert set(want) == {"inner", "illuminated", "dark"}
+        assert M.illumination_check(man, pts) == want
+        assert M.illumination_check(man, []) == []
+
 
 class TestExport:
     def test_rows_match_samples_and_flags(self, di_manifold_small, tmp_path):
@@ -430,7 +471,7 @@ def bits(values):
 
 
 def scalar_s(sys, x, nu, u):
-    return [hamiltonian_value(sys, 0.0, xi, ni, ui) for xi, ni, ui in zip(x, nu, u)]
+    return [hamiltonian_value(sys, xi, ni, ui) for xi, ni, ui in zip(x, nu, u)]
 
 
 def reference_rhs(sys, u):
@@ -496,7 +537,7 @@ class TestBitIdentity:
         x = np.array([[0.5, 0.1], [-2.0, 0.3], [1.0, -1.0]])
         nu, u = np.ones((3, 2)), np.ones((3, 1))
         with pytest.raises(ex.ExprDomainError):
-            hamiltonian_value(sys, 0.0, x[1], nu[1], u[1])
+            hamiltonian_value(sys, x[1], nu[1], u[1])
         with pytest.raises(ex.ExprDomainError):
             hamiltonian_values(sys, x, nu, u)
         assert bits(hamiltonian_values(sys, x[::2], nu[::2], u[::2])) == bits(

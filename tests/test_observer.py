@@ -27,7 +27,7 @@ class TestManipulatorForm:
     def test_factory_builds_the_chain_structure(self):
         sys = manipulator_system("-sin(x1)")
         assert sys.n == 2 and sys.m == 1
-        assert sys.eval_dynamics(0.0, (0.5, 0.2), (0.3,)) == pytest.approx(
+        assert sys.eval_dynamics((0.5, 0.2), (0.3,)) == pytest.approx(
             [0.2, -math.sin(0.5) + 0.3])
         assert is_manipulator(sys)
 
@@ -41,15 +41,12 @@ class TestManipulatorForm:
         # velocity must pass through the first channel untouched
         bad_drift = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
                                   drift=("x2 + x1^3", "-x1"),
-                                  columns=(("0", "1"),), check_origin=False)
+                                  columns=(("0", "1"),))
         assert not is_manipulator(bad_drift)
         bad_column = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
                                    drift=("x2", "-x1"),
                                    columns=(("0", "1 + x1^2"),))
         assert not is_manipulator(bad_column)
-        general = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                                general=("x2", "-sin(x1) + u1"))
-        assert not is_manipulator(general)
 
 
 class TestGainSelection:
@@ -146,11 +143,11 @@ class TestEstimator:
         g = select_gains(1.0)
         x = (0.7, -0.3)
         dz = estimator_step(sys, g, x, x[0], 0.25)
-        assert dz == pytest.approx(sys.eval_dynamics(0.0, x, (0.25,)))
+        assert dz == pytest.approx(sys.eval_dynamics(x, (0.25,)))
 
     def test_non_manipulator_system_rejected(self):
         sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                            general=("x2", "-sin(x1) + u1"))
+                            drift=("x2", "-sin(x1)"), columns=(("0", "2"),))
         g = select_gains(1.0)
         with pytest.raises(ValueError, match="manipulator form"):
             estimator_step(sys, g, (0.0, 0.0), 0.0, 0.0)

@@ -158,15 +158,6 @@ class TestLawEvaluation:
     def test_probe_scale_follows_the_query_radius(self, di_law_small):
         assert di_law_small.fd_scale == di_law_small.manifold.query_radius
 
-    def test_inner_dynamics_of_a_general_form_system(self, di_lyap,
-                                                     di_manifold_small):
-        # u1 is 1-based in the expression, the inner law tuple 0-based
-        sys = ControlSystem(n=2, omega=ControlSet.box([-1.5], [1.5]),
-                            general=("x2", "u1"))
-        law = assemble_feedback(sys, di_lyap, di_manifold_small,
-                                ["-x1 - x2"], C=1.5)
-        assert law.inner_dynamics(0.0, (0.3, 0.2)) == pytest.approx([0.2, -0.5])
-
 
 class TestProjectionDiagnostic:
     def test_unambiguous_point(self, di_law_small):

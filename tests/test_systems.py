@@ -1,7 +1,5 @@
 """Control sets, control systems and Lyapunov level-set specifications."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,6 @@ class TestControlSet:
         assert om.contains((1.0, 2.0))
         assert not om.contains((1.1, 1.0))
         assert om.clip((3.0, -5.0)) == [1.0, 0.0]
-        assert om.midpoint() == [0.0, 1.0]
 
     def test_finite_membership(self):
         om = ControlSet.finite([(-1.0,), (0.0,), (1.0,)])
@@ -51,29 +48,9 @@ class TestControlSet:
 class TestControlSystem:
     def test_affine_dynamics(self):
         sys = di()
-        assert sys.affine
         assert sys.eval_drift((1.0, 2.0)) == [2.0, 0.0]
         assert sys.eval_columns((1.0, 2.0)) == [[0.0, 1.0]]
-        assert sys.eval_dynamics(0.0, (1.0, 2.0), (0.5,)) == [2.0, 0.5]
-
-    def test_general_dynamics(self):
-        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                            general=("x2", "-sin(x1) + u1"), name="pend")
-        assert not sys.affine
-        out = sys.eval_dynamics(0.0, (0.5, 0.2), (0.3,))
-        assert out == pytest.approx([0.2, -math.sin(0.5) + 0.3])
-
-    def test_affine_and_general_forms_agree(self):
-        aff = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                            drift=("x2", "-sin(x1)"), columns=(("0", "1"),))
-        gen = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                            general=("x2", "-sin(x1) + u1"))
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            x = rng.normal(size=2)
-            u = rng.uniform(-1.0, 1.0, size=1)
-            assert aff.eval_dynamics(0.0, x, u) == pytest.approx(
-                gen.eval_dynamics(0.0, x, u), abs=1e-14)
+        assert sys.eval_dynamics((1.0, 2.0), (0.5,)) == [2.0, 0.5]
 
     def test_jacobians_match_finite_differences(self):
         sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
@@ -82,14 +59,14 @@ class TestControlSystem:
         for _ in range(10):
             x = rng.normal(size=2)
             u = rng.uniform(-1.0, 1.0, size=1)
-            jac = sys.jacobian_x(0.0, x, u)
+            jac = sys.jacobian_x(x, u)
             h = 1e-6
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                col = (np.asarray(sys.eval_dynamics(0.0, xp, u))
-                       - np.asarray(sys.eval_dynamics(0.0, xm, u))) / (2 * h)
+                col = (np.asarray(sys.eval_dynamics(xp, u))
+                       - np.asarray(sys.eval_dynamics(xm, u))) / (2 * h)
                 assert jac[:, i] == pytest.approx(col, rel=1e-5, abs=1e-7)
 
     def test_time_dependence_rejected_in_affine_pieces(self):
@@ -98,14 +75,9 @@ class TestControlSystem:
                           drift=("x2", "t"), columns=(("0", "1"),))
 
     def test_origin_must_be_a_rest_point(self):
-        with pytest.raises(Exception, match="check_origin"):
+        with pytest.raises(Exception, match="origin is not an equilibrium"):
             ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
                           drift=("x2", "1 + x1"), columns=(("0", "1"),))
-        # the escape hatch suppresses the check
-        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                            drift=("x2", "1 + x1"), columns=(("0", "1"),),
-                            check_origin=False)
-        assert sys.eval_drift((0.0, 0.0)) == [0.0, 1.0]
 
 
 class TestStructureDiagnostics:
@@ -163,6 +135,11 @@ class TestLyapunovSpec:
     def test_sign_indefinite_candidate_rejected(self):
         with pytest.raises(Exception):
             LyapunovSpec("x1^2 - x2^2", 2)
+
+    def test_time_dependence_rejected(self):
+        # V is only ever evaluated at t = 0, so a t term would be frozen
+        with pytest.raises(ValueError, match="stationary"):
+            LyapunovSpec("0.5*(x1^2 + x2^2) + t*x1^2", 2, epsilon=0.5)
 
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(Exception, match="epsilon"):
