@@ -1,0 +1,618 @@
+"""Lockstep DOP853: many independent rows advanced together, one step
+attempt per row per iteration.
+
+Every row is run by a generator that yields `Segment` requests and
+receives an `Outcome` for each.  One segment is, bit for bit,
+
+    solve_ivp(fun, (t0, t_bound), y0, method="DOP853", rtol=rtol,
+              atol=atol, dense_output=dense, events=events)
+
+with every event terminal: the same step sizes, accepted states, event
+roots and dense-output values (Hairer, Norsett & Wanner, Solving ODEs I,
+II.5-II.6, as implemented in scipy.integrate).  Whatever numpy rounds
+differently when batched stays per row:
+
+- stage sums, the solution update, the error estimates and the dense-output
+  coefficients are batched `np.matmul` calls, which give the bits of
+  scipy's per-row `np.dot`;
+- the error norms (`ndarray.dot`) and the step factors (`**`) are per-row
+  scalars;
+- the right-hand side is evaluated per group of rows sharing a key, and
+  the events over all rows, with a batched function equal row by row to
+  the scalar one; fewer than `_SMALL` rows call the scalar function.
+  Overflow and nan pass silently in the batched calls, as in the scalar
+  function's Python arithmetic; the rest of the step arithmetic runs under
+  the caller's numpy error settings, as in solve_ivp;
+- events are located per row with `brentq` on the step's interpolant.
+
+A row whose right-hand side, event function or generator raises leaves with
+that exception as its result; the other rows go on.  A segment may run
+backwards in time (t_bound < t0), but only without grid samples.
+
+A segment with dense output can record samples into the row's `Samples`
+store.  With `record` "grid" or "grid-after" they are np.union1d of the
+step points and
+np.arange(floor(t0/grid_step)*grid_step + grid_step, t_end, grid_step),
+minus every time at most `min_gap` after its predecessor and, for
+"grid-after", every time up to t0 + min_gap.  Each time is evaluated by
+the dense output of the step that ends at or after it, as `OdeSolution`
+does, in one batched pass per iteration, so no per-step data outlives its
+iteration.  The length of the arange depends on t_end, which is
+  known only at the last step; the samples can differ from the union
+  above only if an earlier step ends within a few ulps of t_end.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Hashable, Sequence
+
+import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
+
+__all__ = ["Segment", "Outcome", "Samples", "run"]
+
+_NS = _dop.N_STAGES                    # 12 stages; K row 12 holds f_new
+_NX = _dop.N_STAGES_EXTENDED           # 16 with the dense-output stages
+_A = [np.ascontiguousarray(_dop.A[s, :s]) for s in range(_NX)]
+_C, _B, _E3, _E5, _D = _dop.C, _dop.B, _dop.E3, _dop.E5, _dop.D
+_POWER = _dop.INTERPOLATOR_POWER       # 7 dense-output coefficients
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+_ERR_EXP = -1 / (7 + 1)                # the error estimator has order 7
+_ROOT_TOL = 4 * np.finfo(float).eps
+_TOO_SMALL = "Required step size is less than spacing between numbers."
+# groups with fewer rows call the scalar function row by row.  Per call
+# the row loop and one batched call cost the same at about 10 rows for the
+# double integrator's flow and 25 for the pendulum's (2-core Xeon, numpy
+# 2.4); whole manifold builds take the same time with 8 and with 16.
+_SMALL = 16
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One solver run requested by a row's generator.  `key` selects the right-hand
+    side, `directions` holds one direction per event as in solve_ivp, and
+    `record` is None, "grid" or "grid-after"."""
+    t0: float
+    y0: np.ndarray
+    t_bound: float
+    key: Hashable
+    directions: tuple[float, ...] = ()
+    record: str | None = None
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """The end of a segment as solve_ivp's sol.t[-1] and sol.y[:, -1].
+    `event` is the index of the terminal event (None if there was none);
+    then t is its t_events entry.  `message` is set when the solver
+    failed.  `samples` is the row's store."""
+    t: float
+    y: np.ndarray
+    event: int | None
+    message: str | None
+    samples: "Samples"
+
+    @property
+    def success(self) -> bool:
+        return self.message is None
+
+
+class Samples:
+    """Growable sample store of one row: times t[:count], states y[:count]."""
+
+    __slots__ = ("t", "y", "count")
+
+    def __init__(self, d: int):
+        self.t = np.empty(0)
+        self.y = np.empty((0, d))
+        self.count = 0
+
+    def reserve(self, extra: int) -> None:
+        need = self.count + extra
+        if need > len(self.t):
+            cap = max(need, len(self.t) + len(self.t) // 2)
+            t, y = np.empty(cap), np.empty((cap, self.y.shape[1]))
+            t[:self.count] = self.t[:self.count]
+            y[:self.count] = self.y[:self.count]
+            self.t, self.y = t, y
+
+    def put(self, t, y) -> None:
+        k = len(t)
+        self.reserve(k)
+        self.t[self.count:self.count + k] = t
+        self.y[self.count:self.count + k] = y
+        self.count += k
+
+
+class _Row:
+    """One row: its generator and segment, the solver's scalar state as Python
+    floats (scipy's float64 scalars round the same), and the sample grid
+    state.  The row's y and f live in the lockstep arrays."""
+
+    __slots__ = ("index", "gen", "seg", "samples", "t", "h_abs", "tb",
+                 "sgn", "rejected", "g", "kid", "first", "prev", "gi",
+                 "gstart", "gdelta")
+
+    def __init__(self, index, gen):
+        self.index = index
+        self.gen = gen
+        self.samples = None
+
+
+def _norm(v: np.ndarray) -> float:
+    """scipy's RMS norm, np.linalg.norm(v) / v.size ** 0.5."""
+    return math.sqrt(v.dot(v)) / v.size ** 0.5
+
+
+def _interp(F: list, y_old: list, t_old: float, h: float, t: float) -> list:
+    """Dop853DenseOutput at one time, in Python floats, operation by
+    operation as numpy does it."""
+    x = (t - t_old) / h
+    x1 = 1 - x
+    out = []
+    for i, yo in enumerate(y_old):
+        v = (0.0 + F[6][i]) * x
+        v = (v + F[5][i]) * x1
+        v = (v + F[4][i]) * x
+        v = (v + F[3][i]) * x1
+        v = (v + F[2][i]) * x
+        v = (v + F[1][i]) * x1
+        v = (v + F[0][i]) * x
+        out.append(v + yo)
+    return out
+
+
+def _interp_rows(F, at, y_old, t_old, h, t) -> np.ndarray:
+    """Dop853DenseOutput at times t (P,), each with its own coefficients
+    F[at] (F is (R, 7, d), at (P,)), y_old (P, d), t_old (P,) and h (P,).
+    F is gathered one coefficient at a time, to keep the temporaries
+    small."""
+    x = ((t - t_old) / h)[:, None]
+    y = np.zeros(y_old.shape)
+    for i in range(_POWER):
+        y += F[at, _POWER - 1 - i]
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += y_old
+    return y
+
+
+class _Lockstep:
+    """The state of one `run`: the rows still going, their y and f as
+    (R, d) arrays, and one stage work array reused by every attempt."""
+
+    def __init__(self, rhs, events, dense, rtol, atol, grid_step, min_gap):
+        self.rhs = rhs
+        self.events = list(events)
+        self.dense = dense
+        self.rtol, self.atol = rtol, atol
+        self.grid_step, self.min_gap = grid_step, min_gap
+        self.keys: dict = {}
+        self.funcs: list = []
+
+    # ----------------------------------------------------- evaluations
+
+    def apply(self, fns, T, Y, sel, pos, out, dead):
+        """out[sel] = fn(T[sel], Y[sel]) (all rows when sel is None), with
+        fns = (scalar, batch); `pos` maps the rows of Y to lockstep
+        positions, and a row that raises is put in `dead`."""
+        if (len(Y) if sel is None else len(sel)) >= _SMALL:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if sel is None:
+                        out[:] = fns[1](T, Y)
+                    else:
+                        out[sel] = fns[1](T[sel], Y[sel])
+                return
+            except Exception:
+                pass    # find the rows that raise, one by one
+        scalar, tl = fns[0], T.tolist()
+        for i in (range(len(Y)) if sel is None else sel.tolist()):
+            if pos[i] in dead:
+                out[i] = 0.0
+                continue
+            try:
+                out[i] = scalar(tl[i], Y[i])
+            except Exception as exc:
+                dead[pos[i]] = exc
+                out[i] = 0.0
+
+    def groups(self, kids: list) -> list:
+        """(functions, rows) per right-hand side key; rows None for all."""
+        kinds = set(kids)
+        if len(kinds) == 1:
+            return [(self.funcs[kinds.pop()], None)]
+        kids = np.array(kids)
+        return [(self.funcs[k], np.flatnonzero(kids == k))
+                for k in sorted(kinds)]
+
+    def eval_rhs(self, T, Y, groups, pos, dead, out):
+        for fns, sel in groups:
+            self.apply(fns, T, Y, sel, pos, out, dead)
+
+    # -------------------------------------------------- segment starts
+
+    def start(self, row: _Row, seg: Segment):
+        """Solver set-up of one segment: f0, scipy's select_initial_step
+        and the event values at the start; returns (y0, f0)."""
+        y0 = np.asarray(seg.y0, dtype=float)
+        if y0.ndim != 1:
+            raise ValueError("`y0` must be 1-dimensional.")
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` "
+                             "must be finite.")
+        if len(seg.directions) != len(self.events):
+            raise ValueError("a segment needs one direction per event")
+        t0, tb = float(seg.t0), float(seg.t_bound)
+        if tb == t0:
+            raise ValueError("a segment needs t_bound != t0")
+        sgn = 1.0 if tb > t0 else -1.0
+        if seg.record not in (None, "grid", "grid-after"):
+            raise ValueError(f"unknown record {seg.record!r}")
+        if seg.record is not None and not (self.dense and sgn > 0):
+            raise ValueError("grid samples need dense output and increasing "
+                             "time")
+        kid = self.keys.get(seg.key)
+        if kid is None:
+            kid = self.keys[seg.key] = len(self.funcs)
+            self.funcs.append(self.rhs(seg.key))
+        fun = self.funcs[kid][0]
+        f0 = np.asarray(fun(t0, y0), dtype=float)
+        interval = abs(tb - t0)
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = np.asarray(fun(t0 + h0 * sgn, y0 + h0 * sgn * f0), dtype=float)
+        d2 = _norm((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        row.h_abs = min(100 * h0, h1, interval)
+        row.g = [float(ev(t0, y0)) for ev, _ in self.events]
+        if row.samples is None:
+            row.samples = Samples(len(y0))
+        row.seg, row.t, row.tb, row.sgn, row.kid = seg, t0, tb, sgn, kid
+        row.rejected, row.first, row.prev = False, True, None
+        if seg.record is not None:
+            step = self.grid_step
+            row.gstart = math.floor(t0 / step) * step + step
+            row.gdelta = (row.gstart + step) - row.gstart
+            row.gi = 0
+            row.samples.reserve(int(1.25 * interval / step) + 64)
+        return y0, f0
+
+    def finish(self, row: _Row, result) -> None:
+        """End a row with `result` and free its sample store at once, so
+        that rows ending together do not hold their stores while the
+        generators build their results."""
+        self.results[row.index] = result
+        row.gen.close()
+        row.samples = None
+
+    def handover(self, row: _Row, outcome: Outcome | None):
+        """Give `outcome` to the row's generator (None: start it) and set up
+        the segment it asks for; (y0, f0), or None once the row is
+        finished."""
+        try:
+            seg = (next(row.gen) if outcome is None
+                   else row.gen.send(outcome))
+        except StopIteration as stop:
+            self.finish(row, stop.value)
+            return None
+        except Exception as exc:
+            self.finish(row, exc)
+            return None
+        try:
+            return self.start(row, seg)
+        except Exception as exc:
+            self.finish(row, exc)
+            return None
+
+    def settle(self, ended: dict, dead: dict) -> None:
+        """Drop dead rows, hand finished segments to their generators and
+        compact the arrays to the rows that go on."""
+        if not (ended or dead):
+            return
+        keep = self.hand_over_ended(ended, dead)
+        if not all(keep):
+            self.rows = [r for r, k in zip(self.rows, keep) if k]
+            self.y, self.f = self.y[keep], self.f[keep]
+
+    def hand_over_ended(self, ended: dict, dead: dict) -> list[bool]:
+        keep = [True] * len(self.rows)
+        for p, exc in dead.items():
+            self.finish(self.rows[p], exc)
+            keep[p] = False
+        for p in list(ended):
+            outcome = ended.pop(p)    # the outcome refers to the store
+            if p in dead:
+                continue
+            got = self.handover(self.rows[p], outcome)
+            if got is None:
+                keep[p] = False
+            else:
+                self.y[p], self.f[p] = got
+        return keep
+
+    # -------------------------------------------------------- the loop
+
+    def run(self, gens) -> list:
+        self.results = [None] * len(gens)
+        self.rows, starts = [], []
+        for index, gen in enumerate(gens):
+            row = _Row(index, gen)
+            got = self.handover(row, None)
+            if got is not None:
+                self.rows.append(row)
+                starts.append(got)
+        if not self.rows:
+            return self.results
+        self.y = np.array([y0 for y0, _ in starts])
+        self.f = np.array([f0 for _, f0 in starts])
+        # stage work arrays: all rows, and the accepted rows' copy for
+        # the dense-output stages
+        self.K_work = np.empty((len(starts), _NX, self.y.shape[1]))
+        self.K_dense = np.empty_like(self.K_work)
+        while self.rows:
+            self.settle(*self.attempt())
+        return self.results
+
+    def attempt(self) -> tuple[dict, dict]:
+        """One step attempt of every row, as RungeKutta._step_impl; returns
+        the segments that ended and the rows that raised, by position."""
+        rows, y = self.rows, self.y
+        na, d = y.shape
+        pos = range(na)
+        dead: dict[int, BaseException] = {}
+        small, T, TN, H = [], [], [], []
+        for p, r in enumerate(rows):
+            t, sgn = r.t, r.sgn
+            min_step = 10 * abs(math.nextafter(t, sgn * math.inf) - t)
+            if not r.rejected and r.h_abs < min_step:
+                r.h_abs = min_step
+            if r.h_abs < min_step:
+                small.append(p)
+            t_new = t + r.h_abs * sgn
+            if sgn * (t_new - r.tb) > 0:
+                t_new = r.tb
+            T.append(t)
+            TN.append(t_new)
+            H.append(t_new - t)
+        if small:
+            return {p: Outcome(rows[p].t, y[p].copy(), None, _TOO_SMALL,
+                               rows[p].samples) for p in small}, dead
+        t, h = np.array(T), np.array(H)
+        hc = h[:, None]
+        tc = t[:, None] + _C * hc        # the stage times t + c*h
+        K = self.K_work[:na]
+        KT = K.transpose(0, 2, 1)
+        groups = self.groups([r.kid for r in rows])
+        K[:, 0] = self.f
+        for s in range(1, _NS):
+            dy = np.matmul(KT[:, :, :s], _A[s]) * hc
+            self.eval_rhs(tc[:, s], y + dy, groups, pos, dead, K[:, s])
+        y_new = y + hc * np.matmul(KT[:, :, :_NS], _B)
+        self.eval_rhs(t + h, y_new, groups, pos, dead, K[:, _NS])
+        f_new = K[:, _NS].copy()
+        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        err5 = np.matmul(KT[:, :, :_NS + 1], _E5) / scale
+        err3 = np.matmul(KT[:, :, :_NS + 1], _E3) / scale
+
+        # accept or reject, in per-row scalars
+        accepted = []
+        for p, r in enumerate(rows):
+            if p in dead:
+                continue
+            e5, e3 = err5[p], err3[p]
+            n5 = math.sqrt(e5.dot(e5)) ** 2
+            n3 = math.sqrt(e3.dot(e3)) ** 2
+            h_abs = abs(H[p])
+            if n5 == 0 and n3 == 0:
+                err = 0.0
+            else:
+                err = h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * d)
+            if err < 1:
+                if err == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * err ** _ERR_EXP)
+                if r.rejected:
+                    factor = min(1, factor)
+                r.h_abs = h_abs * factor
+                r.rejected = False
+                accepted.append(p)
+            else:
+                r.h_abs = h_abs * max(MIN_FACTOR, SAFETY * err ** _ERR_EXP)
+                r.rejected = True
+        ended: dict[int, Outcome] = {}
+        if accepted:
+            self.commit(accepted, TN, y_new, f_new, h, tc, ended, dead)
+        return ended, dead
+
+    def dense_coefficients(self, sel, tc, y_old, f_old, y_new, f_new, h,
+                           dead):
+        """The 7 Dop853DenseOutput coefficients of the rows at positions
+        `sel` (a list), after their three extra stages; tc holds their
+        stage times."""
+        every = len(sel) == len(self.rows)
+        K = self.K_work[:len(sel)]
+        if not every:
+            K = np.take(self.K_work, sel, axis=0, out=self.K_dense[:len(sel)])
+        KT = K.transpose(0, 2, 1)
+        hc = h[:, None]
+        groups = self.groups([self.rows[p].kid for p in sel])
+        for s in range(_NS + 1, _NX):
+            dy = np.matmul(KT[:, :, :s], _A[s]) * hc
+            self.eval_rhs(tc[:, s], y_old + dy, groups, sel, dead, K[:, s])
+        F = np.empty((len(sel), _POWER, K.shape[2]))
+        delta_y = y_new - y_old
+        F[:, 0] = delta_y
+        F[:, 1] = hc * f_old - delta_y
+        F[:, 2] = 2 * delta_y - hc * (f_new + f_old)
+        F[:, 3:] = h[:, None, None] * np.matmul(_D, K)
+        return F
+
+    def commit(self, acc, TN, y_new, f_new, h, tc, ended, dead) -> None:
+        """Accepted steps of the rows at positions `acc`: dense output,
+        events, samples and segment ends, in solve_ivp's order."""
+        rows = [self.rows[p] for p in acc]
+        y_old, f_old = self.y, self.f
+        if len(acc) == len(self.rows):
+            self.y, self.f = y_new, f_new
+            ya, fa = y_new, f_new
+        else:
+            y_old, f_old, tc, h = y_old[acc], f_old[acc], tc[acc], h[acc]
+            ya, fa = y_new[acc], f_new[acc]
+            self.y[acc], self.f[acc] = ya, fa
+        to_list = [r.t for r in rows]
+        ta_list = [TN[p] for p in acc]
+        for r, ta in zip(rows, ta_list):
+            r.t = ta
+        F = None
+        if self.dense:
+            F = self.dense_coefficients(acc, tc, y_old, f_old, ya, fa, h, dead)
+        active = [()] * len(acc)
+        if self.events:
+            g_new = np.empty((len(acc), len(self.events)))
+            col = np.empty(len(acc))
+            ta = np.array(ta_list)
+            for j, fns in enumerate(self.events):
+                self.apply(fns, ta, ya, None, acc, col, dead)
+                g_new[:, j] = col
+            for i, (r, gn) in enumerate(zip(rows, g_new.tolist())):
+                act = []
+                # find_active_events' sign test
+                for j, (g0, g1, dr) in enumerate(
+                        zip(r.g, gn, r.seg.directions)):
+                    up = g0 <= 0 and g1 >= 0
+                    down = g0 >= 0 and g1 <= 0
+                    if (up and dr > 0 or down and dr < 0
+                            or (up or down) and dr == 0):
+                        act.append(j)
+                active[i] = act
+                r.g = gn
+        hits = [i for i, act in enumerate(active) if act]
+        if F is None and hits:
+            F = np.empty((len(acc), _POWER, ya.shape[1]))
+            F[hits] = self.dense_coefficients(
+                [acc[i] for i in hits], tc[hits], y_old[hits], f_old[hits],
+                ya[hits], fa[hits], h[hits], dead)
+        sample_at, sample_t = [], []
+        for i, (p, r) in enumerate(zip(acc, rows)):
+            if p in dead:
+                continue
+            t_old = to_list[i]
+            end = b = ta_list[i]
+            if active[i]:
+                try:
+                    e, root, y_end = self.locate(F[i], y_old[i], t_old, b,
+                                                 active[i])
+                except Exception as exc:
+                    dead[p] = exc
+                    continue
+                end = b = root
+                if self.dense and not r.first and root == t_old:
+                    # solve_ivp drops the step whose terminal root repeats
+                    # the previous step point
+                    y_end, b = y_old[i].copy(), None
+                ended[p] = Outcome(root, y_end, e, None, r.samples)
+            elif r.sgn * (b - r.tb) >= 0:
+                ended[p] = Outcome(b, ya[i].copy(), None, None, r.samples)
+            else:
+                end = None
+            if b is not None and r.seg.record is not None:
+                times = self.grid_times(r, t_old, b, end)
+                sample_at += [i] * len(times)
+                sample_t += times
+            r.first = False
+        if sample_t:
+            at, st = np.array(sample_at), np.array(sample_t)
+            t_old = np.array(to_list)[at]
+            hd = np.array(ta_list)[at] - t_old    # Dop853DenseOutput.h
+            Y = _interp_rows(F, at, y_old[at], t_old, hd, st)
+            lo = 0
+            while lo < len(at):
+                i = sample_at[lo]
+                hi = lo + 1
+                while hi < len(at) and sample_at[hi] == i:
+                    hi += 1
+                rows[i].samples.put(st[lo:hi], Y[lo:hi])
+                lo = hi
+
+    def locate(self, F, y_old, t_old, t_new, active):
+        """solve_ivp's handle_events on one step: a brentq root of every
+        active event on the step's interpolant; returns the event index,
+        root and state of the earliest."""
+        Fl, yl, h = F.tolist(), y_old.tolist(), t_new - t_old
+        roots = []
+        for e in active:
+            ev = self.events[e][0]
+            roots.append((brentq(
+                lambda tt: ev(tt, _interp(Fl, yl, t_old, h, tt)),
+                t_old, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), e))
+        # the earliest along the direction of time; ties go to the lower
+        # event index
+        root, e = (min if t_new > t_old else max)(roots, key=lambda r: r[0])
+        return e, root, np.array(_interp(Fl, yl, t_old, h, root))
+
+    # --------------------------------------------------------- sampling
+
+    def grid_times(self, row: _Row, t_old: float, b: float,
+                   end: float | None) -> list[float]:
+        """The sample times of the step (t_old, b]; `end` is the segment
+        end when the step is the last one, else None."""
+        step, g0, gd, i = self.grid_step, row.gstart, row.gdelta, row.gi
+        # np.arange(g0, ., step)[i] is g0, g0 + step, then g0 + i * gd
+        if end is None:
+            count, last = math.inf, b
+        else:
+            count, last = max(0, math.ceil((end - g0) / step)), math.inf
+        cands = [t_old] if row.first else []
+        while i < count:
+            v = g0 + i * gd if i > 1 else (g0 + step if i else g0)
+            if v > last:
+                break
+            cands.append(v)
+            i += 1
+        row.gi = i
+        if row.first or end is not None:
+            cands.append(b)
+            cands = sorted(set(cands))
+        elif not cands or cands[-1] != b:
+            cands.append(b)
+        floor_t = (row.seg.t0 + self.min_gap if row.seg.record == "grid-after"
+                   else -math.inf)
+        out = []
+        prev = row.prev
+        for e in cands:
+            if (prev is None or e - prev > self.min_gap) and e > floor_t:
+                out.append(e)
+            prev = e
+        row.prev = prev
+        return out
+
+
+def run(gens: Sequence, rhs: Callable, events: Sequence = (), *,
+        dense: bool, rtol: float, atol: float, grid_step: float = math.inf,
+        min_gap: float = 0.0) -> list:
+    """Run every generator to its end, all rows in lockstep.
+
+    `rhs(key)` returns the (scalar, batch) pair of one right-hand side:
+    scalar(t, y) -> sequence of d values for one state, batch(T, Y) ->
+    (R, d) array for R states, equal row by row.  `events` holds
+    (scalar, batch) pairs of the same kind with one value per state.
+    Returns, per generator, the value it returned or the exception it ended
+    with.
+    """
+    return _Lockstep(rhs, events, dense, rtol, atol, grid_step,
+                     min_gap).run(list(gens))

@@ -29,7 +29,8 @@ __all__ = [
     "ExprError", "ExprSyntaxError", "ExprDomainError",
     "parse", "evaluate", "diff", "diff_with_flag", "to_source",
     "has_kink", "kink_arguments", "substitute", "free_vars",
-    "compile_scalar", "compile_ode", "compile_batch", "FUNCTIONS",
+    "compile_scalar", "compile_ode", "compile_ode_batch", "compile_batch",
+    "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh", "sign")
@@ -625,6 +626,30 @@ def compile_ode(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:
                                       for w, name in zip(weights, names)))
     body.append(f"return [{', '.join(values)}]")
     return _exec_guarded("t, y", ["x = y.tolist()"], body, _scalar_namespace())
+
+
+def compile_ode_batch(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:
+    """compile_ode over many states: fn(t, y) -> (R, k) array for an
+    (R, d) array y, row r equal bit for bit to compile_ode's fn(t, y[r]).
+
+    t is a scalar or an (R,) array.  Sums, differences, products and
+    negations run on whole columns; every function, integer power and
+    division is applied element by element with the scalar operation, as
+    in compile_batch.  A domain error in any row raises ExprDomainError
+    for the whole call.  Overflow and nan pass silently, as in Python's
+    arithmetic, only under np.errstate(over='ignore', invalid='ignore').
+    """
+    exprs = list(exprs)
+    names = [f"v{k}" for k in range(len(exprs))]
+    body = [f"{name} = {_codegen(e, array_mode=True)}"
+            for name, e in zip(names, exprs)]
+    body.append(f"out = np.empty((x.shape[0], {len(exprs) + bool(weights)}))")
+    body += [f"out[:, {k}] = {name}" for k, name in enumerate(names)]
+    if weights:
+        body.append(f"out[:, {len(exprs)}] = 0.0" + "".join(
+            f" + x[:, {w - 1}] * {name}" for w, name in zip(weights, names)))
+    body.append("return out")
+    return _exec_guarded("t, x", [], body, _batch_namespace())
 
 
 def compile_batch(exprs: Iterable[Expr]) -> Callable:

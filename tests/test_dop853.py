@@ -1,0 +1,257 @@
+"""The lockstep DOP853 engine against scipy's solve_ivp, bit for bit.
+
+Every row of an engine run is compared with its own
+solve_ivp(method="DOP853", dense_output=True, events=...) call: the end
+state, t_events/y_events and the samples on the forced tau grid, which
+hold every step point (t, y) and the dense output between them.  The reference is scipy itself, so a failure here
+points at the engine or at a numpy/scipy/BLAS version whose rounding
+differs from the one the engine mirrors.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+import pmpstab.exprs as ex
+import pmpstab.manifold as M
+from pmpstab import _dop853
+from pmpstab.observer import manipulator_system
+from pmpstab.synthesis import double_integrator_system
+from pmpstab.systems import ControlSet, ControlSystem
+
+from test_manifold import rich_system
+
+STEP = M.FORCED_TAU_STEP
+GAP = 10 * M._EVENT_NUDGE
+
+SYSTEMS = {"di": double_integrator_system,
+           "pendulum": lambda: manipulator_system("-sin(x1)"),
+           "rich": rich_system}
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def one_segment(seg):
+    out = yield seg
+    return out
+
+
+def engine(compiler, segs, events, dense=True):
+    return _dop853.run([one_segment(s) for s in segs], compiler.flow, events,
+                       dense=dense, rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL,
+                       grid_step=STEP, min_gap=GAP)
+
+
+def reference(compiler, seg, events, dense=True):
+    evs = []
+    for (scalar, _), direction in zip(events, seg.directions):
+        def ev(t, y, scalar=scalar):
+            return scalar(t, y)
+        ev.terminal = True
+        ev.direction = direction
+        evs.append(ev)
+    return solve_ivp(compiler.flow(seg.key)[0], (seg.t0, seg.t_bound),
+                     seg.y0, method="DOP853", rtol=M.FLOW_RTOL,
+                     atol=M.FLOW_ATOL, dense_output=dense, events=evs)
+
+
+def grid_reference(sol, after):
+    """The forced-grid samples of one segment as the manifold took them
+    from solve_ivp."""
+    t0 = sol.t[0]
+    start = math.floor(t0 / STEP) * STEP + STEP
+    times = np.union1d(sol.t, np.arange(start, sol.t[-1], STEP))
+    times = times[np.concatenate(([True], np.diff(times) > GAP))]
+    if after:
+        times = times[times > t0 + GAP]
+    return times, sol.sol(times).T
+
+
+def seeds(sys, count, radius=1.0, w=0.5):
+    """Reversed-flow starts on a circle with nu = x, plus a W column."""
+    psi = 2.0 * np.pi * (np.arange(count) + 0.37) / count
+    x = radius * np.column_stack([np.cos(psi), np.sin(psi)])
+    return np.column_stack([x, x, np.full(count, w)])
+
+
+def segments(compiler, starts, t_bounds, record, direction="reversed",
+             budget=None, t0s=(0.0,)):
+    """One segment per start, at the control branch_control resolves
+    there, so the row keys mix; t0s and t_bounds are taken in turn."""
+    sys = compiler.sys
+    segs = []
+    for k, y in enumerate(starts):
+        u, s_eff, _, _ = M.branch_control(sys, y[:2], y[2:4], direction)
+        t0 = t0s[k % len(t0s)]
+        seg = compiler.request(y, t0, t0 + t_bounds[k % len(t_bounds)], u,
+                               s_eff, direction, record,
+                               budget=budget is not None)
+        segs.append(seg)
+    return segs
+
+
+def events_for(compiler, budget=None):
+    events = [compiler.sigma_event]
+    if budget is not None:
+        events.append(M._budget_event(compiler.n, budget))
+    return events
+
+
+def assert_same_segment(out, sol, events_used):
+    assert sol.success and out.success
+    assert bits(out.t) == bits(sol.t[-1])
+    assert bits(out.y) == bits(sol.y[:, -1])
+    fired = [k for k in range(events_used) if len(sol.t_events[k])]
+    assert fired == ([] if out.event is None else [out.event])
+    if out.event is not None:
+        assert bits(sol.t_events[out.event]) == bits([out.t])
+        # y_events holds the step's interpolant at the root, the end state
+        # unless solve_ivp dropped a step whose root repeats the previous
+        # step point (then the interpolant there: its y_old, up to the sign
+        # of zero entries)
+        assert bits(sol.y_events[out.event][0]) == bits(out.y)
+
+
+def assert_batched(segs):
+    """Some right-hand side starts with enough rows for its batched form."""
+    keys = [seg.key for seg in segs]
+    assert max(map(keys.count, keys)) >= _dop853._SMALL
+
+
+def assert_same_grid(out, sol, after):
+    times, ys = grid_reference(sol, after)
+    n = out.samples.count
+    assert bits(out.samples.t[:n]) == bits(times)
+    assert bits(out.samples.y[:n]) == bits(ys)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_step_points_and_events(self, name):
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        events = events_for(compiler, budget=1.6)
+        segs = segments(compiler, seeds(sys, 48), (0.4, 1.0, 3.0), "grid",
+                        budget=1.6)
+        assert_batched(segs)
+        outs = engine(compiler, segs, events)
+        kinds = set()
+        for seg, out in zip(segs, outs):
+            sol = reference(compiler, seg, events)
+            assert_same_segment(out, sol, 2)
+            assert_same_grid(out, sol, False)
+            kinds.add(out.event)
+        # switches, budget stops and rows that reach t_bound all occur
+        assert kinds == {0, 1, None}
+        assert len({seg.key for seg in segs}) == 2
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @pytest.mark.parametrize("record", ["grid", "grid-after"])
+    def test_dense_grid_samples(self, name, record):
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        events = events_for(compiler, budget=2.5)
+        starts = seeds(sys, 40, radius=0.8)
+        # a start 5e-12 below a grid point: the near-duplicate rule drops
+        # that grid point
+        segs = segments(compiler, starts, (0.7, 2.0), record, budget=2.5,
+                        t0s=(0.0, 0.31 - 5e-12, 1.0))
+        assert_batched(segs)
+        outs = engine(compiler, segs, events)
+        for seg, out in zip(segs, outs):
+            sol = reference(compiler, seg, events)
+            assert_same_segment(out, sol, 2)
+            assert_same_grid(out, sol, record == "grid-after")
+        # segments that end at a root and at t_bound both occur
+        assert {out.event is None for out in outs} == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_forward_flow_without_dense_output(self, name):
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        rng = np.random.default_rng(7)
+        starts = np.column_stack([rng.normal(size=(12, 4)), np.zeros(12)])
+        segs = segments(compiler, starts, (1.5,), None, direction="forward")
+        outs = engine(compiler, segs, events, dense=False)
+        for seg, out in zip(segs, outs):
+            assert_same_segment(out, reference(compiler, seg, events,
+                                               dense=False), 1)
+        assert {out.event for out in outs} == {0, None}
+
+    def test_few_rows_take_the_scalar_path(self):
+        # below _dop853._SMALL rows the right-hand side is called row by row
+        sys = SYSTEMS["pendulum"]()
+        compiler = M._compiler(sys)
+        events = events_for(compiler, budget=1.6)
+        segs = segments(compiler, seeds(sys, 3), (0.4, 1.0, 3.0), "grid",
+                        budget=1.6)
+        assert len(segs) < _dop853._SMALL
+        for seg, out in zip(segs, engine(compiler, segs, events)):
+            sol = reference(compiler, seg, events)
+            assert_same_segment(out, sol, 2)
+            assert_same_grid(out, sol, False)
+
+    def test_backward_segment(self):
+        sys = SYSTEMS["di"]()
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        y = np.array([0.3, -0.2, 0.5, 0.7, 0.0])
+        seg = _dop853.Segment(1.0, y, 1.0 - 1e-3, ((1.0,), "forward"),
+                              (-1.0,))
+        (out,) = engine(compiler, [seg], events, dense=False)
+        sol = reference(compiler, seg, events, dense=False)
+        assert_same_segment(out, sol, 1)
+
+
+class TestFailures:
+    def test_domain_error_drops_only_its_row(self):
+        sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
+                            drift=("x2", "sqrt(2 - x1) - sqrt(2)"),
+                            columns=[("0", "1")])
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        starts = seeds(sys, 64, radius=1.2)
+        segs = segments(compiler, starts, (4.0,), "grid")
+        assert_batched(segs)
+        outs = engine(compiler, segs, events)
+        failed = [o for o in outs if isinstance(o, Exception)]
+        assert failed and len(failed) < len(outs)
+        for seg, out in zip(segs, outs):
+            if isinstance(out, Exception):
+                assert isinstance(out, ex.ExprDomainError)
+                with pytest.raises(ex.ExprDomainError,
+                                   match=re.escape(str(out))):
+                    reference(compiler, seg, events)
+            else:
+                sol = reference(compiler, seg, events)
+                assert_same_segment(out, sol, 1)
+                assert_same_grid(out, sol, False)
+
+    def test_too_small_step_is_reported(self):
+        sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
+                            drift=("x2", "log(1.3 - x1^2) - log(1.3)"),
+                            columns=[("0", "1")])
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        segs = segments(compiler, seeds(sys, 8), (3.0,), None)
+        too_small = 0
+        for seg, out in zip(segs, engine(compiler, segs, events)):
+            if isinstance(out, Exception):
+                with pytest.raises(type(out), match=re.escape(str(out))):
+                    reference(compiler, seg, events)
+                continue
+            sol = reference(compiler, seg, events)
+            if sol.success:
+                assert_same_segment(out, sol, 1)
+                continue
+            assert out.message == sol.message
+            assert bits(out.t) == bits(sol.t[-1])
+            assert bits(out.y) == bits(sol.y[:, -1])
+            too_small += 1
+        assert too_small > 0

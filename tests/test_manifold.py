@@ -15,9 +15,11 @@ The costate second component vanishes at tau* = -tan psi, so a branch
 switches at most once and only when tan psi < 0.
 """
 
+import csv
 import gc
 import io
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -390,10 +392,52 @@ class TestBuildControls:
         sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
                             drift=("x2", "sqrt(2 - x1) - sqrt(2)"),
                             columns=[("0", "1")])
-        with pytest.warns(UserWarning, match="dropped 4 failed branches"):
+        with pytest.warns(UserWarning) as record:
             man = M.build_manifold(sys, di_lyap, 16, 2.0)
+        assert [str(w.message) for w in record] == [
+            "dropped 4 failed branches (first: branch 10: math domain error)"]
         assert man.dropped == 4
-        assert len(man.branches) == 12
+        assert [b.seed.index for b in man.branches] == [*range(10), 14, 15]
+        # a failing row leaves the lockstep run without touching the others
+        compiler = M._compiler(sys)
+        for b in man.branches:
+            alone = M.integrate_bicharacteristic(compiler, b.seed, 2.0, 1e6,
+                                                 di_lyap.epsilon)
+            for name in ("tau", "x", "nu", "u", "w", "s"):
+                assert bits(getattr(b, name)) == bits(getattr(alone, name))
+            assert b.events == alone.events
+            assert (b.degenerate_seed, b.stopped) == (alone.degenerate_seed,
+                                                      alone.stopped)
+
+    def test_most_branches_failing_is_an_error(self, di_lyap):
+        sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
+                            drift=("x2", "log(1.3 - x1^2) - log(1.3)"),
+                            columns=[("0", "1")])
+        failed = ("reversed flow failed: Required step size is less than "
+                  "spacing between numbers.")
+        detail = "; ".join(f"branch {i}: {failed}" for i in range(5))
+        with pytest.raises(RuntimeError) as info:
+            M.build_manifold(sys, di_lyap, 16, 3.0)
+        assert str(info.value) == f"16 of 16 branches failed: {detail}"
+
+    def test_build_holds_no_per_step_data(self, pend_system, pend_lyap,
+                                          monkeypatch):
+        # the integration phase peaks near the finished branch arrays: the
+        # samples go to one growable store per row, not to per-step objects
+        M.build_manifold(pend_system, pend_lyap, 8, 1.0)   # compile first
+        built = []
+        monkeypatch.setattr(M, "LagrangianManifold",
+                            lambda sys, lyap, eps, branches, *rest, **kw:
+                            built.append(branches))
+        tracemalloc.start()
+        try:
+            M.build_manifold(pend_system, pend_lyap, 64, 12.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(a.nbytes for b in built[0]
+                     for a in (b.tau, b.x, b.nu, b.u, b.w, b.s))
+        assert peak <= 1.5 * nbytes
 
     def test_nothing_dropped_is_counted_as_zero(self, di_manifold_small):
         assert di_manifold_small.dropped == 0
@@ -457,6 +501,27 @@ class TestExport:
                               for b in man.branches)
         assert n_switch_rows == n_switch_events
         assert set(flags) <= {0, 1, 2, 3}
+
+    def test_write_table_matches_csv_writer(self):
+        floats = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                  0.1, -1.5e300, 2.0]
+        ints = [0, -1, 7, 2 ** 40, 3, 4, 5, 6]
+        texts = ["", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain",
+                 '"', ","]
+        header = ["f", "i,j", "s"]
+        columns = [np.array(floats), np.array(ints), np.array(texts)]
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(header)
+        writer.writerows(zip(map(repr, floats), map(str, ints), texts))
+        got = io.StringIO(newline="")
+        M.write_table(got, header, columns)
+        assert got.getvalue() == want.getvalue()
+        # a lone empty field is quoted, as csv.writer does
+        want, got = io.StringIO(newline=""), io.StringIO(newline="")
+        csv.writer(want).writerows([["s"], [""], ["x"]])
+        M.write_table(got, ["s"], [np.array(["", "x"])])
+        assert got.getvalue() == want.getvalue()
 
     def test_export_is_reproducible(self, di_manifold_small, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -551,17 +616,25 @@ class TestBitIdentity:
         compiler = M._FlowCompiler(sys)
         rng = np.random.default_rng(22)
         for u in ([sys.omega.lower[0]], [sys.omega.upper[0]]):
-            rhs, ref = compiler.rhs(u), reference_rhs(sys, u)
-            fwd = compiler.rhs(u, "forward")
-            for _ in range(200):
-                y = 3.0 * rng.normal(size=5)
+            rhs, ref = compiler.flow((tuple(u), "reversed"))[0], reference_rhs(sys, u)
+            fwd = compiler.flow((tuple(u), "forward"))[0]
+            ys = 3.0 * rng.normal(size=(200, 5))
+            for y in ys:
                 want = ref(0.0, y)
                 assert bits(rhs(0.0, y)) == bits(want)
                 # by value: the negated forward body may flip signed zeros
                 assert fwd(0.0, y) == [-v for v in want]
+            # the batched right-hand sides give the same bits row by row
+            for direction, scalar in (("reversed", rhs), ("forward", fwd)):
+                batch = compiler.flow((tuple(u), direction))[1]
+                assert bits(batch(0.0, ys)) == bits([scalar(0.0, y) for y in ys])
 
     def test_rhs_raises_domain_errors(self):
         sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
                             drift=("x2", "sqrt(1 + x1) - 1"), columns=[("0", "1")])
+        compiler = M._FlowCompiler(sys)
+        y = np.array([[0.5, 0.0, 1.0, 1.0, 0.0], [-2.0, 0.0, 1.0, 1.0, 0.0]])
         with pytest.raises(ex.ExprDomainError):
-            M._FlowCompiler(sys).rhs([1.0])(0.0, np.array([-2.0, 0.0, 1.0, 1.0, 0.0]))
+            compiler.flow(((1.0,), "reversed"))[0](0.0, y[1])
+        with pytest.raises(ex.ExprDomainError):
+            compiler.flow(((1.0,), "reversed"))[1](0.0, y)
