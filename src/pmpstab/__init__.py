@@ -9,7 +9,8 @@ velocity of manipulator systems with a high-gain observer estimate.
 """
 
 from .exprs import (Expr, ExprDomainError, ExprError, ExprSyntaxError,
-                    compile_scalar, diff, evaluate, parse, to_source)
+                    compile_batch, compile_scalar, diff, evaluate, parse,
+                    to_source)
 from .systems import (ControlSet, ControlSystem, LyapunovSpec, SystemError,
                       equilibrium_residual, lie_bracket_adfb, rank_condition)
 from .hamiltonian import (MinimizerResult, branch_control, forward_rhs,

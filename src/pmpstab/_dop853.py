@@ -20,14 +20,14 @@ differently when batched stays per row:
 - the right-hand side is evaluated per group of rows sharing a key, and
   the events over all rows, with a batched function equal row by row to
   the scalar one; fewer than `_SMALL` rows call the scalar function.
-  Overflow and nan pass silently in the batched calls, as in the scalar
-  function's Python arithmetic; the rest of the step arithmetic runs under
-  the caller's numpy error settings, as in solve_ivp;
+  The batched functions let overflow and nan pass silently, as the scalar
+  function's Python arithmetic does; the rest of the step arithmetic runs
+  under the caller's numpy error settings, as in solve_ivp;
 - events are located per row with `brentq` on the step's interpolant.
 
 A row whose right-hand side, event function or generator raises leaves with
-that exception as its result; the other rows go on.  A segment may run
-backwards in time (t_bound < t0), but only without grid samples.
+that exception as its result; the other rows go on.  Time runs forwards:
+a segment needs t_bound > t0.
 
 A segment with dense output can record samples into the row's `Samples`
 store.  With `record` "grid" or "grid-after" they are np.union1d of the
@@ -136,8 +136,8 @@ class _Row:
     state.  The row's y and f live in the lockstep arrays."""
 
     __slots__ = ("index", "gen", "seg", "samples", "t", "h_abs", "tb",
-                 "sgn", "rejected", "g", "kid", "first", "prev", "gi",
-                 "gstart", "gdelta")
+                 "rejected", "g", "kid", "first", "prev", "gi", "gstart",
+                 "gdelta")
 
     def __init__(self, index, gen):
         self.index = index
@@ -206,11 +206,10 @@ class _Lockstep:
         positions, and a row that raises is put in `dead`."""
         if (len(Y) if sel is None else len(sel)) >= _SMALL:
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if sel is None:
-                        out[:] = fns[1](T, Y)
-                    else:
-                        out[sel] = fns[1](T[sel], Y[sel])
+                if sel is None:
+                    out[:] = fns[1](T, Y)
+                else:
+                    out[sel] = fns[1](T[sel], Y[sel])
                 return
             except Exception:
                 pass    # find the rows that raise, one by one
@@ -252,26 +251,24 @@ class _Lockstep:
         if len(seg.directions) != len(self.events):
             raise ValueError("a segment needs one direction per event")
         t0, tb = float(seg.t0), float(seg.t_bound)
-        if tb == t0:
-            raise ValueError("a segment needs t_bound != t0")
-        sgn = 1.0 if tb > t0 else -1.0
+        if not tb > t0:
+            raise ValueError("a segment needs t_bound > t0")
         if seg.record not in (None, "grid", "grid-after"):
             raise ValueError(f"unknown record {seg.record!r}")
-        if seg.record is not None and not (self.dense and sgn > 0):
-            raise ValueError("grid samples need dense output and increasing "
-                             "time")
+        if seg.record is not None and not self.dense:
+            raise ValueError("grid samples need dense output")
         kid = self.keys.get(seg.key)
         if kid is None:
             kid = self.keys[seg.key] = len(self.funcs)
             self.funcs.append(self.rhs(seg.key))
         fun = self.funcs[kid][0]
         f0 = np.asarray(fun(t0, y0), dtype=float)
-        interval = abs(tb - t0)
+        interval = tb - t0
         scale = self.atol + np.abs(y0) * self.rtol
         d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        f1 = np.asarray(fun(t0 + h0 * sgn, y0 + h0 * sgn * f0), dtype=float)
+        f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
         d2 = _norm((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -281,7 +278,7 @@ class _Lockstep:
         row.g = [float(ev(t0, y0)) for ev, _ in self.events]
         if row.samples is None:
             row.samples = Samples(len(y0))
-        row.seg, row.t, row.tb, row.sgn, row.kid = seg, t0, tb, sgn, kid
+        row.seg, row.t, row.tb, row.kid = seg, t0, tb, kid
         row.rejected, row.first, row.prev = False, True, None
         if seg.record is not None:
             step = self.grid_step
@@ -376,14 +373,14 @@ class _Lockstep:
         dead: dict[int, BaseException] = {}
         small, T, TN, H = [], [], [], []
         for p, r in enumerate(rows):
-            t, sgn = r.t, r.sgn
-            min_step = 10 * abs(math.nextafter(t, sgn * math.inf) - t)
+            t = r.t
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
             if not r.rejected and r.h_abs < min_step:
                 r.h_abs = min_step
             if r.h_abs < min_step:
                 small.append(p)
-            t_new = t + r.h_abs * sgn
-            if sgn * (t_new - r.tb) > 0:
+            t_new = t + r.h_abs
+            if t_new > r.tb:
                 t_new = r.tb
             T.append(t)
             TN.append(t_new)
@@ -416,7 +413,7 @@ class _Lockstep:
             e5, e3 = err5[p], err3[p]
             n5 = math.sqrt(e5.dot(e5)) ** 2
             n3 = math.sqrt(e3.dot(e3)) ** 2
-            h_abs = abs(H[p])
+            h_abs = H[p]
             if n5 == 0 and n3 == 0:
                 err = 0.0
             else:
@@ -526,7 +523,7 @@ class _Lockstep:
                     # the previous step point
                     y_end, b = y_old[i].copy(), None
                 ended[p] = Outcome(root, y_end, e, None, r.samples)
-            elif r.sgn * (b - r.tb) >= 0:
+            elif b >= r.tb:
                 ended[p] = Outcome(b, ya[i].copy(), None, None, r.samples)
             else:
                 end = None
@@ -560,9 +557,8 @@ class _Lockstep:
             roots.append((brentq(
                 lambda tt: ev(tt, _interp(Fl, yl, t_old, h, tt)),
                 t_old, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), e))
-        # the earliest along the direction of time; ties go to the lower
-        # event index
-        root, e = (min if t_new > t_old else max)(roots, key=lambda r: r[0])
+        # the earliest; ties go to the lower event index
+        root, e = min(roots, key=lambda r: r[0])
         return e, root, np.array(_interp(Fl, yl, t_old, h, root))
 
     # --------------------------------------------------------- sampling

@@ -7,13 +7,15 @@ Grammar (no implicit multiplication):
     term    := unary (('*' | '/') unary)*
     unary   := '-' unary | power
     power   := atom ('^' integer)?          # right-assoc, integer exponents only
-    atom    := number | 'pi' | 't' | x<k> | u<k> | fn '(' expr ')' | '(' expr ')'
+    atom    := number | 'pi' | x<k> | fn '(' expr ')' | '(' expr ')'
     fn      := sin cos tan exp log sqrt abs tanh sign
 
-Variables are 1-based (x1..xn, u1..um); indices are validated against the
-declared dimensions at parse time.  sign(0) evaluates to 0.  Differentiation
-is symbolic; derivatives taken through abs/sign are valid away from the kink
-and the kink arguments can be recovered with `kink_arguments`.
+Expressions are stationary: the state variables x1..xn (1-based, checked
+against the declared dimension at parse time) are the only variables, so
+`t` and the controls u1, u2, ... are rejected at parse time.  sign(0)
+evaluates to 0.  Differentiation is symbolic; derivatives taken through
+abs/sign are valid away from the kink and the kink arguments can be
+recovered with `kink_arguments`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "ExprError", "ExprSyntaxError", "ExprDomainError",
     "parse", "evaluate", "diff", "diff_with_flag", "to_source",
-    "has_kink", "kink_arguments", "substitute", "free_vars",
-    "compile_scalar", "compile_ode", "compile_ode_batch", "compile_batch",
+    "kink_arguments", "substitute", "compile_scalar", "compile_batch",
     "FUNCTIONS",
 ]
 
@@ -59,8 +60,7 @@ class Num:
 
 @dataclass(frozen=True)
 class Var:
-    kind: str   # 'x' | 'u' | 't'
-    index: int  # 1-based for x/u, 0 for t
+    index: int  # the state variable x<index>, 1-based
 
 
 @dataclass(frozen=True)
@@ -166,14 +166,13 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_IDENT_VAR_RE = re.compile(r"^(x|u)([1-9][0-9]*)$")
+_IDENT_VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 
 
 class _Parser:
-    def __init__(self, source: str, n: int, m: int):
+    def __init__(self, source: str, n: int):
         self.source = source
         self.n = n
-        self.m = m
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(source):
@@ -267,16 +266,14 @@ class _Parser:
         if text == "pi":
             return Num(math.pi)
         if text == "t":
-            return Var("t", 0)
+            raise ExprSyntaxError("'t' is not allowed: expressions are stationary", pos)
         var_match = _IDENT_VAR_RE.match(text)
         if var_match is not None:
-            vkind, idx_text = var_match.group(1), var_match.group(2)
-            idx = int(idx_text)
-            bound = self.n if vkind == "x" else self.m
-            if idx > bound:
+            idx = int(var_match.group(1))
+            if idx > self.n:
                 raise ExprSyntaxError(
-                    f"variable {text!r} out of range (declared {vkind} dimension {bound})", pos)
-            return Var(vkind, idx)
+                    f"variable {text!r} out of range (declared dimension {self.n})", pos)
+            return Var(idx)
         if text in FUNCTIONS:
             self.expect("(")
             arg = self.expr()
@@ -285,9 +282,9 @@ class _Parser:
         raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
 
 
-def parse(source: str, n: int, m: int = 0) -> Expr:
-    """Parse `source` with n state and m control variables declared."""
-    return _Parser(source, n, m).parse()
+def parse(source: str, n: int) -> Expr:
+    """Parse `source` as an expression of the n state variables x1..xn."""
+    return _Parser(source, n).parse()
 
 
 # --------------------------------------------------------------- evaluation
@@ -307,25 +304,23 @@ _SCALAR_FNS: dict[str, Callable[[float], float]] = {
 }
 
 
-def evaluate(e: Expr, x: Sequence[float] = (), u: Sequence[float] = (), t: float = 0.0) -> float:
-    """Evaluate in IEEE double arithmetic; domain violations raise ExprDomainError."""
+def evaluate(e: Expr, x: Sequence[float] = ()) -> float:
+    """Evaluate at the state x in IEEE double arithmetic; domain violations
+    raise ExprDomainError."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
-        if e.kind == "t":
-            return float(t)
-        seq = x if e.kind == "x" else u
-        return float(seq[e.index - 1])
+        return float(x[e.index - 1])
     if isinstance(e, Neg):
-        return -evaluate(e.arg, x, u, t)
+        return -evaluate(e.arg, x)
     if isinstance(e, BinOp):
-        a = evaluate(e.lhs, x, u, t)
+        a = evaluate(e.lhs, x)
         if e.op == "^":
             try:
                 return a ** int(e.rhs.value)  # type: ignore[union-attr]
             except OverflowError as exc:
                 raise ExprDomainError(str(exc)) from exc
-        b = evaluate(e.rhs, x, u, t)
+        b = evaluate(e.rhs, x)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -336,7 +331,7 @@ def evaluate(e: Expr, x: Sequence[float] = (), u: Sequence[float] = (), t: float
             raise ExprDomainError("division by zero")
         return a / b
     # Call
-    v = evaluate(e.arg, x, u, t)
+    v = evaluate(e.arg, x)
     if e.fn == "log" and v <= 0.0:
         raise ExprDomainError(f"log of non-positive value {v}")
     if e.fn == "sqrt" and v < 0.0:
@@ -352,12 +347,10 @@ def evaluate(e: Expr, x: Sequence[float] = (), u: Sequence[float] = (), t: float
 def _as_var(var: Union[str, Var]) -> Var:
     if isinstance(var, Var):
         return var
-    if var == "t":
-        return Var("t", 0)
     var_match = _IDENT_VAR_RE.match(var)
     if var_match is None:
         raise ExprError(f"cannot differentiate with respect to {var!r}")
-    return Var(var_match.group(1), int(var_match.group(2)))
+    return Var(int(var_match.group(1)))
 
 
 def diff_with_flag(e: Expr, var: Union[str, Var]) -> tuple[Expr, bool]:
@@ -417,10 +410,6 @@ def diff(e: Expr, var: Union[str, Var]) -> Expr:
     return diff_with_flag(e, var)[0]
 
 
-def has_kink(e: Expr) -> bool:
-    return bool(kink_arguments(e))
-
-
 def kink_arguments(e: Expr) -> list[Expr]:
     """Arguments of abs/sign nodes; derivatives are invalid where these are 0."""
     out: list[Expr] = []
@@ -459,19 +448,6 @@ def substitute(e: Expr, mapping: dict[Var, Expr]) -> Expr:
     return e
 
 
-def free_vars(e: Expr) -> set[Var]:
-    """Every variable (state, control or t) that occurs in `e`."""
-    if isinstance(e, Var):
-        return {e}
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, BinOp):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if isinstance(e, Call):
-        return free_vars(e.arg)
-    return set()
-
-
 # ----------------------------------------------------------------- printing
 
 # precedence: '+-' 1, '*/' 2, unary '-' 3, '^' 4, atoms 5
@@ -491,7 +467,7 @@ def to_source(e: Expr) -> str:
         if isinstance(e, Num):
             return _fmt_num(e.value)
         if isinstance(e, Var):
-            return "t" if e.kind == "t" else f"{e.kind}{e.index}"
+            return f"x{e.index}"
         if isinstance(e, Call):
             return f"{e.fn}({p(e.arg, 0)})"
         if isinstance(e, Neg):
@@ -509,19 +485,16 @@ def to_source(e: Expr) -> str:
 
 
 # ------------------------------------------------------------------ codegen
-# exec-compiled fast paths for integrator loops (scalar, math.*) and for
-# diagnostic sampling over arrays (batch, numpy).
+# exec-compiled evaluators: one state at a time in Python floats (math.*),
+# and many states at once on numpy columns, equal row by row.
 
 def _codegen(e: Expr, array_mode: bool) -> str:
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
-        if e.kind == "t":
-            return "t"
-        name = "x" if e.kind == "x" else "u"
         if array_mode:
-            return f"{name}[:, {e.index - 1}]"
-        return f"{name}[{e.index - 1}]"
+            return f"x[:, {e.index - 1}]"
+        return f"x[{e.index - 1}]"
     if isinstance(e, Neg):
         return f"(-{_codegen(e.arg, array_mode)})"
     if isinstance(e, BinOp):
@@ -534,12 +507,6 @@ def _codegen(e: Expr, array_mode: bool) -> str:
             return f"_div({lhs}, {rhs})"
         return f"({lhs} {e.op} {rhs})"
     return f"{e.fn}({_codegen(e.arg, array_mode)})"
-
-
-def _scalar_namespace() -> dict:
-    ns = dict(_SCALAR_FNS)
-    ns["abs"] = abs
-    return ns
 
 
 def _elementwise(fn: Callable) -> Callable:
@@ -559,7 +526,7 @@ def _batch_namespace() -> dict:
     # numpy's own transcendental functions and integer powers may differ
     # from the C library in the last bit, so every function, power and
     # division is applied element by element with the scalar operation
-    ns = {name: _elementwise(fn) for name, fn in _scalar_namespace().items()}
+    ns = {name: _elementwise(fn) for name, fn in _SCALAR_FNS.items()}
     ns["_pow"] = _elementwise(pow)
     ns["_div"] = _elementwise(operator.truediv)
     import numpy as np
@@ -570,12 +537,26 @@ def _batch_namespace() -> dict:
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _exec_guarded(signature: str, prologue: Sequence[str],
-                  body: Sequence[str], ns: dict) -> Callable:
-    """exec-compile `def _fn(signature)`: the prologue lines, then the body
+def _values(exprs: Iterable[Expr], weights: Sequence[int],
+            array_mode: bool) -> tuple[list[str], list[str]]:
+    """The lines v0 = ..., v1 = ... that evaluate `exprs`, and the code of
+    every returned value: v0, v1, ..., then the weighted sum when
+    `weights` is given."""
+    lines = [f"v{k} = {_codegen(e, array_mode)}" for k, e in enumerate(exprs)]
+    values = [f"v{k}" for k in range(len(lines))]
+    if weights:
+        col = "x[:, {}]" if array_mode else "x[{}]"
+        values.append("0.0" + "".join(f" + {col.format(w - 1)} * {v}"
+                                      for w, v in zip(weights, values)))
+    return lines, values
+
+
+def _exec_guarded(prologue: Sequence[str], body: Sequence[str],
+                  ns: dict) -> Callable:
+    """exec-compile `def _fn(t, x)`: the prologue lines, then the body
     lines with the domain errors of their operations raised as
     ExprDomainError.  The source is kept as fn._source."""
-    src = (f"def _fn({signature}):\n"
+    src = ("def _fn(t, x):\n"
            + "".join(f"    {line}\n" for line in prologue)
            + "    try:\n"
            + "".join(f"        {line}\n" for line in body)
@@ -588,86 +569,40 @@ def _exec_guarded(signature: str, prologue: Sequence[str],
     return fn
 
 
-def compile_scalar(exprs: Iterable[Expr]) -> Callable:
-    """Compile to fn(t, x, u) -> list[float]; domain errors raise ExprDomainError.
+def compile_scalar(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:
+    """Compile to fn(t, x) -> list[float]: the values v1, v2, ... of
+    `exprs` at the state x, then, when `weights` lists 1-based state
+    indices w1..wr, one more entry 0.0 + x_w1*v1 + ... + x_wr*vr, summed
+    left to right.  t is only the time argument integrators pass.
 
-    An ndarray x or u is read once with .tolist(), so the expressions run
-    in Python float arithmetic, which raises on a division by zero where
-    numpy scalars return inf.
+    An ndarray x is read once with .tolist(), so the expressions run in
+    Python float arithmetic, which raises on a division by zero where
+    numpy scalars return inf.  Domain errors raise ExprDomainError.  The
+    whole evaluation is one exec-compiled function, so an integrator pays
+    a single Python call per right-hand side.
     """
     import numpy as np
-    body = ", ".join(_codegen(e, array_mode=False) for e in exprs)
-    ns = _scalar_namespace()
-    ns["ndarray"] = np.ndarray
-    return _exec_guarded("t, x, u",
-                         ["if x.__class__ is ndarray: x = x.tolist()",
-                          "if u.__class__ is ndarray: u = u.tolist()"],
-                         [f"return [{body}]"], ns)
+    lines, values = _values(exprs, weights, array_mode=False)
+    ns = dict(_SCALAR_FNS, ndarray=np.ndarray)
+    return _exec_guarded(["if x.__class__ is ndarray: x = x.tolist()"],
+                         lines + [f"return [{', '.join(values)}]"], ns)
 
 
-def compile_ode(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:
-    """Compile to an ODE right-hand side fn(t, y) -> list[float].
+def compile_batch(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:
+    """compile_scalar over many states: fn(t, X) -> (R, k) array for an
+    (R, n) array X, row r equal bit for bit to compile_scalar's fn(t, X[r]).
 
-    y is read once with y.tolist(), and x1, x2, ... stand for y[0], y[1],
-    ...; the expressions may use t and x only.  The values v1, v2, ... of
-    `exprs` come first.  When `weights` lists 1-based state indices
-    w1..wr, one more entry follows: 0.0 + x_w1*v1 + ... + x_wr*vr, summed
-    left to right.  Domain errors raise ExprDomainError.  The whole
-    evaluation is one exec-compiled function, so an integrator pays a
-    single Python call per right-hand side.
+    Sums, differences, products and negations run on whole columns, whose
+    IEEE arithmetic rounds as Python's does; every function, integer power
+    and division is applied element by element with the scalar operation.
+    A domain error in any row raises ExprDomainError for the whole call.
+    An overflow to inf or a nan, which Python's arithmetic passes
+    silently, raises no numpy warning.
     """
-    exprs = list(exprs)
-    names = [f"v{k}" for k in range(len(exprs))]
-    body = [f"{name} = {_codegen(e, array_mode=False)}"
-            for name, e in zip(names, exprs)]
-    values = list(names)
-    if weights:
-        values.append("0.0" + "".join(f" + x[{w - 1}] * {name}"
-                                      for w, name in zip(weights, names)))
-    body.append(f"return [{', '.join(values)}]")
-    return _exec_guarded("t, y", ["x = y.tolist()"], body, _scalar_namespace())
-
-
-def compile_ode_batch(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:
-    """compile_ode over many states: fn(t, y) -> (R, k) array for an
-    (R, d) array y, row r equal bit for bit to compile_ode's fn(t, y[r]).
-
-    t is a scalar or an (R,) array.  Sums, differences, products and
-    negations run on whole columns; every function, integer power and
-    division is applied element by element with the scalar operation, as
-    in compile_batch.  A domain error in any row raises ExprDomainError
-    for the whole call.  Overflow and nan pass silently, as in Python's
-    arithmetic, only under np.errstate(over='ignore', invalid='ignore').
-    """
-    exprs = list(exprs)
-    names = [f"v{k}" for k in range(len(exprs))]
-    body = [f"{name} = {_codegen(e, array_mode=True)}"
-            for name, e in zip(names, exprs)]
-    body.append(f"out = np.empty((x.shape[0], {len(exprs) + bool(weights)}))")
-    body += [f"out[:, {k}] = {name}" for k, name in enumerate(names)]
-    if weights:
-        body.append(f"out[:, {len(exprs)}] = 0.0" + "".join(
-            f" + x[:, {w - 1}] * {name}" for w, name in zip(weights, names)))
-    body.append("return out")
-    return _exec_guarded("t, x", [], body, _batch_namespace())
-
-
-def compile_batch(exprs: Iterable[Expr]) -> Callable:
-    """Compile to fn(t, X, U) -> (len(exprs), nsamples) stacked array.
-
-    Row k of the result is, bit for bit, what compile_scalar's function
-    gives at (t, X[k], U[k]): sums, differences, products and negations
-    run on whole numpy arrays, whose IEEE arithmetic rounds as Python's
-    does, and every function, integer power and division is applied
-    element by element with the scalar operation.  Domain errors raise
-    ExprDomainError as in compile_scalar; an overflow to inf or a nan,
-    which Python's arithmetic passes silently, raises no numpy warning.
-    """
-    parts = []
-    for e in exprs:
-        code = _codegen(e, array_mode=True)
-        # promote constants to full columns
-        parts.append(f"np.broadcast_to(np.asarray({code}, dtype=float), (x.shape[0],))")
-    body = ["with np.errstate(over='ignore', invalid='ignore'):",
-            f"    return np.stack([{', '.join(parts)}])"]
-    return _exec_guarded("t, x, u", [], body, _batch_namespace())
+    lines, values = _values(exprs, weights, array_mode=True)
+    body = ["with np.errstate(over='ignore', invalid='ignore'):"]
+    body += [f"    {line}" for line in lines]
+    body.append(f"    out = np.empty((x.shape[0], {len(values)}))")
+    body += [f"    out[:, {k}] = {v}" for k, v in enumerate(values)]
+    body.append("    return out")
+    return _exec_guarded([], body, _batch_namespace())

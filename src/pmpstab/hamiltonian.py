@@ -59,7 +59,7 @@ def hamiltonian_values(sys: ControlSystem, x: np.ndarray, nu: np.ndarray,
     xdot = sys.eval_dynamics_batch(x, u)
     s = 0.0
     for i in range(sys.n):
-        s = s + nu[:, i] * xdot[i]
+        s = s + nu[:, i] * xdot[:, i]
     return s
 
 
@@ -74,8 +74,10 @@ def minimize_hamiltonian(sys: ControlSystem, x: Sequence[float],
                          nu: Sequence[float]) -> MinimizerResult:
     """Minimize S over the admissible control set.
 
-    A box uses the exact per-channel rule; a finite set is scanned
-    exhaustively with first-index ties.
+    A box uses the exact per-channel rule.  A finite set is scanned
+    exhaustively: u is the first listed value with the least S, `value`
+    is S(u), and the result is degenerate when another value comes within
+    SWITCH_TOL of it.
     """
     omega = sys.omega
     if omega.is_box:
@@ -93,19 +95,11 @@ def minimize_hamiltonian(sys: ControlSystem, x: Sequence[float],
         value = hamiltonian_value(sys, x, nu, u)
         return MinimizerResult(tuple(u), value, degenerate)
 
-    best_u = None
-    best = float("inf")
-    degenerate = False
-    for vals in omega.values:
-        s = hamiltonian_value(sys, x, nu, vals)
-        if s < best - SWITCH_TOL:
-            best, best_u = s, vals
-            degenerate = False
-        elif s <= best + SWITCH_TOL and vals != best_u:
-            # another admissible value achieves the minimum within tol
-            degenerate = True
-            if s < best:
-                best = s
+    scores = [hamiltonian_value(sys, x, nu, vals) for vals in omega.values]
+    best = min(scores)
+    best_u = omega.values[scores.index(best)]
+    degenerate = any(s <= best + SWITCH_TOL and vals != best_u
+                     for vals, s in zip(omega.values, scores))
     return MinimizerResult(tuple(best_u), best, degenerate)
 
 

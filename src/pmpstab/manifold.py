@@ -196,9 +196,9 @@ class _FlowCompiler:
 
     For a frozen control u the combined state is y = (x, nu, W); the
     reversed RHS (-xdot, J^T nu, <nu, -xdot>) is emitted by
-    `exprs.compile_ode` as one exec-compiled function that reads y once
+    `exprs.compile_scalar` as one exec-compiled function that reads y once
     with y.tolist() and returns all 2n+1 entries, and by
-    `exprs.compile_ode_batch` for many states at once, equal row by row.
+    `exprs.compile_batch` for many states at once, equal row by row.
     The forward RHS is the same body negated entry by entry, which IEEE
     negation makes exact.  The system must have a single input and a box
     control set; any other raises SystemError.  The compiler refers to its
@@ -218,12 +218,8 @@ class _FlowCompiler:
         sigma_e: ex.Expr = ex.Num(0.0)
         for i in range(n):
             sigma_e = ex._add(
-                sigma_e, ex._mul(ex.Var("x", n + 1 + i), sys.column_exprs[0][i]))
-        sigma_fn = ex.compile_scalar([sigma_e])
-        sigma_batch = ex.compile_ode_batch([sigma_e])
-        # the switch event as a (scalar, batch) pair of the engine
-        self.sigma_event = (lambda t, y: sigma_fn(t, y, ())[0],
-                            lambda t, y: sigma_batch(t, y)[:, 0])
+                sigma_e, ex._mul(ex.Var(n + 1 + i), sys.column_exprs[0][i]))
+        self.sigma_event = _event(sigma_e)
 
     @property
     def sys(self) -> ControlSystem:
@@ -243,14 +239,14 @@ class _FlowCompiler:
             acc: ex.Expr = ex.Num(0.0)
             for i in range(n):
                 dik, _ = ex.diff_with_flag(xdot[i], f"x{k + 1}")
-                acc = ex._add(acc, ex._mul(dik, ex.Var("x", n + 1 + i)))
+                acc = ex._add(acc, ex._mul(dik, ex.Var(n + 1 + i)))
             body.append(acc)
         if key[1] == "forward":
             body = [ex._neg(e) for e in body]
         # dW pairs nu_k = x_{n+k} with the first n entries: <nu, -xdot>
         # reversed, <nu, xdot> forward
         weights = range(n + 1, 2 * n + 1)
-        fns = (ex.compile_ode(body, weights), ex.compile_ode_batch(body, weights))
+        fns = (ex.compile_scalar(body, weights), ex.compile_batch(body, weights))
         self._cache[key] = fns
         return fns
 
@@ -265,13 +261,18 @@ class _FlowCompiler:
         zero.
 
         A start on the switching surface (|sigma| <= SWITCH_TOL) first
-        steps off it by _EVENT_NUDGE along the flow.  The segment starts
-        after that step, which may reach or pass t_end.
+        steps off it by _EVENT_NUDGE along the flow, or by t_end - t0 when
+        that is shorter.  The segment starts after that step; when the
+        step reaches t_end, the segment starts at t_end and is not to be
+        run.
         """
         key = (tuple(float(v) for v in u), direction)
         if abs(self.sigma_event[0](t0, y)) <= SWITCH_TOL:
-            y = y + _EVENT_NUDGE * np.asarray(self.flow(key)[0](t0, y))
-            t0 = t0 + _EVENT_NUDGE
+            f = np.asarray(self.flow(key)[0](t0, y))
+            if t0 + _EVENT_NUDGE <= t_end:
+                y, t0 = y + _EVENT_NUDGE * f, t0 + _EVENT_NUDGE
+            else:
+                y, t0 = y + (t_end - t0) * f, t_end
         directions = (-s_eff, 1.0) if budget else (-s_eff,)
         return _dop853.Segment(t0, y, t_end, key, directions, record)
 
@@ -296,24 +297,19 @@ def _compiler(sys: ControlSystem) -> _FlowCompiler:
     return compiler
 
 
+def _event(e: ex.Expr) -> tuple:
+    """The event function e of the flow state as a (scalar, batch) pair of
+    the engine."""
+    scalar, batch = ex.compile_scalar([e]), ex.compile_batch([e])
+    return (lambda t, y: scalar(t, y)[0], lambda t, y: batch(t, y)[:, 0])
+
+
 def _budget_event(n: int, budget: float) -> tuple:
-    """Event |x|^2 - budget^2 as a (scalar, batch) pair, summed left to
-    right from 0."""
-    b2 = budget * budget
-
-    def scalar(t, y):
-        s = 0.0
-        for v in y[:n]:
-            s = s + v * v
-        return s - b2
-
-    def batch(t, y):
-        s = 0.0
-        for i in range(n):
-            s = s + y[:, i] * y[:, i]
-        return s - b2
-
-    return scalar, batch
+    """Event |x|^2 - budget^2, summed left to right from 0."""
+    s: ex.Expr = ex.Num(0.0)
+    for i in range(1, n + 1):
+        s = ex.BinOp("+", s, ex.BinOp("*", ex.Var(i), ex.Var(i)))
+    return _event(ex.BinOp("-", s, ex.Num(budget * budget)))
 
 
 def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
@@ -449,7 +445,7 @@ def _forward(compiler: _FlowCompiler, x0, nu0, duration: float):
     while t0 < duration:
         seg = compiler.request(y, t0, duration, u, s_eff, "forward")
         if seg.t0 == duration:
-            y = seg.y
+            y = seg.y0
             break
         out = yield seg
         if not out.success:
@@ -570,9 +566,12 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
     for its seed alone.  Per-branch failures are tolerated up to half the seed count:
     failed branches are dropped with a warning and counted in the
     manifold's `dropped`.  A system that is not control-affine with a
-    single input and a box control set raises SystemError before seeding.
+    single input and a box control set, or a tau_max that is not
+    positive, raises SystemError before seeding.
     """
     compiler = _compiler(sys)
+    if not tau_max > 0.0:
+        raise SystemError(f"tau_max must be positive, got {tau_max}")
     seeds = seed_manifold(lyap, count)
     epsilon = lyap.epsilon
 

@@ -39,8 +39,8 @@ def manipulator_system(f_source: str, omega: ControlSet | None = None,
 def is_manipulator(sys: ControlSystem) -> bool:
     if not (sys.n == 2 and sys.m == 1):
         return False
-    x2 = ex.parse("x2", 2, 0)
-    col = tuple(ex.parse(s, 2, 0) for s in ("0", "1"))
+    x2 = ex.parse("x2", 2)
+    col = tuple(ex.parse(s, 2) for s in ("0", "1"))
     return sys.drift_exprs[0] == x2 and sys.column_exprs[0] == col
 
 
@@ -160,7 +160,7 @@ def gamma_margin(man: LagrangianManifold) -> float:
 
 
 # relabels x1 as x3 (the estimate z1) in the inner law and in f
-_X1_AS_Z1 = {ex.Var("x", 1): ex.Var("x", 3)}
+_X1_AS_Z1 = {ex.Var(1): ex.Var(3)}
 
 
 class _SurrogateLaw:
@@ -172,8 +172,7 @@ class _SurrogateLaw:
         self.gains = gains
         self.fd_scale = law.fd_scale
         w_sur = [ex.substitute(e, _X1_AS_Z1) for e in law.inner_exprs]
-        fn = ex.compile_scalar(combined.closed_loop_exprs(w_sur))
-        self.inner_dynamics = lambda t, y: fn(t, y, ())
+        self.inner_dynamics = ex.compile_scalar(combined.closed_loop_exprs(w_sur))
 
     def _proj(self, y) -> tuple[float, float]:
         return (float(y[0]), float(y[3]))

@@ -90,7 +90,7 @@ class StaticSwitchingLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "_surface",
-                           ex.parse(self.surface_source, self.system.n, 0))
+                           ex.parse(self.surface_source, self.system.n))
 
     def switching_value(self, x: Sequence[float]) -> float:
         return ex.evaluate(self._surface, x)

@@ -26,7 +26,7 @@ from .exprs import Expr
 from .hamiltonian import SWITCH_TOL, switching_values
 from .manifold import (LagrangianManifold, box_grid, build_manifold,
                        illumination_check, manifold_table, write_table)
-from .systems import ControlSystem, ControlSet, LyapunovSpec, parse_stationary
+from .systems import ControlSystem, ControlSet, LyapunovSpec
 
 # assembly checks the inner law on SHELL_LEVELS level sets of V inside
 # {V <= epsilon}, at SHELL_RAYS directions each, and accepts a rate of
@@ -92,8 +92,7 @@ class FeedbackLaw:
     @functools.cached_property
     def inner_dynamics(self):
         """Compiled closed-loop dynamics of the inner region, fn(t, x)."""
-        fn = ex.compile_scalar(self.system.closed_loop_exprs(self.inner_exprs))
-        return lambda t, x: fn(t, x, ())
+        return ex.compile_scalar(self.system.closed_loop_exprs(self.inner_exprs))
 
 
 def _shell_points(lyap: LyapunovSpec, epsilon: float) -> list[np.ndarray]:
@@ -138,8 +137,7 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
             f"need {sys.m} inner control expressions, got {len(inner_sources)}")
     if C <= 0.0:
         raise ValueError("bound C must be positive")
-    inner = tuple(parse_stationary(src, sys.n, "the inner law must be stationary")
-                  for src in inner_sources)
+    inner = tuple(ex.parse(src, sys.n) for src in inner_sources)
     epsilon = man.epsilon
 
     worst = -math.inf

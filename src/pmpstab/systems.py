@@ -1,9 +1,9 @@
 """Control system and Lyapunov function descriptions.
 
 A system is control-affine and autonomous, xdot = f(x) + sum_j u_j b_j(x).
-Its drift and columns, Lyapunov functions and inner laws are stationary
-expressions of x1..xn in the small expression language of `exprs`, read
-through `parse_stationary`; compiled evaluators are cached on the instance.
+Its drift and columns, Lyapunov functions and inner laws are expressions of
+x1..xn in the small, stationary expression language of `exprs`; compiled
+evaluators are cached on the instance.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from typing import Sequence
 import numpy as np
 
 from .exprs import (
-    Expr, Var, _add, _mul, compile_batch, compile_scalar, diff_with_flag,
-    evaluate, free_vars, kink_arguments, parse, to_source,
+    Expr, _add, _mul, compile_batch, compile_scalar, diff_with_flag,
+    evaluate, kink_arguments, parse, to_source,
 )
 
 __all__ = [
     "ControlSet", "ControlSystem", "LyapunovSpec",
     "KinkError", "SystemError",
     "lie_bracket_adfb", "equilibrium_residual", "rank_condition",
-    "parse_stationary",
 ]
 
 # slack of ControlSet.contains on each bound or listed value
@@ -95,23 +94,6 @@ class ControlSet:
         return [min(max(v, l), h) for v, l, h in zip(u, self.lower, self.upper)]
 
 
-_T = Var("t", 0)
-
-
-def parse_stationary(source: str, n: int, what: str) -> Expr:
-    """Parse `source` as an expression of x1..xn alone: a control u_j fails
-    to parse, and t raises SystemError("<what> (no t)")."""
-    e = parse(source, n, 0)
-    if _T in free_vars(e):
-        raise SystemError(f"{what} (no t)")
-    return e
-
-
-def _parse_all(sources: Sequence[str], n: int) -> tuple[Expr, ...]:
-    return tuple(parse_stationary(s, n, "affine pieces must be autonomous")
-                 for s in sources)
-
-
 class ControlSystem:
     """A control-affine system xdot = f(x) + sum_j u_j b_j(x) with compiled
     evaluators; f and the columns b_j are autonomous, and f(0) = 0."""
@@ -129,8 +111,9 @@ class ControlSystem:
             raise SystemError("drift must have n components")
         if len(columns) != self.m:
             raise SystemError("need one column per control channel")
-        self.drift_exprs = _parse_all(drift, n)
-        self.column_exprs = tuple(_parse_all(col, n) for col in columns)
+        self.drift_exprs = tuple(parse(s, n) for s in drift)
+        self.column_exprs = tuple(tuple(parse(s, n) for s in col)
+                                  for col in columns)
         for col in self.column_exprs:
             if len(col) != n:
                 raise SystemError("each column must have n components")
@@ -139,7 +122,7 @@ class ControlSystem:
         self._drift_batch = compile_batch(self.drift_exprs)
         self._column_batches = tuple(compile_batch(col) for col in self.column_exprs)
         self._jac_cache: dict[str, tuple] = {}
-        r = self._drift_fn(0.0, [0.0] * n, [])
+        r = self._drift_fn(0.0, [0.0] * n)
         if max(abs(v) for v in r) > 1e-12:
             raise SystemError(
                 "origin is not an equilibrium of the uncontrolled system "
@@ -148,27 +131,27 @@ class ControlSystem:
     # ------------------------------------------------------------- dynamics
 
     def eval_drift(self, x: Sequence[float]) -> list[float]:
-        return self._drift_fn(0.0, x, [])
+        return self._drift_fn(0.0, x)
 
     def eval_columns(self, x: Sequence[float]) -> list[list[float]]:
-        return [fn(0.0, x, []) for fn in self._column_fns]
+        return [fn(0.0, x) for fn in self._column_fns]
 
     def eval_dynamics(self, x: Sequence[float], u: Sequence[float]) -> list[float]:
-        out = self._drift_fn(0.0, x, [])
+        out = self._drift_fn(0.0, x)
         for j, fn in enumerate(self._column_fns):
-            col = fn(0.0, x, [])
+            col = fn(0.0, x)
             uj = u[j]
             for i in range(self.n):
                 out[i] += uj * col[i]
         return out
 
     def eval_dynamics_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """eval_dynamics at every row of x (K, n) and u (K, m), as an (n, K)
+        """eval_dynamics at every row of x (K, n) and u (K, m), as a (K, n)
         array equal to it bit for bit: the drift plus u_j times column j,
         added channel by channel in order."""
-        out = self._drift_batch(0.0, x, None)
+        out = self._drift_batch(0.0, x)
         for j, fn in enumerate(self._column_batches):
-            out = out + u[:, j] * fn(0.0, x, None)
+            out = out + u[:, j, None] * fn(0.0, x)
         return out
 
     def closed_loop_exprs(self, controls: Sequence[Expr]) -> list[Expr]:
@@ -205,7 +188,7 @@ class ControlSystem:
             if abs(evaluate(arg, x)) <= 1e-14:
                 raise KinkError(
                     f"Jacobian requested on a kink of {to_source(arg)} at x={list(x)}")
-        flat = fn(0.0, x, [])
+        flat = fn(0.0, x)
         return np.asarray(flat, dtype=float).reshape(self.n, self.n)
 
     def jacobian_drift(self, x: Sequence[float]) -> np.ndarray:
@@ -266,7 +249,7 @@ class LyapunovSpec:
         self.n = n
         self.source = source
         self.epsilon = epsilon
-        self.expr = parse_stationary(source, n, "V must be stationary")
+        self.expr = parse(source, n)
         self._v_fn = compile_scalar([self.expr])
         grads = []
         for j in range(1, n + 1):
@@ -287,10 +270,10 @@ class LyapunovSpec:
                     f"V is not positive at sampled point {pt.tolist()}")
 
     def value(self, x: Sequence[float]) -> float:
-        return self._v_fn(0.0, x, [])[0]
+        return self._v_fn(0.0, x)[0]
 
     def gradient(self, x: Sequence[float]) -> list[float]:
-        return self._grad_fn(0.0, x, [])
+        return self._grad_fn(0.0, x)
 
     def radial_point(self, direction: Sequence[float], level: float) -> np.ndarray:
         """Point x = r*d with V(x) = level, found by bisection along the ray."""

@@ -147,6 +147,16 @@ class TestExitCodes:
         assert rc == 1
         assert "invalid-input" in capsys.readouterr().err
 
+    def test_nonpositive_tau_max_exits_one(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["manifold"]["tau_max"] = 0.0
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "law.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert "tau_max must be positive" in err
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["simulation"] = {"t_max": 60.0, "x0": [3.0, 3.0], "blowup": 2.0}

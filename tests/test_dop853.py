@@ -197,19 +197,19 @@ class TestOracle:
             assert_same_segment(out, sol, 2)
             assert_same_grid(out, sol, False)
 
-    def test_backward_segment(self):
-        sys = SYSTEMS["di"]()
-        compiler = M._compiler(sys)
-        events = events_for(compiler)
-        y = np.array([0.3, -0.2, 0.5, 0.7, 0.0])
-        seg = _dop853.Segment(1.0, y, 1.0 - 1e-3, ((1.0,), "forward"),
-                              (-1.0,))
-        (out,) = engine(compiler, [seg], events, dense=False)
-        sol = reference(compiler, seg, events, dense=False)
-        assert_same_segment(out, sol, 1)
 
 
 class TestFailures:
+    @pytest.mark.parametrize("t_bound", [1.0, 1.0 - 1e-3])
+    def test_segment_must_run_forwards(self, t_bound):
+        sys = SYSTEMS["di"]()
+        compiler = M._compiler(sys)
+        y = np.array([0.3, -0.2, 0.5, 0.7, 0.0])
+        seg = _dop853.Segment(1.0, y, t_bound, ((1.0,), "forward"), (-1.0,))
+        (out,) = engine(compiler, [seg], events_for(compiler), dense=False)
+        assert isinstance(out, ValueError)
+        assert str(out) == "a segment needs t_bound > t0"
+
     def test_domain_error_drops_only_its_row(self):
         sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
                             drift=("x2", "sqrt(2 - x1) - sqrt(2)"),

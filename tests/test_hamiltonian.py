@@ -86,6 +86,17 @@ class TestMinimizeFiniteSet:
         assert r.value == pytest.approx(1.0)
         assert r.degenerate
 
+    def test_near_tie_returns_the_exact_argmin_and_its_value(self):
+        # the second value is 4e-11 lower, within SWITCH_TOL of the first
+        values = [(1.0,), (1.0 - 4e-11,)]
+        sys = ControlSystem(2, ControlSet.finite(values),
+                            drift=("x2", "0"), columns=(("0", "1"),))
+        x, nu = (0.0, 0.0), (0.0, 1.0)
+        r = minimize_hamiltonian(sys, x, nu)
+        assert r.u == values[1]
+        assert r.value == hamiltonian_value(sys, x, nu, r.u) == 1.0 - 4e-11
+        assert r.degenerate
+
 
 class TestBranchControl:
     def test_signs_away_from_the_surface(self):

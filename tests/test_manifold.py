@@ -27,6 +27,7 @@ import pytest
 
 import pmpstab.exprs as ex
 import pmpstab.manifold as M
+from pmpstab import _dop853
 from pmpstab.hamiltonian import (branch_control, hamiltonian_value,
                                  hamiltonian_values)
 from pmpstab.manifold import NotCoveredError, flow_forward, seed_manifold
@@ -321,6 +322,27 @@ class TestReversal:
         assert built == [sys]
         assert bits(first[:2]) == bits(second[:2]) and first[2] == second[2]
 
+    def test_switch_just_before_the_end_runs_no_segment_backwards(
+            self, di_system, di_lyap, monkeypatch):
+        # sample 365 of the DI N=256, tau_max=14 manifold: the forward flow
+        # switches at t = 3.6099999999999977, 2.2e-15 before its end, where
+        # a full 1e-12 step off the switching surface would pass the end
+        starts = []
+        start = _dop853._Lockstep.start
+
+        def recording_start(self, row, seg):
+            starts.append((seg.t0, seg.t_bound))
+            return start(self, row, seg)
+
+        monkeypatch.setattr(_dop853._Lockstep, "start", recording_start)
+        x, nu, switches = flow_forward(
+            di_system, (-5.5160500000004475, 3.6099999999999994),
+            (0.9999999999995453, 3.6099999999983536), 3.61)
+        assert starts == [(0.0, 3.61)]
+        assert switches == 1
+        assert di_lyap.value(x) == pytest.approx(di_lyap.epsilon, abs=1e-12)
+        assert np.linalg.norm(nu - di_lyap.gradient(x)) <= 1e-12
+
     def test_compiler_cache_does_not_keep_the_system_alive(self):
         sys = double_integrator_system()
         flow_forward(sys, (1.2, 0.3), (0.8, 0.6), 0.5)
@@ -345,6 +367,16 @@ class TestSupportedSystems:
         with pytest.raises(M.SystemError, match="control-affine system with "
                            "a single input and a box control set"):
             M.build_manifold(sys, di_lyap, 8, 1.0)
+
+    @pytest.mark.parametrize("tau_max", [0.0, -1.0, math.nan])
+    def test_nonpositive_tau_max_rejected_before_seeding(self, tau_max, di_lyap,
+                                                         monkeypatch):
+        def no_seeding(*args, **kwargs):
+            raise AssertionError("seed_manifold was called")
+
+        monkeypatch.setattr(M, "seed_manifold", no_seeding)
+        with pytest.raises(M.SystemError, match="tau_max must be positive"):
+            M.build_manifold(double_integrator_system(), di_lyap, 8, tau_max)
 
 
 class TestSwitchRule:
@@ -540,9 +572,9 @@ def scalar_s(sys, x, nu, u):
 
 
 def reference_rhs(sys, u):
-    """The reversed-flow RHS in three layers, the reference for
-    compile_ode: a closure calling compile_scalar's wrapper of the body,
-    then dW accumulated in a loop."""
+    """The reversed-flow RHS in three layers, the reference for the
+    weighted compile_scalar: a closure calling compile_scalar's function
+    of the body, then dW accumulated in a loop."""
     n = sys.n
     xdot = sys.closed_loop_exprs([ex._num(v) for v in u])
     body = [ex._neg(e) for e in xdot]
@@ -550,12 +582,12 @@ def reference_rhs(sys, u):
         acc = ex.Num(0.0)
         for i in range(n):
             dik, _ = ex.diff_with_flag(xdot[i], f"x{k + 1}")
-            acc = ex._add(acc, ex._mul(dik, ex.Var("x", n + 1 + i)))
+            acc = ex._add(acc, ex._mul(dik, ex.Var(n + 1 + i)))
         body.append(acc)
     core = ex.compile_scalar(body)
 
     def fn(t, y):
-        vals = core(t, y, ())
+        vals = core(t, y)
         dw = 0.0
         for k in range(n):
             dw += y[n + k] * vals[k]
