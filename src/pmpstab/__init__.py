@@ -13,9 +13,8 @@ from .exprs import (Expr, ExprDomainError, ExprError, ExprSyntaxError,
                     to_source)
 from .systems import (ControlSet, ControlSystem, LyapunovSpec, SystemError,
                       equilibrium_residual, lie_bracket_adfb, rank_condition)
-from .hamiltonian import (MinimizerResult, branch_control, forward_rhs,
-                          hamiltonian_value, minimize_hamiltonian,
-                          reversed_rhs, switching_values)
+from .hamiltonian import (MinimizerResult, branch_control, hamiltonian_value,
+                          minimize_hamiltonian, switching_values)
 from .manifold import (Bicharacteristic, BranchEvent, IlluminationReport,
                        LagrangianManifold, NotCoveredError, QueryResult,
                        Seed, SwitchPoint, build_manifold, cross_path_integral,
@@ -24,11 +23,9 @@ from .manifold import (Bicharacteristic, BranchEvent, IlluminationReport,
                        jacobian_info, seed_manifold, switching_curve, switching_polylines,
                        two_path_generating_values)
 from .synthesis import (BoundReport, DecreaseViolation, FeedbackLaw,
-                        ProjectionDiagnostic, assemble_feedback,
-                        build_double_integrator_law, double_integrator_lyapunov,
-                        double_integrator_system, eval_feedback, export_law_csv,
-                        projection_diagnostic, reference_switching_curve,
-                        verify_bound)
+                        assemble_feedback, double_integrator_lyapunov,
+                        double_integrator_system, export_law_csv,
+                        reference_switching_curve, verify_bound)
 from .simulate import (BlowupError, GridReport, StaticSwitchingLaw, Trajectory,
                        TrajectoryEvent, Verdict, export_trajectory_csv,
                        filippov_step, simulate_closed_loop, simulate_grid,

@@ -375,8 +375,9 @@ def diff_with_flag(e: Expr, var: Union[str, Var]) -> tuple[Expr, bool]:
             if e.op == "*":
                 return _add(_mul(d(e.lhs), e.rhs), _mul(e.lhs, d(e.rhs)))
             if e.op == "/":
-                num = _sub(_mul(d(e.lhs), e.rhs), _mul(e.lhs, d(e.rhs)))
-                return _div(num, _pow(e.rhs, 2))
+                # (a' - (a/b) b')/b: b^2 would under- or overflow long
+                # before b does
+                return _div(_sub(d(e.lhs), _mul(e, d(e.rhs))), e.rhs)
             k = int(e.rhs.value)  # type: ignore[union-attr]
             return _mul(_mul(_num(k), _pow(e.lhs, k - 1)), d(e.lhs))
         # Call

@@ -11,7 +11,8 @@ and the closed-loop simulator all read it from here.
 
 The forward flow is xdot = dS/dnu, nudot = -dS/dx; the reversed flow negates
 both.  Both are evaluated at the frozen minimizing control, which is valid
-between switching events.
+between switching events, and are compiled in `manifold._FlowCompiler`;
+`branch_control` is the switch rule they share.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .systems import ControlSystem, SystemError, lie_bracket_adfb
 __all__ = [
     "MinimizerResult", "minimize_hamiltonian", "hamiltonian_value",
     "hamiltonian_values",
-    "branch_control", "reversed_rhs", "forward_rhs",
+    "branch_control",
     "SWITCH_TOL",
 ]
 
@@ -121,7 +122,7 @@ def branch_control(sys: ControlSystem, x: Sequence[float], nu: Sequence[float],
     elif sigma < -SWITCH_TOL:
         s_eff = -1.0
     else:
-        trans = float(np.dot(nu, lie_bracket_adfb(sys, x, 0)))
+        trans = float(np.dot(nu, lie_bracket_adfb(sys, x)))
         trend = -trans if direction == "reversed" else trans
         if trend > 0.0:
             s_eff = 1.0
@@ -138,25 +139,3 @@ def branch_control(sys: ControlSystem, x: Sequence[float], nu: Sequence[float],
         u = [(lo + hi) / 2.0]
     return u, s_eff, sigma, s_eff == 0.0
 
-
-def reversed_rhs(sys: ControlSystem, x: Sequence[float], nu: Sequence[float],
-                 u: Sequence[float] | None = None) -> tuple[list[float], list[float]]:
-    """Reversed characteristic flow xdot = -dS/dnu, nudot = +dS/dx at frozen
-    minimizing control (computed from branch_control when u is None)."""
-    if u is None:
-        u, _, _, _ = branch_control(sys, x, nu, "reversed")
-    f = sys.eval_dynamics(x, u)
-    jac = sys.jacobian_x(x, u)
-    dnu = jac.T @ np.asarray(nu, dtype=float)
-    return [-v for v in f], dnu.tolist()
-
-
-def forward_rhs(sys: ControlSystem, x: Sequence[float], nu: Sequence[float],
-                u: Sequence[float] | None = None) -> tuple[list[float], list[float]]:
-    """Forward characteristic flow xdot = dS/dnu, nudot = -dS/dx."""
-    if u is None:
-        u, _, _, _ = branch_control(sys, x, nu, "forward")
-    f = sys.eval_dynamics(x, u)
-    jac = sys.jacobian_x(x, u)
-    dnu = -(jac.T @ np.asarray(nu, dtype=float))
-    return list(f), dnu.tolist()

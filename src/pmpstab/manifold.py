@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _dop853, exprs as ex
-from .hamiltonian import SWITCH_TOL, branch_control, hamiltonian_values, reversed_rhs
+from .hamiltonian import SWITCH_TOL, branch_control, hamiltonian_values
 from .systems import ControlSystem, LyapunovSpec, SystemError, lie_bracket_adfb
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "switching_curve", "switching_polylines", "export_manifold_csv",
     "cross_path_integral", "two_path_generating_values",
     "TRANSVERSALITY_TOL", "FORCED_TAU_STEP", "FLOW_RTOL", "FLOW_ATOL",
-    "CHART_DET_TOL",
+    "CHART_DET_TOL", "TIE_TOL",
 ]
 
 # a switch with |<nu, ad_f b>| at or below this ends the branch
@@ -53,6 +53,9 @@ FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
 # jacobian_info flags the (psi, tau) chart degenerate at |det| <= this
 CHART_DET_TOL = 1e-6
+# query_ties counts a sample as tied when its distance is within this of
+# the nearest one
+TIE_TOL = 1e-9
 _EVENT_NUDGE = 1e-12
 
 EVENT_FLAG = {"": 0, "switch": 1, "transversality-failure": 2, "budget": 3}
@@ -338,7 +341,7 @@ def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
                                   float(trans), sample_index))
 
     def transversality(yv: np.ndarray) -> float:
-        return float(np.dot(yv[n:2 * n], lie_bracket_adfb(sys, yv[:n], 0)))
+        return float(np.dot(yv[n:2 * n], lie_bracket_adfb(sys, yv[:n])))
 
     if degenerate_seed:
         trans = transversality(y)
@@ -538,9 +541,9 @@ class LagrangianManifold:
             raise NotCoveredError(p, dist, self.query_radius)
         return self._result(int(idx), dist)
 
-    def query_ties(self, x: Sequence[float], tie_tol: float = 1e-9, *,
+    def query_ties(self, x: Sequence[float], *,
                    bounded: bool = True) -> list[QueryResult]:
-        """All samples whose distance is within tie_tol of the minimum.
+        """All samples whose distance is within TIE_TOL of the minimum.
 
         Returned in ascending flat-index order.
         """
@@ -549,7 +552,7 @@ class LagrangianManifold:
         dmin = float(dmin)
         if bounded and dmin > self.query_radius:
             raise NotCoveredError(p, dmin, self.query_radius)
-        idxs = sorted(self._tree.query_ball_point(p, dmin + tie_tol))
+        idxs = sorted(self._tree.query_ball_point(p, dmin + TIE_TOL))
         return [self._result(int(i),
                              float(np.linalg.norm(self.flat_x[i] - p)))
                 for i in idxs]
@@ -614,10 +617,9 @@ def jacobian_info(man: LagrangianManifold, branch: int,
     dpsi = (man.psi[(branch + 1) % count] - man.psi[(branch - 1) % count]) \
         % (2.0 * math.pi)
     dx_dpsi = (x_r - x_l) / dpsi
-    xi, ni = b.interp_state(tau)
+    xi, _ = b.interp_state(tau)
     u = b.control_at(tau)
-    dx, _ = reversed_rhs(man.system, xi, ni, u)
-    dx_dtau = np.asarray(dx)
+    dx_dtau = -np.asarray(man.system.eval_dynamics(xi, u))
     if man.system.n == 2:
         det = float(dx_dpsi[0] * dx_dtau[1] - dx_dpsi[1] * dx_dtau[0])
     else:

@@ -24,8 +24,8 @@ import numpy as np
 from . import exprs as ex
 from .exprs import Expr
 from .hamiltonian import SWITCH_TOL, switching_values
-from .manifold import (LagrangianManifold, box_grid, build_manifold,
-                       illumination_check, manifold_table, write_table)
+from .manifold import (LagrangianManifold, box_grid, illumination_check,
+                       manifold_table, write_table)
 from .systems import ControlSystem, ControlSet, LyapunovSpec
 
 # assembly checks the inner law on SHELL_LEVELS level sets of V inside
@@ -73,7 +73,31 @@ class FeedbackLaw:
         return switching_values(self.system, x, q.nu)[0]
 
     def control(self, x: Sequence[float]) -> list[float]:
-        return eval_feedback(self, x)
+        """Control value at x.
+
+        Inside {V <= epsilon} (boundary included) the inner law wins.
+        Outside, the nearest manifold covector sets u_j = -sign(sigma_j) * k;
+        on the switching surface (|sigma_j| below tolerance) the stored
+        post-switch sample control is reused.  The nearest-sample rule is
+        applied without a radius cutoff, so the law is total: closed-loop
+        arcs overshoot the densely sampled region before turning back, and
+        the sign field must stay defined there.  Coverage audits still go
+        through query/illumination, which keep the radius.
+        """
+        if self.boundary_value(x) <= 0.0:
+            return self.inner_value(x)
+        ties = self.manifold.query_ties(x, bounded=False)
+        q = _resolve_projection(self, x, ties)
+        sig = switching_values(self.system, x, q.nu)
+        u = []
+        for j, s in enumerate(sig):
+            if s > SWITCH_TOL:
+                u.append(-self.k)
+            elif s < -SWITCH_TOL:
+                u.append(self.k)
+            else:
+                u.append(float(q.u[j]))
+        return u
 
     def side_control(self, x: Sequence[float], side: int) -> list[float]:
         """Limiting control on the side where the switching value has
@@ -164,34 +188,6 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
                        -boundary_worst)
 
 
-def eval_feedback(law: FeedbackLaw, x: Sequence[float]) -> list[float]:
-    """Control value at x.
-
-    Inside {V <= epsilon} (boundary included) the inner law wins.  Outside,
-    the nearest manifold covector sets u_j = -sign(sigma_j) * k; on the
-    switching surface (|sigma_j| below tolerance) the stored post-switch
-    sample control is reused.  The nearest-sample rule is applied without
-    a radius cutoff, so the law is total: closed-loop arcs overshoot the
-    densely sampled region before turning back, and the sign field must
-    stay defined there.  Coverage audits still go through query/
-    illumination, which keep the radius.
-    """
-    if law.boundary_value(x) <= 0.0:
-        return law.inner_value(x)
-    ties = law.manifold.query_ties(x, bounded=False)
-    q = _resolve_projection(law, x, ties)
-    sig = switching_values(law.system, x, q.nu)
-    u = []
-    for j, s in enumerate(sig):
-        if s > SWITCH_TOL:
-            u.append(-law.k)
-        elif s < -SWITCH_TOL:
-            u.append(law.k)
-        else:
-            u.append(float(q.u[j]))
-    return u
-
-
 def _resolve_projection(law: FeedbackLaw, x, ties):
     """Pick one sample among equidistant projections.
 
@@ -209,28 +205,6 @@ def _resolve_projection(law: FeedbackLaw, x, ties):
     if len(signs) > 1:
         return min(ties, key=lambda q: q.w)
     return min(ties, key=lambda q: q.distance)
-
-
-@dataclass(frozen=True)
-class ProjectionDiagnostic:
-    count: int
-    distances: tuple[float, ...]
-    ws: tuple[float, ...]
-    sigma_signs: tuple[int, ...]
-    conflicting: bool
-
-
-def projection_diagnostic(law: FeedbackLaw, x: Sequence[float],
-                          tie_tol: float = 1e-9) -> ProjectionDiagnostic:
-    """Report multiplicity of the nearest-sample projection at x."""
-    ties = law.manifold.query_ties(x, tie_tol, bounded=False)
-    sigs = [switching_values(law.system, x, q.nu)[0] for q in ties]
-    signs = tuple(0 if abs(s) <= SWITCH_TOL else (1 if s > 0 else -1)
-                  for s in sigs)
-    nonzero = {s for s in signs if s != 0}
-    return ProjectionDiagnostic(
-        len(ties), tuple(q.distance for q in ties),
-        tuple(q.w for q in ties), signs, len(nonzero) > 1)
 
 
 @dataclass(frozen=True)
@@ -258,7 +232,7 @@ def verify_bound(law: FeedbackLaw, lower: Sequence[float],
                    in zip(pts, illumination_check(law.manifold, pts))
                    if status == "dark"]
     for p in pts:
-        u = eval_feedback(law, p)
+        u = law.control(p)
         worst = max(abs(v) for v in u)
         max_abs = max(max_abs, worst)
         if worst > law.C + 1e-12:
@@ -306,25 +280,6 @@ def double_integrator_system(k: float = 1.0) -> ControlSystem:
 
 def double_integrator_lyapunov(epsilon: float = 0.5) -> LyapunovSpec:
     return LyapunovSpec("0.5*(x1^2 + x2^2)", 2, epsilon=epsilon)
-
-
-def build_double_integrator_law(count: int = 256, tau_max: float = 10.0,
-                                k: float | None = None, C: float = 1.5,
-                                inner_sources: Sequence[str] = ("-x1 - x2",),
-                                epsilon: float = 0.5) -> FeedbackLaw:
-    """Planar benchmark law.
-
-    The default inner law -x1 - x2 attains |w| = sqrt(2*epsilon*2) on the
-    handover circle, so the default bound is C=1.5 > sqrt(2); pass a
-    saturating inner law to run with C=1.  The bang amplitude k matches C
-    unless given: the control box must contain the inner law's range.
-    """
-    if k is None:
-        k = C
-    sys = double_integrator_system(k)
-    lyap = double_integrator_lyapunov(epsilon)
-    man = build_manifold(sys, lyap, count, tau_max)
-    return assemble_feedback(sys, lyap, man, inner_sources, k=k, C=C)
 
 
 def export_law_csv(law: FeedbackLaw, path: str) -> None:

@@ -197,30 +197,24 @@ class ControlSystem:
     def jacobian_column(self, j: int, x: Sequence[float]) -> np.ndarray:
         return self._eval_jac(f"col{j}", self.column_exprs[j], x)
 
-    def jacobian_x(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        """d(xdot)/dx at frozen u."""
-        jac = self.jacobian_drift(x)
-        for j in range(self.m):
-            jac = jac + u[j] * self.jacobian_column(j, x)
-        return jac
 
-
-def lie_bracket_adfb(sys: ControlSystem, x: Sequence[float], j: int = 0) -> np.ndarray:
-    """ad_f b_j = (db_j/dx) f - (df/dx) b_j with f the stored drift."""
+def lie_bracket_adfb(sys: ControlSystem, x: Sequence[float]) -> np.ndarray:
+    """ad_f b = (db/dx) f - (df/dx) b with f the stored drift and b the
+    first control column."""
     f = np.asarray(sys.eval_drift(x), dtype=float)
-    b = np.asarray(sys.eval_columns(x)[j], dtype=float)
+    b = np.asarray(sys.eval_columns(x)[0], dtype=float)
     jac_f = sys.jacobian_drift(x)
-    jac_b = sys.jacobian_column(j, x)
+    jac_b = sys.jacobian_column(0, x)
     return jac_b @ f - jac_f @ b
 
 
-def equilibrium_residual(sys: ControlSystem, x: Sequence[float], j: int = 0) -> float:
-    """det [f(x) b_j(x)] for planar single-input systems; zero where the
-    drift and the control column are parallel."""
+def equilibrium_residual(sys: ControlSystem, x: Sequence[float]) -> float:
+    """det [f(x) b(x)] for planar systems, with b the first control column;
+    zero where the drift and the control column are parallel."""
     if sys.n != 2:
         raise SystemError("residual is defined for planar systems")
     f = sys.eval_drift(x)
-    b = sys.eval_columns(x)[j]
+    b = sys.eval_columns(x)[0]
     return f[0] * b[1] - f[1] * b[0]
 
 
@@ -229,7 +223,7 @@ def rank_condition(sys: ControlSystem, x: Sequence[float]) -> bool:
     if sys.n != 2 or sys.m != 1:
         raise SystemError("rank condition implemented for n=2, m=1")
     b = np.asarray(sys.eval_columns(x)[0], dtype=float)
-    ad = lie_bracket_adfb(sys, x, 0)
+    ad = lie_bracket_adfb(sys, x)
     det = b[0] * ad[1] - b[1] * ad[0]
     scale = max(1.0, float(np.linalg.norm(b) * np.linalg.norm(ad)))
     return abs(det) > RANK_TOL * scale

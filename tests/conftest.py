@@ -2,12 +2,21 @@
 modules.  Manifold construction dominates suite runtime, so everything
 heavy is session-scoped and built once."""
 
+import importlib
+import pkgutil
 import time
 
 import numpy as np
 import pytest
 
 import pmpstab as ps
+
+# Hypothesis also draws the literals of every loaded non-test module, so a
+# derandomized property test would draw other examples when other test
+# files (say, test_cli with pmpstab.cli) are selected.  Loading the whole
+# package here gives every selection the same pool.
+for _module in pkgutil.iter_modules(ps.__path__):
+    importlib.import_module(f"pmpstab.{_module.name}")
 
 # saturating inner law for the double integrator: max |w| = 1 on the unit
 # disk (attained only at (+-1, 0)), V-dot = -x2^2 (1 - x1^2)/2 <= 0

@@ -1,6 +1,7 @@
 """Command-line interface: config validation, subcommands, exit codes and
 reproducible artifacts.  Everything runs in-process through main()."""
 
+import hashlib
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from pmpstab import cli
 from pmpstab.cli import ConfigError, load_config, main
 from pmpstab.manifold import export_manifold_csv
+from pmpstab.observer import select_gains
 
 
 BASE_CONFIG = {
@@ -303,6 +305,30 @@ class TestObserver:
         assert "converged=true" in summary
         assert out_csv.read_text().splitlines()[0] == "t,e1,e2,V_e,W"
 
+    def test_explicit_gains_are_used_when_all_three_are_set(self, tmp_path,
+                                                            capsys):
+        cfg = json.loads(json.dumps(PEND_CONFIG))
+        cfg["observer"].update(delta=0.4, beta1=5.0, beta2=8.0, t_max=1.0)
+        rc = main(["observer", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "err.csv")])
+        assert rc == 0
+        gains = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("gains:")]
+        assert gains == ["gains: delta=0.4 beta1=5 beta2=8 L=1"]
+
+    def test_two_explicit_gains_fall_back_to_selected_gains(self, tmp_path,
+                                                            capsys):
+        cfg = json.loads(json.dumps(PEND_CONFIG))
+        cfg["observer"].update(delta=0.4, beta1=5.0, t_max=1.0)
+        rc = main(["observer", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "err.csv")])
+        assert rc == 0
+        g = select_gains(1.0, 0.1)
+        gains = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("gains:")]
+        assert gains == [f"gains: delta={g.delta:g} beta1={g.beta1:g} "
+                         f"beta2={g.beta2:g} L=1"]
+
 
 class TestPlot:
     def test_each_kind_renders_svg(self, config_path, tmp_path):
@@ -325,6 +351,43 @@ class TestPlot:
             assert main(["plot", "--kind", kind, "--in", str(src),
                          "--out", str(dst)]) == 0
             assert dst.read_text().startswith("<svg")
+
+
+# SHA-256 of the README quick-start outputs (all but the grid) on the
+# shipped configs; they change with any change to the numerics, and with a
+# numpy or BLAS that rounds differently
+QUICK_START_SHA256 = {
+    "law.csv": "1d29c3188eb15ca3babd7ad3007686a7ba960faabbdcfbe317e37958d40318ce",
+    "manifold.csv": "f86c8fc609e10b232835719e2f1fb0ad3c5cd33cff0e553f14009e0c50c162c4",
+    "traj.csv": "b7f59ee63a5324c353c7e42779c801e2d0c65bf333200a195b24ad84c148a3a9",
+    "curve.csv": "ba26c8ef8c1dd7a48303191d96534d4d12517412ff2728fddac1e14b66ef2d61",
+    "cover.csv": "34b65d5c7a1b3e7204b676d29f06469da41254034bed89e39a85f39e6b7e2d58",
+    "errlog.csv": "95869b86a3b0acdbed268235b96c544e7dda52f9a2c87617354d09c734ea5635",
+    "traj.svg": "44f63b1c20670132a9ce09b6c1bfc533d801d4b5a10e194a504025ec7383d53b",
+}
+
+
+class TestQuickStart:
+    def test_outputs_match_their_pinned_hashes(self, tmp_path):
+        configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+        di = os.path.join(configs, "double_integrator.json")
+        pend = os.path.join(configs, "pendulum.json")
+        out = {name: str(tmp_path / name) for name in QUICK_START_SHA256}
+        for argv in (
+                ["synthesize", "--config", di, "--out", out["law.csv"],
+                 "--manifold-out", out["manifold.csv"]],
+                ["simulate", "--config", di, "--x0", "3,3",
+                 "--out", out["traj.csv"]],
+                ["switching-curve", "--config", di, "--out", out["curve.csv"],
+                 "--compare"],
+                ["illuminate", "--config", di, "--out", out["cover.csv"]],
+                ["observer", "--config", pend, "--out", out["errlog.csv"]],
+                ["plot", "--kind", "trajectory", "--in", out["traj.csv"],
+                 "--out", out["traj.svg"]]):
+            assert main(argv) == 0, argv
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in QUICK_START_SHA256}
+        assert digests == QUICK_START_SHA256
 
 
 class TestEntryPoint:

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pmpstab import exprs
@@ -113,6 +113,11 @@ class TestDifferentiation:
                 xm[i] -= h
                 num = (evaluate(e, xp) - evaluate(e, xm)) / (2 * h)
                 assert evaluate(d, x) == pytest.approx(num, rel=1e-5, abs=1e-7)
+
+    def test_quotient_rule_does_not_square_a_tiny_denominator(self):
+        # (x1'x2 - x1 x2')/x2^2 underflows x2^2 at x2 = 1e-160
+        d = diff(parse("x1/x2", 2), "x1")
+        assert evaluate(d, (1.0, 1e-160)) == 1e160
 
     def test_tanh_derivative(self):
         assert to_source(diff(parse("tanh(x1)", 1), "x1")) == "1 - tanh(x1)^2"
@@ -332,6 +337,9 @@ class TestProperties:
     @given(_trees(tuple(f for f in exprs.FUNCTIONS
                         if f not in ("abs", "sign")), 6, 10.0),
            st.tuples(*[st.floats(-2.0, 2.0)] * 2))
+    # a squared denominator underflows at these x2
+    @example(exprs.BinOp("/", *_VARS), (1.0, 1e-160))
+    @example(exprs.BinOp("/", *_VARS), (1.0, 8.67e-162))
     def test_diff_agrees_with_central_differences(self, e, p):
         h = 1e-5
 

@@ -5,12 +5,11 @@ import pytest
 
 from pmpstab.hamiltonian import (
     branch_control,
-    forward_rhs,
     hamiltonian_value,
     minimize_hamiltonian,
-    reversed_rhs,
     switching_values,
 )
+from pmpstab.manifold import _compiler
 from pmpstab.systems import ControlSet, ControlSystem
 
 
@@ -128,16 +127,34 @@ class TestBranchControl:
         assert degenerate
 
 
+def flow(sys, u, direction, x, nu):
+    """(xdot, nudot) of the compiled characteristic flow at frozen u."""
+    y = np.concatenate([x, nu, [0.0]])
+    rhs = _compiler(sys).flow((tuple(u), direction))[0](0.0, y)
+    return rhs[:sys.n], rhs[sys.n:2 * sys.n]
+
+
+def jacobian(sys, x, u):
+    """d(xdot)/dx at frozen u."""
+    return sys.jacobian_drift(x) + u[0] * sys.jacobian_column(0, x)
+
+
 class TestRightSides:
+    """The characteristic flows as the manifold compiles them."""
+
     def test_reversed_rhs_at_a_tie_point(self):
         sys = di()
-        dx, dnu = reversed_rhs(sys, (1.0, 0.0), (1.0, 0.0))
+        x, nu = (1.0, 0.0), (1.0, 0.0)
+        u, _, _, _ = branch_control(sys, x, nu, "reversed")
+        dx, dnu = flow(sys, u, "reversed", x, nu)
         assert dx == pytest.approx([0.0, 1.0])
         assert dnu == pytest.approx([0.0, 1.0])
 
     def test_forward_rhs_pushes_up_when_costate_points_down(self):
         sys = di()
-        dx, dnu = forward_rhs(sys, (0.0, 0.0), (0.0, -1.0))
+        x, nu = (0.0, 0.0), (0.0, -1.0)
+        u, _, _, _ = branch_control(sys, x, nu, "forward")
+        dx, dnu = flow(sys, u, "forward", x, nu)
         assert dx == pytest.approx([0.0, 1.0])
         assert dnu == pytest.approx([0.0, 0.0])
 
@@ -150,27 +167,32 @@ class TestRightSides:
             if abs(nu[1]) < 1e-6:
                 continue
             u = [1.0 if nu[1] < 0 else -1.0]
-            dx_r, dnu_r = reversed_rhs(sys, x, nu, u)
-            dx_f, dnu_f = forward_rhs(sys, x, nu, u)
-            assert dx_f == pytest.approx([-v for v in dx_r], abs=1e-14)
-            assert dnu_f == pytest.approx([-v for v in dnu_r], abs=1e-14)
+            dx_r, dnu_r = flow(sys, u, "reversed", x, nu)
+            dx_f, dnu_f = flow(sys, u, "forward", x, nu)
+            assert dx_f == [-v for v in dx_r]
+            assert dnu_f == [-v for v in dnu_r]
 
     def test_costate_rate_is_minus_jacobian_transpose(self):
-        # forward costate equation for the pendulum drift
+        # forward costate equation for the pendulum drift; the reversed
+        # flow has +J^T nu
         sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
                             drift=("x2", "-sin(x1)"), columns=(("0", "1"),))
         x, nu, u = (0.7, -0.2), (0.3, 0.9), (0.5,)
-        _, dnu = forward_rhs(sys, x, nu, u)
-        jac = sys.jacobian_x(x, u)
-        assert dnu == pytest.approx(list(-(jac.T @ np.asarray(nu))), abs=1e-14)
+        jt_nu = list(jacobian(sys, x, u).T @ np.asarray(nu))
+        _, dnu = flow(sys, u, "forward", x, nu)
+        assert dnu == pytest.approx([-v for v in jt_nu], abs=1e-14)
+        _, dnu = flow(sys, u, "reversed", x, nu)
+        assert dnu == pytest.approx(jt_nu, abs=1e-14)
 
     def test_hamiltonian_constant_along_either_flow(self):
-        sys = di()
+        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
+                            drift=("x2", "-sin(x1)"), columns=(("0", "1"),))
         x, nu = np.array([1.3, -0.4]), np.array([0.8, 0.6])
         u = [-1.0]
-        dx, dnu = forward_rhs(sys, x, nu, u)
         h = 1e-7
         before = hamiltonian_value(sys, x, nu, u)
-        after = hamiltonian_value(sys, x + h * np.asarray(dx),
-                                  nu + h * np.asarray(dnu), u)
-        assert after - before == pytest.approx(0.0, abs=1e-12)
+        for direction in ("forward", "reversed"):
+            dx, dnu = flow(sys, u, direction, x, nu)
+            after = hamiltonian_value(sys, x + h * np.asarray(dx),
+                                      nu + h * np.asarray(dnu), u)
+            assert after - before == pytest.approx(0.0, abs=1e-12)

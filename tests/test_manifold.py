@@ -188,15 +188,21 @@ class TestQuery:
         assert np.isfinite(q.w)
 
     def test_ties_are_sorted_and_contain_the_nearest(self, di_manifold_small):
+        # the midpoint of sample 507 of branches 17 and 18 is nearer to
+        # these two than to any other sample
         man = di_manifold_small
-        p = (1.7, 0.3)
-        q = man.query(p, bounded=False)
-        ties = man.query_ties(p, tie_tol=0.05, bounded=False)
-        assert len(ties) >= 2
-        samples = [(t.branch, t.sample) for t in ties]
-        assert (q.branch, q.sample) in samples
-        dmin = min(t.distance for t in ties)
-        assert all(t.distance <= dmin + 0.05 + 1e-12 for t in ties)
+        a, b = man.branches[17].x[507], man.branches[18].x[507]
+        mid = (a + b) / 2.0
+        step = (b - a) / np.linalg.norm(b - a)
+        for shift in (0.0, 0.45 * M.TIE_TOL):
+            p = mid + shift * step
+            q = man.query(p, bounded=False)
+            ties = man.query_ties(p, bounded=False)
+            assert [(t.branch, t.sample) for t in ties] == [(17, 507), (18, 507)]
+            assert (q.branch, q.sample) in [(t.branch, t.sample) for t in ties]
+        # moving by more than TIE_TOL / 2 makes the gap exceed TIE_TOL
+        ties = man.query_ties(mid + 0.55 * M.TIE_TOL * step, bounded=False)
+        assert [(t.branch, t.sample) for t in ties] == [(18, 507)]
 
 
 class TestSwitchingCurve:

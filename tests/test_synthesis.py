@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 import pmpstab.synthesis as SY
+from pmpstab.hamiltonian import SWITCH_TOL, switching_values
 from pmpstab.manifold import illumination_grid
 from pmpstab.synthesis import (
     DecreaseViolation,
     assemble_feedback,
-    build_double_integrator_law,
-    eval_feedback,
-    projection_diagnostic,
     reference_switching_curve,
     verify_bound,
 )
@@ -147,9 +145,22 @@ class TestLawEvaluation:
         assert di_law_small.side_control(x, +1) == [-di_law_small.k]
         assert di_law_small.side_control(x, -1) == [+di_law_small.k]
 
-    def test_module_function_matches_method(self, di_law_small):
-        for x in [(2.2, 1.3), (0.2, -0.4), (-1.8, 0.9)]:
-            assert eval_feedback(di_law_small, x) == di_law_small.control(x)
+    def test_tie_with_opposite_signs_takes_the_smaller_w(self, di_law_small):
+        # the midpoint of sample 507 of branches 17 and 18 is equidistant
+        # from both; their switching values have opposite signs, and the
+        # nearer one by rounding (branch 18) has the larger W
+        man = di_law_small.manifold
+        a, b = man.branches[17].x[507], man.branches[18].x[507]
+        p = (a + b) / 2.0
+        assert di_law_small.boundary_value(p) > 0.0
+        ties = man.query_ties(p, bounded=False)
+        assert [(q.branch, q.sample) for q in ties] == [(17, 507), (18, 507)]
+        sig = [switching_values(di_law_small.system, p, q.nu)[0]
+               for q in ties]
+        assert sig[0] > SWITCH_TOL and sig[1] < -SWITCH_TOL
+        assert ties[0].w < ties[1].w
+        assert man.query(p, bounded=False).branch == 18
+        assert di_law_small.control(p) == [-di_law_small.k]
 
     def test_law_is_total_far_outside_the_sampling(self, di_law_small):
         u = di_law_small.control((40.0, -25.0))
@@ -157,26 +168,6 @@ class TestLawEvaluation:
 
     def test_probe_scale_follows_the_query_radius(self, di_law_small):
         assert di_law_small.fd_scale == di_law_small.manifold.query_radius
-
-
-class TestProjectionDiagnostic:
-    def test_unambiguous_point(self, di_law_small):
-        d = projection_diagnostic(di_law_small, (1.7, 0.3))
-        assert d.count == 1
-        assert not d.conflicting
-
-    def test_wide_tolerance_gathers_consistent_neighbors(self, di_law_small):
-        d = projection_diagnostic(di_law_small, (0.0, 4.0), tie_tol=0.2)
-        assert d.count > 1
-        assert not d.conflicting
-        assert set(d.sigma_signs) == {1}
-
-    def test_switch_event_point_is_conflicting(self, di_law_small):
-        ev = di_law_small.manifold.branches[24].events[0]
-        d = projection_diagnostic(di_law_small, ev.x, tie_tol=0.06)
-        assert d.count > 1
-        assert d.conflicting
-        assert len(set(d.sigma_signs)) > 1
 
 
 class TestVerifyBound:
@@ -192,21 +183,6 @@ class TestVerifyBound:
         # N = 64 at tau_max = 10 leaves dark strips in [-5, 5]^2
         assert dark
         assert rep.not_covered == dark
-
-
-class TestBenchmarkLaw:
-    def test_default_configuration_builds(self):
-        law = build_double_integrator_law(count=64)
-        # bang amplitude follows the bound so the default inner law fits
-        assert law.k == law.C == 1.5
-        assert law.inner_sources == ("-x1 - x2",)
-        assert eval_feedback(law, (3.0, 3.0)) == [-1.5]
-
-    def test_saturating_variant_with_unit_bound(self):
-        law = build_double_integrator_law(
-            count=64, C=1.0, inner_sources=("-x1 - x2*(1 - x1^2)/2",))
-        assert law.k == law.C == 1.0
-        assert eval_feedback(law, (3.0, 3.0)) == [-1.0]
 
 
 class TestExportLaw:

@@ -59,7 +59,7 @@ class TestControlSystem:
         for _ in range(10):
             x = rng.normal(size=2)
             u = rng.uniform(-1.0, 1.0, size=1)
-            jac = sys.jacobian_x(x, u)
+            jac = sys.jacobian_drift(x) + u[0] * sys.jacobian_column(0, x)
             h = 1e-6
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
