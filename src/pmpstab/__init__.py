@@ -31,9 +31,9 @@ from .simulate import (BlowupError, GridReport, StaticSwitchingLaw, Trajectory,
                        filippov_step, simulate_closed_loop, simulate_grid,
                        stabilization_verdict)
 from .observer import (ObserverGains, OutputFeedbackResult, error_lyapunov,
-                       error_lyapunov_matrix, estimate_nu2_lipschitz,
-                       estimator_step, export_error_log, gain_inequalities,
-                       gamma_margin, is_manipulator, manipulator_system,
-                       select_gains, simulate_output_feedback)
+                       error_lyapunov_matrix, estimator_step, export_error_log,
+                       gain_inequalities, gamma_margin, is_manipulator,
+                       manipulator_system, select_gains,
+                       simulate_output_feedback)
 
 __version__ = "0.1.0"

@@ -26,8 +26,8 @@ import numpy as np
 from .exprs import ExprDomainError, ExprError
 from .manifold import (LagrangianManifold, NotCoveredError, build_manifold,
                        illumination_grid, switching_curve, write_table)
-from .observer import (ObserverGains, select_gains, simulate_output_feedback,
-                       export_error_log, is_manipulator)
+from .observer import (ObserverGains, export_error_log, gain_inequalities,
+                       is_manipulator, select_gains, simulate_output_feedback)
 from .simulate import (BlowupError, export_trajectory_csv, simulate_closed_loop,
                        simulate_grid, stabilization_verdict)
 from .synthesis import (DecreaseViolation, FeedbackLaw, assemble_feedback,
@@ -317,11 +317,18 @@ def _cmd_observer(args) -> int:
     obs = cfg["observer"]
     if "x0" not in obs or "z0" not in obs:
         raise ConfigError("config.observer.x0 and .z0 are required")
-    if all(key in obs for key in ("delta", "beta1", "beta2")):
-        gains = ObserverGains(obs["delta"], obs["beta1"], obs["beta2"],
-                              obs["L"])
-    else:
+    explicit = [key for key in ("delta", "beta1", "beta2") if key in obs]
+    if not explicit:
         gains = select_gains(obs["L"], obs["margin"])
+    elif len(explicit) < 3:
+        raise ConfigError("config.observer.delta, .beta1 and .beta2 are "
+                          "set all together or not at all")
+    else:
+        gains = ObserverGains(*(obs[key] for key in explicit), obs["L"])
+        v1, v2 = gain_inequalities(gains)
+        if min(v1, v2) < obs["margin"]:
+            raise ConfigError(f"observer gains have decay margins {v1:.4g} "
+                              f"and {v2:.4g}, below margin {obs['margin']:g}")
     print(f"gains: delta={gains.delta:g} beta1={gains.beta1:g} "
           f"beta2={gains.beta2:g} L={gains.L:g}")
     result = simulate_output_feedback(sys_, law, gains, obs["x0"],

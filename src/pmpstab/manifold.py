@@ -20,6 +20,7 @@ a KD-tree, switching-curve extraction and rank/isotropy sections.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -524,6 +525,23 @@ class LagrangianManifold:
     @property
     def n_samples(self) -> int:
         return len(self.flat_tau)
+
+    @functools.cached_property
+    def nu2_lipschitz(self) -> float:
+        """Largest |d nu2| / |dx| ratio between consecutive samples.
+
+        The observer's control-mismatch bound uses it as the constant M:
+        when the surrogate and true states straddle the switching surface,
+        the switching value at the true state is at most M |e2| from zero.
+        """
+        worst = 0.0
+        for b in self.branches:
+            dnu = np.abs(np.diff(b.nu[:, 1]))
+            dx = np.linalg.norm(np.diff(b.x, axis=0), axis=1)
+            keep = dx > 1e-12
+            if keep.any():
+                worst = max(worst, float(np.max(dnu[keep] / dx[keep])))
+        return worst
 
     def _result(self, idx: int, dist: float) -> QueryResult:
         return QueryResult(

@@ -126,23 +126,6 @@ def estimator_step(sys: ControlSystem, gains: ObserverGains,
             f_val + u_val - gains.beta2 * innov]
 
 
-def estimate_nu2_lipschitz(man: LagrangianManifold) -> float:
-    """Largest |d nu2| / |dx| ratio between consecutive manifold samples.
-
-    Used as the constant M in the control-mismatch bound: when the
-    surrogate and true states straddle the switching surface, the
-    switching value at the true state is at most M |e2| away from zero.
-    """
-    worst = 0.0
-    for b in man.branches:
-        dnu = np.abs(np.diff(b.nu[:, 1]))
-        dx = np.linalg.norm(np.diff(b.x, axis=0), axis=1)
-        keep = dx > 1e-12
-        if keep.any():
-            worst = max(worst, float(np.max(dnu[keep] / dx[keep])))
-    return worst
-
-
 def gamma_margin(man: LagrangianManifold) -> float:
     """Decrease margin: -max of the Hamiltonian over covering samples.
 
@@ -166,10 +149,10 @@ _X1_AS_Z1 = {ex.Var(1): ex.Var(3)}
 class _SurrogateLaw:
     """Plant law evaluated at (x1, z2) of the combined plant+estimator state."""
 
-    def __init__(self, law, combined: ControlSystem, gains: ObserverGains):
+    def __init__(self, law, combined: ControlSystem):
         self.base = law
         self.system = combined
-        self.gains = gains
+        self.k = law.k
         self.fd_scale = law.fd_scale
         w_sur = [ex.substitute(e, _X1_AS_Z1) for e in law.inner_exprs]
         self.inner_dynamics = ex.compile_scalar(combined.closed_loop_exprs(w_sur))
@@ -185,9 +168,6 @@ class _SurrogateLaw:
 
     def control(self, y) -> list[float]:
         return self.base.control(self._proj(y))
-
-    def side_control(self, y, side: int) -> list[float]:
-        return self.base.side_control(self._proj(y), side)
 
 
 def _combined_system(sys: ControlSystem, gains: ObserverGains) -> ControlSystem:
@@ -232,12 +212,12 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
     the estimate error, its Lyapunov value, the generating value W along
     the true state, and the switching-mismatch record
     |sigma(x) du| <= 2 M |e2| at samples where both states are outer,
-    with M = estimate_nu2_lipschitz(law.manifold).
+    with M = law.manifold.nu2_lipschitz.
     """
     if not is_manipulator(sys):
         raise ValueError("output feedback needs the manipulator form")
     combined = _combined_system(sys, gains)
-    sur = _SurrogateLaw(law, combined, gains)
+    sur = _SurrogateLaw(law, combined)
     y0 = [float(x0[0]), float(x0[1]), float(z0[0]), float(z0[1])]
     traj = simulate_closed_loop(sur, y0, t_max, record_dt=record_dt,
                                 **options)
@@ -246,7 +226,7 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
     e = z - x
     v_e = np.array([error_lyapunov(gains, ei) for ei in e])
 
-    M = estimate_nu2_lipschitz(law.manifold)
+    M = law.manifold.nu2_lipschitz
 
     w = np.full(len(traj.t), math.nan)
     mis_t, mis_lhs, mis_rhs = [], [], []

@@ -3,12 +3,17 @@
 The engine integrates xdot = f(x, u(x)) for a feedback law that is smooth
 inside a handover set and discontinuous across switching surfaces outside
 it.  Integration is segment based: inside each segment the control is
-frozen (outer region) or smooth (inner region) and scipy does the work;
-terminal events mark surface crossings, handover, convergence and blowup.
-At a surface hit a trial micro-step with the other side's control decides
-between crossing and sliding.  Sliding integrates the Filippov convex
-combination u_eq = alpha u+ + (1 - alpha) u- with alpha estimated from
-directional derivatives of the switching value.
+frozen (outer region) or smooth (inner region), and `segment`, the loop's
+one solver call, integrates it with scipy's DOP853; terminal events mark
+surface crossings, handover, convergence and blowup.  At a surface hit a
+trial micro-step with the other side's control decides between crossing
+and sliding.  Sliding integrates the Filippov convex combination
+u_eq = alpha u+ + (1 - alpha) u- of the one-sided limits u+ = -k and
+u- = +k, with alpha estimated from directional derivatives of the
+switching value.
+
+The loop reads these members of a law: `system`, `k`, `boundary_value`,
+`switching_value`, `control`, `fd_scale` and `inner_dynamics`.
 """
 
 from __future__ import annotations
@@ -103,9 +108,6 @@ class StaticSwitchingLaw:
         sgn = 0.0 if s == 0.0 else math.copysign(1.0, s)
         return [-self.k * sgn] * self.system.m
 
-    def side_control(self, x: Sequence[float], side: int) -> list[float]:
-        return [-side * self.k] * self.system.m
-
 
 def _rk4(sys: ControlSystem, x: np.ndarray, u: Sequence[float],
          h: float) -> np.ndarray:
@@ -123,21 +125,22 @@ def _probe_h(law, sys: ControlSystem, x, u) -> float:
 
 
 def _sliding_state(law, sys: ControlSystem,
-                   x: np.ndarray) -> tuple[bool, list[float], float]:
-    """Classify x against the switching surface: (sliding, u, sigma).
+                   x: np.ndarray) -> tuple[bool, list[float]]:
+    """Classify x against the switching surface: (sliding, u).
 
     The surface test must serve sampled switching fields, which are
     piecewise constant in x with jumps of order one: |sigma| stays far
     from zero there, so besides |sigma| <= SWITCH_TOL the point counts as
     on-surface when the two one-sided probes straddle a sign change.
-    Sliding requires the one-sided flows to point at each other
-    (sigma decreasing from the + side, increasing from the - side); u is
-    then the convex combination that keeps the surface invariant.
-    Otherwise u is the control consistent with the departure side.
+    Sliding requires the one-sided flows, under u+ = -k and u- = +k per
+    channel, to point at each other (sigma decreasing from the + side,
+    increasing from the - side); u is then the convex combination that
+    keeps the surface invariant.  Otherwise u is the control consistent
+    with the departure side.
     """
     sigma = law.switching_value(x)
-    u_plus = law.side_control(x, +1)
-    u_minus = law.side_control(x, -1)
+    u_plus = [-law.k] * sys.m
+    u_minus = [law.k] * sys.m
     h_p = _probe_h(law, sys, x, u_plus)
     h_m = _probe_h(law, sys, x, u_minus)
     s_p = law.switching_value(_rk4(sys, x, u_plus, h_p))
@@ -149,11 +152,11 @@ def _sliding_state(law, sys: ControlSystem,
         alpha = rate_minus / (rate_minus - rate_plus)
         u_eq = sys.omega.clip([alpha * up + (1.0 - alpha) * um
                                for up, um in zip(u_plus, u_minus)])
-        return True, list(u_eq), sigma
+        return True, list(u_eq)
     if on_surface:
         u = u_plus if rate_plus + rate_minus > 0.0 else u_minus
-        return False, list(u), sigma
-    return False, list(law.control(x)), sigma
+        return False, list(u)
+    return False, list(law.control(x))
 
 
 def filippov_step(law, x: Sequence[float], h: float):
@@ -165,8 +168,17 @@ def filippov_step(law, x: Sequence[float], h: float):
     """
     sys = law.system
     x = np.asarray(x, dtype=float)
-    sliding, u, _ = _sliding_state(law, sys, x)
+    sliding, u = _sliding_state(law, sys, x)
     return _rk4(sys, x, u, h), list(u), sliding
+
+
+def _event(fn, direction: float):
+    """Terminal solver event at the zeros of fn(y), crossed in direction."""
+    def event(t, y):
+        return fn(y)
+    event.terminal = True
+    event.direction = direction
+    return event
 
 
 class _Recorder:
@@ -176,11 +188,10 @@ class _Recorder:
         self.us: list[list[float]] = []
         self.events: list[TrajectoryEvent] = []
 
-    def add(self, t: float, x, u) -> int:
+    def add(self, t: float, x, u) -> None:
         self.ts.append(float(t))
         self.xs.append([float(v) for v in x])
         self.us.append([float(v) for v in u])
-        return len(self.ts) - 1
 
     def mark(self, kind: str):
         i = len(self.ts) - 1
@@ -211,76 +222,56 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
     switch_times: collections.deque = collections.deque(maxlen=CHATTER_LIMIT)
     mode = "inner" if law.boundary_value(x) <= 0.0 else "outer"
 
-    def blowup_event(tt, y):
-        return float(np.dot(y, y)) - blowup * blowup
-    blowup_event.terminal = True
-    blowup_event.direction = 1.0
+    r2_ball, r2_blowup = convergence_radius ** 2, blowup * blowup
 
-    def ball_event(tt, y):
-        return float(np.dot(y, y)) - convergence_radius ** 2
-    ball_event.terminal = True
-    ball_event.direction = -1.0
+    def ball(y):
+        return float(np.dot(y, y)) - r2_ball
 
-    def run_segment(rhs, t0, y0, events, u_of):
-        """One smooth piece; returns (t_end, x_end, fired_event_index)."""
+    blowup_event = _event(lambda y: float(np.dot(y, y)) - r2_blowup, 1.0)
+    ball_in, ball_out = _event(ball, -1.0), _event(ball, 1.0)
+    leave_inner = _event(lambda y: law.boundary_value(y) - 1e-9, 1.0)
+    enter_inner = _event(law.boundary_value, -1.0)
+
+    def segment(rhs, t_end, events, u_of=None):
+        """Integrate from (t, x) to t_end or the first event, recording
+        the samples when u_of gives the control; the blowup event raises.
+        Returns (t, x, index of the fired event or None)."""
         t_eval = None
-        if record_dt is not None:
-            pts = np.arange(math.floor(t0 / record_dt) + 1,
-                            math.floor(t_max / record_dt) + 1) * record_dt
-            pts = pts[pts > t0 + 1e-15]
-            t_eval = np.concatenate([[t0], pts])
-            if t_eval[-1] < t_max - 1e-15:
-                t_eval = np.concatenate([t_eval, [t_max]])
-        sol = solve_ivp(rhs, (t0, t_max), y0, method="DOP853",
+        if u_of is not None and record_dt is not None:
+            pts = np.arange(math.floor(t / record_dt) + 1,
+                            math.floor(t_end / record_dt) + 1) * record_dt
+            t_eval = np.concatenate([[t], pts[pts > t + 1e-15]])
+            if t_eval[-1] < t_end - 1e-15:
+                t_eval = np.concatenate([t_eval, [t_end]])
+        sol = solve_ivp(rhs, (t, t_end), x, method="DOP853",
                         rtol=rel_tol, atol=abs_tol, t_eval=t_eval,
                         max_step=MAX_STEP, events=events)
-        fired, te = None, None
-        for i, arr in enumerate(sol.t_events):
-            if arr.size and (te is None or float(arr[0]) < te):
-                te, fired = float(arr[0]), i
-        for i in range(sol.t.size):
-            tt = float(sol.t[i])
-            if rec.ts and tt <= rec.ts[-1] + 1e-15:
-                continue
-            rec.add(tt, sol.y[:, i], u_of(sol.y[:, i]))
+        points = list(zip(sol.t, sol.y.T))
+        # every event is terminal, so at most one fires
+        fired = next((i for i, e in enumerate(sol.t_events) if e.size), None)
         if fired is not None:
-            xe = np.asarray(sol.y_events[fired][0])
-            if not rec.ts or te > rec.ts[-1] + 1e-15:
-                rec.add(te, xe, u_of(xe))
-            return te, xe, fired
-        return float(sol.t[-1]), sol.y[:, -1], None
+            points.append((sol.t_events[fired][0],
+                           np.asarray(sol.y_events[fired][0])))
+        if u_of is not None:
+            for tt, y in points:
+                if not rec.ts or float(tt) > rec.ts[-1] + 1e-15:
+                    rec.add(tt, y, u_of(y))
+        t_out, x_out = float(points[-1][0]), points[-1][1]
+        if fired is not None and events[fired] is blowup_event:
+            raise BlowupError(t_out, x_out)
+        return t_out, x_out, fired
 
-    converged = False
-    t_converged = None
-
-    def dwell_check(tt, y, rhs) -> tuple[bool, float, np.ndarray]:
-        """Integrate one dwell period; True when |x| never leaves the ball."""
-        exit_event = lambda s, z: float(np.dot(z, z)) - convergence_radius ** 2
-        exit_event.terminal = True
-        exit_event.direction = 1.0
-        sol = solve_ivp(rhs, (tt, tt + dwell), y, method="DOP853",
-                        rtol=rel_tol, atol=abs_tol, max_step=MAX_STEP,
-                        events=[exit_event])
-        if sol.t_events[0].size:
-            return False, float(sol.t_events[0][0]), sol.y_events[0][0]
-        return True, float(sol.t[-1]), sol.y[:, -1]
+    converged, t_converged = False, None
 
     while t < t_max and not converged:
-        if float(np.dot(x, x)) > blowup * blowup:
+        if float(np.dot(x, x)) > r2_blowup:
             raise BlowupError(t, x)
 
         if mode == "inner":
-            if float(np.dot(x, x)) > convergence_radius ** 2:
-                def exit_event(tt, y):
-                    return law.boundary_value(y) - 1e-9
-                exit_event.terminal = True
-                exit_event.direction = 1.0
-                t, x, fired = run_segment(
-                    law.inner_dynamics, t, x,
-                    [ball_event, exit_event, blowup_event],
-                    lambda y: law.control(y))
-                if fired == 2:
-                    raise BlowupError(t, x)
+            if float(np.dot(x, x)) > r2_ball:
+                t, x, fired = segment(
+                    law.inner_dynamics, t_max,
+                    [ball_in, leave_inner, blowup_event], law.control)
                 if fired == 1:
                     rec.mark("boundary-cross")
                     mode = "outer"
@@ -289,14 +280,14 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             elif not rec.ts:
                 # already in the ball: no crossing event will fire
                 rec.add(t, x, law.control(x))
-            ok, t_end, x_end = dwell_check(t, x, law.inner_dynamics)
-            if ok:
-                converged, t_converged = True, t
-            rec.add(t_end, x_end, law.control(x_end))
-            if ok:
+            t_in = t
+            # one dwell period; it fails when |x| leaves the ball
+            t, x, left = segment(law.inner_dynamics, t + dwell, [ball_out])
+            rec.add(t, x, law.control(x))
+            if left is None:
+                converged, t_converged = True, t_in
                 rec.mark("converged")
-            t, x = t_end, np.asarray(x_end)
-            if not converged and law.boundary_value(x) > 0.0:
+            elif law.boundary_value(x) > 0.0:
                 rec.mark("boundary-cross")
                 mode = "outer"
             continue
@@ -309,22 +300,10 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             s0 = 1.0 if sigma0 > 0.0 else -1.0
             u = law.control(x)
             rhs = lambda tt, y, uu=tuple(u): sys.eval_dynamics(y, uu)
-
-            def sigma_event(tt, y):
-                return law.switching_value(y)
-            sigma_event.terminal = True
-            sigma_event.direction = -s0
-
-            def hand_event(tt, y):
-                return law.boundary_value(y)
-            hand_event.terminal = True
-            hand_event.direction = -1.0
-
-            t, x, fired = run_segment(
-                rhs, t, x, [sigma_event, hand_event, blowup_event],
-                lambda y, uu=list(u): uu)
-            if fired == 2:
-                raise BlowupError(t, x)
+            t, x, fired = segment(
+                rhs, t_max,
+                [_event(law.switching_value, -s0), enter_inner, blowup_event],
+                lambda y: u)
             if fired == 1:
                 rec.mark("boundary-cross")
                 mode = "inner"
@@ -341,7 +320,7 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             continue
 
         if mode == "sliding-decision":
-            sliding, u, _ = _sliding_state(law, sys, x)
+            sliding, u = _sliding_state(law, sys, x)
             if sliding:
                 rec.mark("sliding-enter")
                 mode = "sliding"
@@ -370,9 +349,9 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
                 mode = "inner"
                 break
             r2 = float(np.dot(x, x))
-            if r2 > blowup * blowup:
+            if r2 > r2_blowup:
                 raise BlowupError(t, x)
-            if r2 <= convergence_radius ** 2:
+            if r2 <= r2_ball:
                 if in_ball_since is None:
                     in_ball_since = t
                 elif t - in_ball_since >= dwell:

@@ -99,11 +99,6 @@ class FeedbackLaw:
                 u.append(float(q.u[j]))
         return u
 
-    def side_control(self, x: Sequence[float], side: int) -> list[float]:
-        """Limiting control on the side where the switching value has
-        the given sign: u = -side * k per channel."""
-        return [-side * self.k] * self.system.m
-
     @property
     def fd_scale(self) -> float:
         """Displacement used by finite differences of the switching value.

@@ -316,18 +316,27 @@ class TestObserver:
                  if l.startswith("gains:")]
         assert gains == ["gains: delta=0.4 beta1=5 beta2=8 L=1"]
 
-    def test_two_explicit_gains_fall_back_to_selected_gains(self, tmp_path,
-                                                            capsys):
+    def test_two_explicit_gains_are_rejected(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(PEND_CONFIG))
         cfg["observer"].update(delta=0.4, beta1=5.0, t_max=1.0)
         rc = main(["observer", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "err.csv")])
-        assert rc == 0
-        g = select_gains(1.0, 0.1)
-        gains = [l for l in capsys.readouterr().out.splitlines()
-                 if l.startswith("gains:")]
-        assert gains == [f"gains: delta={g.delta:g} beta1={g.beta1:g} "
-                         f"beta2={g.beta2:g} L=1"]
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert "all together or not at all" in err
+
+    def test_uncertified_explicit_gains_are_rejected(self, tmp_path, capsys):
+        # 2 beta2 - L / delta^2 = 12 - 16 = -4 < margin 0.1
+        cfg = json.loads(json.dumps(PEND_CONFIG))
+        cfg["observer"].update(delta=0.25, beta1=5.0, beta2=6.0, t_max=1.0)
+        rc = main(["observer", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "err.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert "decay margins -4 and 0.7042, below margin 0.1" in err
+        assert not (tmp_path / "err.csv").exists()
 
 
 class TestPlot:

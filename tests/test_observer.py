@@ -11,7 +11,6 @@ from pmpstab.observer import (
     ObserverGains,
     error_lyapunov,
     error_lyapunov_matrix,
-    estimate_nu2_lipschitz,
     estimator_step,
     gain_inequalities,
     gamma_margin,
@@ -155,7 +154,7 @@ class TestEstimator:
 
 class TestManifoldConstants:
     def test_lipschitz_and_margin_are_positive(self, pend_manifold):
-        M = estimate_nu2_lipschitz(pend_manifold)
+        M = pend_manifold.nu2_lipschitz
         assert M > 0.0
         gamma = gamma_margin(pend_manifold)
         assert gamma > 0.0
@@ -192,7 +191,17 @@ class TestOutputFeedback:
             assert lhs <= rhs + 1e-12
 
     def test_mismatch_bound_uses_the_manifold_slope(self, result, pend_manifold):
-        assert result.M == pytest.approx(estimate_nu2_lipschitz(pend_manifold))
+        assert result.M == pend_manifold.nu2_lipschitz
+
+    def test_inner_segment_leaves_through_the_handover_boundary(
+            self, pend_system, pend_law, pend_gains):
+        # the surrogate state hands over at t = 1.544 and, with the estimate
+        # still off, the inner arc leaves the handover set again at t = 1.770
+        res = simulate_output_feedback(pend_system, pend_law, pend_gains,
+                                       (-1.16, 1.812), (-1.431, 1.025), 100.0)
+        crossings = [e.t for e in res.events if e.kind == "boundary-cross"]
+        assert crossings[:2] == pytest.approx([1.544, 1.770], abs=1e-3)
+        assert res.converged
 
     def test_error_log_export(self, result, tmp_path):
         path = tmp_path / "err.csv"

@@ -1,6 +1,8 @@
 """Discontinuous closed-loop simulation: event-driven integration, sliding
 motion and grid audits."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,44 @@ class TestScalarRelay:
         assert "sliding-enter" in kinds
         assert kinds[-1] == "converged"
         assert abs(traj.x[-1][0]) <= 1e-6
+
+    def test_sliding_until_the_horizon_ends_unconverged(self, relay_law):
+        # the surface is reached at t = 0.8; the dwell cannot finish by 1.0
+        traj = simulate_closed_loop(relay_law, (0.8,), 1.0)
+        assert not traj.converged
+        assert traj.t_converged is None
+        assert [e.kind for e in traj.events] == ["control-switch",
+                                                 "sliding-enter"]
+        assert traj.t[-1] >= 1.0
+        assert abs(traj.x[-1][0]) <= 1e-6
+
+
+@dataclass(frozen=True)
+class CenterLaw(StaticSwitchingLaw):
+    """All of the plane is inner, and the inner loop x1' = x2, x2' = -4 x1
+    is a center: its elliptic orbits leave every ball they start in."""
+
+    def boundary_value(self, x):
+        return -1.0
+
+    @property
+    def inner_dynamics(self):
+        return lambda t, y: [y[1], -4.0 * y[0]]
+
+
+class TestDwell:
+    def test_dwell_that_leaves_the_ball_does_not_converge(self):
+        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
+                            drift=("x2", "-4*x1"), columns=(("0", "1"),))
+        traj = simulate_closed_loop(CenterLaw(sys, "x1"), (0.009, 0.0), 2.0)
+        assert not traj.converged
+        assert traj.events == ()
+        assert traj.t[-1] == 2.0
+        # each dwell ends where the orbit leaves the ball, and the inner
+        # segment after it ends where the orbit comes back
+        r = np.linalg.norm(traj.x, axis=1)
+        assert np.count_nonzero(np.isclose(r, 1e-2, rtol=1e-6)) >= 3
+        assert float(r.max()) > 1.5e-2
 
 
 class TestDoubleIntegratorLoop:
@@ -120,6 +160,13 @@ class TestDoubleIntegratorLoop:
         with pytest.raises(BlowupError) as info:
             simulate_closed_loop(di_law, (3.0, 3.0), 100.0, blowup=2.0)
         assert float(np.linalg.norm(info.value.x)) > 2.0
+
+    def test_blowup_event_ends_an_outer_segment(self, di_law):
+        # the start lies inside the blowup ball; the first bang arc leaves it
+        with pytest.raises(BlowupError) as info:
+            simulate_closed_loop(di_law, (0.0, 3.5), 100.0, blowup=4.0)
+        assert info.value.t == pytest.approx(1.073, abs=1e-3)
+        assert float(np.linalg.norm(info.value.x)) == pytest.approx(4.0)
 
 
 class TestVerdict:

@@ -140,11 +140,6 @@ class TestLawEvaluation:
         u = di_law_small.control(ev.x)
         assert u == pytest.approx(list(b.u[ev.sample_index]))
 
-    def test_side_controls_bracket_the_surface(self, di_law_small):
-        x = (3.0, 3.0)
-        assert di_law_small.side_control(x, +1) == [-di_law_small.k]
-        assert di_law_small.side_control(x, -1) == [+di_law_small.k]
-
     def test_tie_with_opposite_signs_takes_the_smaller_w(self, di_law_small):
         # the midpoint of sample 507 of branches 17 and 18 is equidistant
         # from both; their switching values have opposite signs, and the
