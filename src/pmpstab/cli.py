@@ -41,32 +41,87 @@ class ConfigError(ValueError):
 
 # ------------------------------------------------------------------- config
 
-_SCHEMA = {
-    "system": {"name", "n", "drift", "columns"},
-    "control": {"lower", "upper", "k", "C"},
-    "lyapunov": {"V", "epsilon"},
-    "inner": {"w"},
-    "manifold": {"N", "tau_max", "budget", "query_radius"},
-    "simulation": {"t_max", "x0", "grid", "record_dt", "convergence_radius",
-                   "dwell", "rel_tol", "abs_tol", "blowup"},
-    "observer": {"L", "margin", "x0", "z0", "t_max", "record_dt",
-                 "delta", "beta1", "beta2"},
-}
-
-_GRID_KEYS = {"lower", "upper", "res"}
+# json.load gives these exact types; bool is not a number here
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_COUNT = ("a positive integer", lambda v: type(v) is int and v > 0)
+_TEXT = ("a string", lambda v: type(v) is str)
 
 
-def _check_keys(block: dict, allowed: set, path: str) -> None:
+def _list_of(what: str, check: tuple) -> tuple:
+    return what, lambda v: type(v) is list and all(map(check[1], v))
+
+
+_TEXTS = _list_of("a list of strings", _TEXT)
+_NUMBERS = _list_of("a list of numbers", _NUMBER)
+_COLUMNS = _list_of("a list of lists of strings", _TEXTS)
+# an unset _REQUIRED key is an error and an unset _OPTIONAL key stays
+# absent; a callable default is computed from the block
+_REQUIRED, _OPTIONAL = object(), object()
+
+
+def _block(**table) -> tuple:
+    """A nested object, {} when unset."""
+    return (lambda block: {}), table
+
+
+# key -> (default, (description, value check)), or a nested _block
+_CONFIG = dict(
+    system=_block(name=("", _TEXT), n=(_REQUIRED, _COUNT),
+                  drift=(_REQUIRED, _TEXTS), columns=(_REQUIRED, _COLUMNS)),
+    control=_block(k=(1.0, _NUMBER), C=(1.0, _NUMBER),
+                   lower=(lambda block: [-block["k"]], _NUMBERS),
+                   upper=(lambda block: [block["k"]], _NUMBERS)),
+    lyapunov=_block(V=(_REQUIRED, _TEXT), epsilon=(0.5, _NUMBER)),
+    inner=_block(w=(lambda block: [], _TEXTS)),
+    manifold=_block(N=(256, _COUNT), tau_max=(10.0, _NUMBER),
+                    budget=(1e6, _NUMBER), query_radius=(None, _NUMBER)),
+    simulation=_block(
+        t_max=(100.0, _NUMBER), x0=(_OPTIONAL, _NUMBERS),
+        grid=(_OPTIONAL, dict(lower=(_REQUIRED, _NUMBERS),
+                              upper=(_REQUIRED, _NUMBERS),
+                              res=(_REQUIRED, _COUNT))),
+        record_dt=(None, _NUMBER), convergence_radius=(1e-2, _NUMBER),
+        dwell=(1.0, _NUMBER), rel_tol=(1e-9, _NUMBER),
+        abs_tol=(1e-12, _NUMBER), blowup=(1e6, _NUMBER)),
+    observer=_block(
+        L=(1.0, _NUMBER), margin=(0.1, _NUMBER), x0=(_OPTIONAL, _NUMBERS),
+        z0=(_OPTIONAL, _NUMBERS), t_max=(100.0, _NUMBER),
+        record_dt=(0.01, _NUMBER), delta=(_OPTIONAL, _NUMBER),
+        beta1=(_OPTIONAL, _NUMBER), beta2=(_OPTIONAL, _NUMBER)),
+)
+
+
+def _complete(block, table: dict, path: str) -> None:
+    """Check block against table and fill in its defaults, in place.
+
+    A value may be null where the default is None.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path} must be an object")
     for key in block:
-        if key not in allowed:
+        if key not in table:
             raise ConfigError(f"unknown key {path}.{key}")
+    for key, (default, check) in table.items():
+        where = f"{path}.{key}"
+        if key not in block:
+            if default is _REQUIRED:
+                raise ConfigError(f"{where} is required")
+            if default is _OPTIONAL:
+                continue
+            block[key] = default(block) if callable(default) else default
+        if isinstance(check, dict):
+            _complete(block[key], check, where)
+        elif not (block[key] is None and default is None
+                  or check[1](block[key])):
+            raise ConfigError(f"{where} must be {check[0]}")
 
 
 def load_config(path: str) -> dict:
     """Parse, validate and complete a run configuration.
 
-    Unknown keys anywhere are rejected; absent optional keys are filled
-    with their defaults so the echoed config is self-contained.
+    Unknown keys anywhere and values of the wrong type are rejected;
+    absent optional keys are filled with their defaults so the echoed
+    config is self-contained.
     """
     try:
         with open(path) as fh:
@@ -75,68 +130,11 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(cfg, set(_SCHEMA), "config")
-    for name, allowed in _SCHEMA.items():
-        block = cfg.get(name, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"config.{name} must be an object")
-        _check_keys(block, allowed, f"config.{name}")
-        cfg[name] = block
-
-    system = cfg["system"]
-    if "n" not in system:
-        raise ConfigError("config.system.n is required")
-    system.setdefault("name", "")
-    if "drift" not in system or "columns" not in system:
-        raise ConfigError("config.system.drift and .columns are required")
-    if not isinstance(system["columns"], list) or len(system["columns"]) != 1:
+    _complete(cfg, _CONFIG, "config")
+    if len(cfg["system"]["columns"]) != 1:
         raise ConfigError("config.system.columns must hold one column: "
                           "the supported form is control-affine, single-input, "
                           "box-controlled")
-
-    control = cfg["control"]
-    control.setdefault("k", 1.0)
-    control.setdefault("C", 1.0)
-    control.setdefault("lower", [-control["k"]])
-    control.setdefault("upper", [control["k"]])
-
-    lyap = cfg["lyapunov"]
-    if "V" not in lyap:
-        raise ConfigError("config.lyapunov.V is required")
-    lyap.setdefault("epsilon", 0.5)
-
-    cfg["inner"].setdefault("w", [])
-
-    man = cfg["manifold"]
-    man.setdefault("N", 256)
-    man.setdefault("tau_max", 10.0)
-    man.setdefault("budget", 1e6)
-    man.setdefault("query_radius", None)
-
-    sim = cfg["simulation"]
-    sim.setdefault("t_max", 100.0)
-    sim.setdefault("record_dt", None)
-    sim.setdefault("convergence_radius", 1e-2)
-    sim.setdefault("dwell", 1.0)
-    sim.setdefault("rel_tol", 1e-9)
-    sim.setdefault("abs_tol", 1e-12)
-    sim.setdefault("blowup", 1e6)
-    if "grid" in sim:
-        if not isinstance(sim["grid"], dict):
-            raise ConfigError("config.simulation.grid must be an object")
-        _check_keys(sim["grid"], _GRID_KEYS, "config.simulation.grid")
-        for key in _GRID_KEYS:
-            if key not in sim["grid"]:
-                raise ConfigError(f"config.simulation.grid.{key} is required")
-
-    obs = cfg["observer"]
-    obs.setdefault("L", 1.0)
-    obs.setdefault("margin", 0.1)
-    obs.setdefault("t_max", 100.0)
-    obs.setdefault("record_dt", 0.01)
-
     return cfg
 
 
@@ -247,9 +245,11 @@ def _cmd_simulate(args) -> int:
                      [v.max_abs_u for v in verdicts]])
             print(f"wrote {args.out}")
         if not report.all_converged:
-            raise BlowupError(sim["t_max"],
-                              report.points[[v.converged
-                                             for v in report.verdicts].index(False)])
+            left = [tuple(float(v) for v in p) for p, v
+                    in zip(report.points, report.verdicts) if not v.converged]
+            raise RuntimeError(f"{len(left)} of {len(report.verdicts)} starts "
+                               f"did not converge by t_max={sim['t_max']:g}; "
+                               f"first at x0={left[0]}")
         return 0
     x0 = args.x0 if args.x0 is not None else sim.get("x0")
     if x0 is None:

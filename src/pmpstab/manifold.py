@@ -30,7 +30,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import _dop853, exprs as ex
-from .hamiltonian import SWITCH_TOL, branch_control, hamiltonian_values
+from .hamiltonian import (SWITCH_TOL, branch_control, hamiltonian_values,
+                          switching_values)
 from .systems import ControlSystem, LyapunovSpec, SystemError, lie_bracket_adfb
 
 __all__ = [
@@ -54,8 +55,8 @@ FLOW_RTOL = 1e-10
 FLOW_ATOL = 1e-12
 # jacobian_info flags the (psi, tau) chart degenerate at |det| <= this
 CHART_DET_TOL = 1e-6
-# query_ties counts a sample as tied when its distance is within this of
-# the nearest one
+# project counts a sample as tied when its distance is within this of the
+# nearest one
 TIE_TOL = 1e-9
 _EVENT_NUDGE = 1e-12
 
@@ -559,21 +560,27 @@ class LagrangianManifold:
             raise NotCoveredError(p, dist, self.query_radius)
         return self._result(int(idx), dist)
 
-    def query_ties(self, x: Sequence[float], *,
-                   bounded: bool = True) -> list[QueryResult]:
-        """All samples whose distance is within TIE_TOL of the minimum.
+    def project(self, x: Sequence[float]) -> int:
+        """Flat index of the sample the outer feedback law reads at x.
 
-        Returned in ascending flat-index order.
+        The samples within TIE_TOL of the nearest distance are tied.  When
+        their switching values at x disagree in sign, the smallest W wins;
+        otherwise the nearest, and an exact tie goes to the earliest flat
+        index.  There is no radius cutoff: the law is total.
         """
         p = np.asarray(x, dtype=float)
         dmin, _ = self._tree.query(p)
-        dmin = float(dmin)
-        if bounded and dmin > self.query_radius:
-            raise NotCoveredError(p, dmin, self.query_radius)
-        idxs = sorted(self._tree.query_ball_point(p, dmin + TIE_TOL))
-        return [self._result(int(i),
-                             float(np.linalg.norm(self.flat_x[i] - p)))
-                for i in idxs]
+        ties = sorted(self._tree.query_ball_point(p, float(dmin) + TIE_TOL))
+        if len(ties) == 1:
+            return ties[0]
+        signs = set()
+        for i in ties:
+            s = switching_values(self.system, x, self.flat_nu[i])[0]
+            if abs(s) > SWITCH_TOL:
+                signs.add(s > 0)
+        if len(signs) > 1:
+            return min(ties, key=lambda i: self.flat_w[i])
+        return min(ties, key=lambda i: np.linalg.norm(self.flat_x[i] - p))
 
 
 def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,

@@ -209,7 +209,8 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
 
     Convergence means |x| entered the convergence ball and stayed there
     for a dwell period; the trajectory then stops early.  Blowup raises
-    BlowupError.  Sliding segments use explicit steps of SLIDE_STEP.
+    BlowupError.  Sliding segments use explicit steps of SLIDE_STEP, the
+    last one shortened to end at t_max.
     record_dt switches sampling from solver steps to a fixed grid (events
     are always recorded).
     """
@@ -336,12 +337,13 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
         # sliding
         in_ball_since = None
         while t < t_max:
-            x_next, u_eq, sliding = filippov_step(law, x, SLIDE_STEP)
+            x_next, u_eq, sliding = filippov_step(
+                law, x, min(SLIDE_STEP, t_max - t))
             if not sliding:
                 rec.mark("sliding-exit")
                 mode = "outer"
                 break
-            t = t + SLIDE_STEP
+            t = min(t + SLIDE_STEP, t_max)
             x = x_next
             rec.add(t, x, u_eq)
             if law.boundary_value(x) <= 0.0:

@@ -4,9 +4,9 @@ A feedback law glues a smooth inner control on the sublevel set
 {V(x) <= epsilon} to a bang-bang law read off the covector field of a
 Lagrangian manifold outside it.  The outer control at x is
 
-    u_j(x) = -sign(<nu(x), b_j(x)>) * k
+    u(x) = -sign(<nu(x), b(x)>) * k
 
-where nu(x) is the covector of the nearest manifold sample and b_j the
+where nu(x) is the covector of the sample `project` picks and b the
 control column.  Assembly checks the inner law pointwise: magnitude
 bound |w_j(x)| <= C and Lyapunov decrease <grad V, f(x, w(x))> <= 0 on
 sampled shells of {0 < V <= epsilon}.
@@ -68,36 +68,32 @@ class FeedbackLaw:
         return self.lyapunov.value(x) - self.epsilon
 
     def switching_value(self, x: Sequence[float]) -> float:
-        """<nu_q, b_1(x)> with nu_q projected from the manifold."""
+        """<nu_q, b(x)> with nu_q read by `query`, which can differ at ties
+        from the sample `project` picks for `control`."""
         q = self.manifold.query(x, bounded=False)
         return switching_values(self.system, x, q.nu)[0]
 
     def control(self, x: Sequence[float]) -> list[float]:
-        """Control value at x.
+        """Control value at x, as a one-element list.
 
         Inside {V <= epsilon} (boundary included) the inner law wins.
-        Outside, the nearest manifold covector sets u_j = -sign(sigma_j) * k;
-        on the switching surface (|sigma_j| below tolerance) the stored
-        post-switch sample control is reused.  The nearest-sample rule is
-        applied without a radius cutoff, so the law is total: closed-loop
-        arcs overshoot the densely sampled region before turning back, and
-        the sign field must stay defined there.  Coverage audits still go
-        through query/illumination, which keep the radius.
+        Outside, the sample `project` picks sets u = -sign(sigma) * k, and
+        on the switching surface (|sigma| below tolerance) its stored
+        post-switch control.  `project` has no radius cutoff, so the law
+        is total: closed-loop arcs overshoot the densely sampled region
+        before turning back.  Coverage audits go through
+        query/illumination, which keep the radius.
         """
         if self.boundary_value(x) <= 0.0:
             return self.inner_value(x)
-        ties = self.manifold.query_ties(x, bounded=False)
-        q = _resolve_projection(self, x, ties)
-        sig = switching_values(self.system, x, q.nu)
-        u = []
-        for j, s in enumerate(sig):
-            if s > SWITCH_TOL:
-                u.append(-self.k)
-            elif s < -SWITCH_TOL:
-                u.append(self.k)
-            else:
-                u.append(float(q.u[j]))
-        return u
+        man = self.manifold
+        i = man.project(x)
+        s = switching_values(self.system, x, man.flat_nu[i])[0]
+        if s > SWITCH_TOL:
+            return [-self.k]
+        if s < -SWITCH_TOL:
+            return [self.k]
+        return [float(man.flat_u[i, 0])]
 
     @property
     def fd_scale(self) -> float:
@@ -181,25 +177,6 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
     return FeedbackLaw(sys, lyap, man, tuple(inner_sources), inner,
                        float(k), float(C), float(epsilon),
                        -boundary_worst)
-
-
-def _resolve_projection(law: FeedbackLaw, x, ties):
-    """Pick one sample among equidistant projections.
-
-    When the tied covectors disagree on the sign of the switching
-    function, the sample with the smallest generating value W wins;
-    otherwise the smallest distance (earliest flat index) is kept.
-    """
-    if len(ties) == 1:
-        return ties[0]
-    signs = set()
-    for q in ties:
-        s = switching_values(law.system, x, q.nu)[0]
-        if abs(s) > SWITCH_TOL:
-            signs.add(1 if s > 0 else -1)
-    if len(signs) > 1:
-        return min(ties, key=lambda q: q.w)
-    return min(ties, key=lambda q: q.distance)
 
 
 @dataclass(frozen=True)

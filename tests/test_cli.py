@@ -104,6 +104,31 @@ class TestSupportedSystems:
         assert err.startswith("error: invalid-input:")
         assert detail in err
 
+    @pytest.mark.parametrize("block, key, value, detail", [
+        ("system", "n", "2", "config.system.n must be a positive integer"),
+        ("system", "drift", [1, 2],
+         "config.system.drift must be a list of strings"),
+        ("control", "k", "1", "config.control.k must be a number"),
+        ("manifold", "N", 64.5, "config.manifold.N must be a positive integer"),
+        ("manifold", "N", "64", "config.manifold.N must be a positive integer"),
+        ("manifold", "tau_max", "3", "config.manifold.tau_max must be a number"),
+        ("lyapunov", "epsilon", "0.5",
+         "config.lyapunov.epsilon must be a number"),
+        ("lyapunov", "V", 1, "config.lyapunov.V must be a string"),
+        ("inner", "w", "-x1", "config.inner.w must be a list of strings"),
+    ], ids=["n-string", "drift-numbers", "k-string", "N-fraction", "N-string",
+            "tau_max-string", "epsilon-string", "V-number", "w-string"])
+    def test_wrong_value_type_is_one_error_line(self, block, key, value,
+                                                detail, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_manifold", _no_build)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg[block][key] = value
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "law.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: invalid-input: {detail}\n"
+
     def test_missing_inner_law_is_rejected_before_the_build(
             self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_manifold", _no_build)
@@ -251,6 +276,20 @@ class TestSimulate:
         rows = out_csv.read_text().splitlines()
         assert rows[0] == "x1,x2,converged,t_converged,max_abs_u"
         assert len(rows) == 10
+
+
+    def test_unconverged_grid_is_not_reported_as_a_blowup(
+            self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"]["t_max"] = 2.0
+        out_csv = tmp_path / "grid.csv"
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg),
+                   "--grid", "--out", str(out_csv)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: numerical: 8 of 9 starts did not converge by t_max=2; "
+            "first at x0=(-2.0, -2.0)\n")
+        assert len(out_csv.read_text().splitlines()) == 10
 
 
 class TestSwitchingCurve:

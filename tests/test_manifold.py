@@ -28,12 +28,17 @@ import pytest
 import pmpstab.exprs as ex
 import pmpstab.manifold as M
 from pmpstab import _dop853
-from pmpstab.hamiltonian import (branch_control, hamiltonian_value,
-                                 hamiltonian_values)
+from pmpstab.hamiltonian import (SWITCH_TOL, branch_control,
+                                 hamiltonian_value, hamiltonian_values,
+                                 switching_values)
 from pmpstab.manifold import NotCoveredError, flow_forward, seed_manifold
 from pmpstab.observer import manipulator_system
 from pmpstab.synthesis import double_integrator_system
 from pmpstab.systems import ControlSet, ControlSystem, LyapunovSpec
+
+
+def flat_index(man, branch, sample):
+    return sum(len(b.tau) for b in man.branches[:branch]) + sample
 
 
 def closed_nu(psi, tau):
@@ -189,20 +194,34 @@ class TestQuery:
 
     def test_ties_are_sorted_and_contain_the_nearest(self, di_manifold_small):
         # the midpoint of sample 507 of branches 17 and 18 is nearer to
-        # these two than to any other sample
+        # these two than to any other sample; their switching values have
+        # opposite signs, so within TIE_TOL the smaller W (branch 17) wins
         man = di_manifold_small
         a, b = man.branches[17].x[507], man.branches[18].x[507]
         mid = (a + b) / 2.0
         step = (b - a) / np.linalg.norm(b - a)
+        i17, i18 = flat_index(man, 17, 507), flat_index(man, 18, 507)
+        assert man.flat_w[i17] < man.flat_w[i18]
         for shift in (0.0, 0.45 * M.TIE_TOL):
-            p = mid + shift * step
-            q = man.query(p, bounded=False)
-            ties = man.query_ties(p, bounded=False)
-            assert [(t.branch, t.sample) for t in ties] == [(17, 507), (18, 507)]
-            assert (q.branch, q.sample) in [(t.branch, t.sample) for t in ties]
+            assert man.project(mid + shift * step) == i17
         # moving by more than TIE_TOL / 2 makes the gap exceed TIE_TOL
-        ties = man.query_ties(mid + 0.55 * M.TIE_TOL * step, bounded=False)
-        assert [(t.branch, t.sample) for t in ties] == [(18, 507)]
+        assert man.project(mid + 0.55 * M.TIE_TOL * step) == i18
+
+    def test_same_sign_tie_goes_to_the_earliest_index(self, di_manifold_small):
+        # the midpoint of sample 300 of branches 18 and 19 is equidistant
+        # from both, and their switching values share a sign
+        man = di_manifold_small
+        a, b = man.branches[18].x[300], man.branches[19].x[300]
+        p = (a + b) / 2.0
+        i18, i19 = flat_index(man, 18, 300), flat_index(man, 19, 300)
+        assert np.linalg.norm(man.flat_x[i18] - p) == \
+            np.linalg.norm(man.flat_x[i19] - p)
+        sig = [switching_values(man.system, p, man.flat_nu[i])[0]
+               for i in (i18, i19)]
+        assert min(abs(v) for v in sig) > SWITCH_TOL
+        assert (sig[0] > 0.0) == (sig[1] > 0.0)
+        assert man.project(p) == i18
+        assert man.query(p, bounded=False).branch == 19
 
 
 class TestSwitchingCurve:

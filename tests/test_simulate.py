@@ -65,7 +65,7 @@ class TestScalarRelay:
         assert traj.t_converged is None
         assert [e.kind for e in traj.events] == ["control-switch",
                                                  "sliding-enter"]
-        assert traj.t[-1] >= 1.0
+        assert traj.t[-1] == 1.0
         assert abs(traj.x[-1][0]) <= 1e-6
 
 

@@ -148,12 +148,13 @@ class TestLawEvaluation:
         a, b = man.branches[17].x[507], man.branches[18].x[507]
         p = (a + b) / 2.0
         assert di_law_small.boundary_value(p) > 0.0
-        ties = man.query_ties(p, bounded=False)
-        assert [(q.branch, q.sample) for q in ties] == [(17, 507), (18, 507)]
-        sig = [switching_values(di_law_small.system, p, q.nu)[0]
-               for q in ties]
+        i17 = sum(len(br.tau) for br in man.branches[:17]) + 507
+        i18 = i17 + len(man.branches[17].tau)
+        sig = [switching_values(di_law_small.system, p, man.flat_nu[i])[0]
+               for i in (i17, i18)]
         assert sig[0] > SWITCH_TOL and sig[1] < -SWITCH_TOL
-        assert ties[0].w < ties[1].w
+        assert man.flat_w[i17] < man.flat_w[i18]
+        assert man.project(p) == i17
         assert man.query(p, bounded=False).branch == 18
         assert di_law_small.control(p) == [-di_law_small.k]
 
