@@ -16,8 +16,8 @@ from .systems import (ControlSet, ControlSystem, LyapunovSpec, SystemError,
 from .hamiltonian import (MinimizerResult, branch_control, hamiltonian_value,
                           minimize_hamiltonian, switching_values)
 from .manifold import (Bicharacteristic, BranchEvent, IlluminationReport,
-                       LagrangianManifold, NotCoveredError, QueryResult,
-                       Seed, SwitchPoint, build_manifold, cross_path_integral,
+                       LagrangianManifold, NotCoveredError, Seed,
+                       SwitchPoint, build_manifold, cross_path_integral,
                        export_manifold_csv, flow_forward, illumination_check,
                        illumination_grid, integrate_bicharacteristic,
                        jacobian_info, seed_manifold, switching_curve, switching_polylines,

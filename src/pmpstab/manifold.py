@@ -14,8 +14,10 @@ advance in lockstep, each bit for bit as scipy's DOP853 integrator would
 give it alone.
 
 Branches store dense sample arrays (solver steps, a forced tau grid and the
-event points); the assembled manifold supports nearest-sample queries through
-a KD-tree, switching-curve extraction and rank/isotropy sections.
+event points).  The assembled manifold answers in flat sample indices into
+`flat_x`, `flat_nu`, ...: `query` gives the nearest sample (KD-tree) and
+`project` the one the outer law reads; `sigma` forms a sample's switching
+value at a point.  It also gives switching curves and rank/isotropy sections.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .systems import ControlSystem, LyapunovSpec, SystemError, lie_bracket_adfb
 
 __all__ = [
     "Seed", "BranchEvent", "Bicharacteristic", "LagrangianManifold",
-    "QueryResult", "NotCoveredError", "SwitchPoint", "JacobianInfo",
+    "NotCoveredError", "SwitchPoint", "JacobianInfo",
     "seed_manifold", "integrate_bicharacteristic", "build_manifold",
     "jacobian_info",
     "illumination_check", "illumination_grid", "flow_forward",
@@ -122,26 +124,8 @@ class NotCoveredError(RuntimeError):
         self.x = tuple(float(v) for v in x)
         self.distance = distance
         self.radius = radius
-        if distance is None:
-            msg = f"no manifold sample near x={self.x} (radius {radius:.3e})"
-        else:
-            msg = (f"nearest manifold sample is {distance:.3e} away from "
-                   f"x={self.x}, beyond radius {radius:.3e}")
-        super().__init__(msg)
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    x: tuple[float, ...]
-    nu: tuple[float, ...]
-    u: tuple[float, ...]
-    w: float
-    s: float
-    tau: float
-    psi: float
-    branch: int
-    sample: int
-    distance: float
+        super().__init__(f"nearest manifold sample is {distance:.3e} away "
+                         f"from x={self.x}, beyond radius {radius:.3e}")
 
 
 @dataclass(frozen=True)
@@ -502,17 +486,12 @@ class LagrangianManifold:
         self.tau_max = tau_max
         self.budget = budget
         self.psi = np.array([b.seed.psi for b in branches])
-        n = system.n
         self.flat_x = np.vstack([b.x for b in branches])
         self.flat_nu = np.vstack([b.nu for b in branches])
         self.flat_u = np.vstack([b.u for b in branches])
         self.flat_w = np.concatenate([b.w for b in branches])
         self.flat_s = np.concatenate([b.s for b in branches])
         self.flat_tau = np.concatenate([b.tau for b in branches])
-        self.flat_branch = np.concatenate(
-            [np.full(len(b.tau), i, dtype=int) for i, b in enumerate(branches)])
-        self.flat_sample = np.concatenate(
-            [np.arange(len(b.tau), dtype=int) for b in branches])
         if query_radius is None:
             gaps = [np.linalg.norm(np.diff(b.x, axis=0), axis=1)
                     for b in branches if len(b.tau) > 1]
@@ -544,21 +523,17 @@ class LagrangianManifold:
                 worst = max(worst, float(np.max(dnu[keep] / dx[keep])))
         return worst
 
-    def _result(self, idx: int, dist: float) -> QueryResult:
-        return QueryResult(
-            tuple(self.flat_x[idx]), tuple(self.flat_nu[idx]),
-            tuple(self.flat_u[idx]), float(self.flat_w[idx]),
-            float(self.flat_s[idx]), float(self.flat_tau[idx]),
-            float(self.psi[self.flat_branch[idx]]),
-            int(self.flat_branch[idx]), int(self.flat_sample[idx]), dist)
-
-    def query(self, x: Sequence[float], *, bounded: bool = True) -> QueryResult:
+    def query(self, x: Sequence[float], *, bounded: bool = True) -> int:
+        """Flat index of the nearest sample, within query_radius if bounded."""
         p = np.asarray(x, dtype=float)
         dist, idx = self._tree.query(p)
-        dist = float(dist)
         if bounded and dist > self.query_radius:
-            raise NotCoveredError(p, dist, self.query_radius)
-        return self._result(int(idx), dist)
+            raise NotCoveredError(p, float(dist), self.query_radius)
+        return int(idx)
+
+    def sigma(self, x: Sequence[float], i: int) -> float:
+        """Switching value <nu_i, b(x)> of sample i at the point x."""
+        return switching_values(self.system, x, self.flat_nu[i])[0]
 
     def project(self, x: Sequence[float]) -> int:
         """Flat index of the sample the outer feedback law reads at x.
@@ -575,7 +550,7 @@ class LagrangianManifold:
             return ties[0]
         signs = set()
         for i in ties:
-            s = switching_values(self.system, x, self.flat_nu[i])[0]
+            s = self.sigma(x, i)
             if abs(s) > SWITCH_TOL:
                 signs.add(s > 0)
         if len(signs) > 1:
@@ -859,7 +834,8 @@ def manifold_table(man: LagrangianManifold) -> tuple[list[str], list]:
         for evt in b.events:
             flags[start + evt.sample_index] = EVENT_FLAG[evt.kind]
         start += len(b.tau)
-    return header, [man.psi[man.flat_branch], man.flat_tau, *man.flat_x.T,
+    psi = np.repeat(man.psi, [len(b.tau) for b in man.branches])
+    return header, [psi, man.flat_tau, *man.flat_x.T,
                     *man.flat_nu.T, *man.flat_u.T, man.flat_w, man.flat_s,
                     flags]
 

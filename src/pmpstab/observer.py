@@ -235,10 +235,9 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
             w[i] = law.lyapunov.value(p)
             continue
         try:
-            q = law.manifold.query(p)
+            w[i] = law.manifold.flat_w[law.manifold.query(p)]
         except NotCoveredError:
             continue
-        w[i] = q.w
         if law.boundary_value((p[0], z[i][1])) <= 0.0:
             continue
         u_true = law.control(p)

@@ -208,8 +208,8 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
     """Integrate the closed loop from x0 until t_max, convergence or blowup.
 
     Convergence means |x| entered the convergence ball and stayed there
-    for a dwell period; the trajectory then stops early.  Blowup raises
-    BlowupError.  Sliding segments use explicit steps of SLIDE_STEP, the
+    for a dwell period ending by t_max; the trajectory then stops early.
+    Blowup raises BlowupError.  Sliding steps are SLIDE_STEP long, the
     last one shortened to end at t_max.
     record_dt switches sampling from solver steps to a fixed grid (events
     are always recorded).
@@ -218,6 +218,11 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
     x = np.asarray(x0, dtype=float)
     if len(x) != sys.n:
         raise ValueError(f"x0 must have {sys.n} components")
+    if not (all(v > 0.0 for v in (rel_tol, abs_tol, convergence_radius,
+                                  dwell, blowup))
+            and (record_dt is None or record_dt > 0.0)):
+        raise ValueError("rel_tol, abs_tol, convergence_radius, dwell, "
+                         "blowup and record_dt must be positive")
     rec = _Recorder()
     t = 0.0
     switch_times: collections.deque = collections.deque(maxlen=CHATTER_LIMIT)
@@ -281,14 +286,15 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
             elif not rec.ts:
                 # already in the ball: no crossing event will fire
                 rec.add(t, x, law.control(x))
-            t_in = t
-            # one dwell period; it fails when |x| leaves the ball
-            t, x, left = segment(law.inner_dynamics, t + dwell, [ball_out])
+            t_in, t_end = t, t + dwell
+            # one dwell period, cut at t_max; it fails when |x| leaves the ball
+            t, x, left = segment(law.inner_dynamics, min(t_end, t_max),
+                                 [ball_out])
             rec.add(t, x, law.control(x))
-            if left is None:
+            if left is None and t_end <= t_max:
                 converged, t_converged = True, t_in
                 rec.mark("converged")
-            elif law.boundary_value(x) > 0.0:
+            elif left is not None and law.boundary_value(x) > 0.0:
                 rec.mark("boundary-cross")
                 mode = "outer"
             continue

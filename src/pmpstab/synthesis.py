@@ -23,7 +23,7 @@ import numpy as np
 
 from . import exprs as ex
 from .exprs import Expr
-from .hamiltonian import SWITCH_TOL, switching_values
+from .hamiltonian import SWITCH_TOL
 from .manifold import (LagrangianManifold, box_grid, illumination_check,
                        manifold_table, write_table)
 from .systems import ControlSystem, ControlSet, LyapunovSpec
@@ -68,27 +68,28 @@ class FeedbackLaw:
         return self.lyapunov.value(x) - self.epsilon
 
     def switching_value(self, x: Sequence[float]) -> float:
-        """<nu_q, b(x)> with nu_q read by `query`, which can differ at ties
-        from the sample `project` picks for `control`."""
-        q = self.manifold.query(x, bounded=False)
-        return switching_values(self.system, x, q.nu)[0]
+        """Switching value at x of the sample `query` finds nearest, with
+        no radius cutoff.  At ties it can differ from the sample `project`
+        picks for `control`."""
+        man = self.manifold
+        return man.sigma(x, man.query(x, bounded=False))
 
     def control(self, x: Sequence[float]) -> list[float]:
         """Control value at x, as a one-element list.
 
         Inside {V <= epsilon} (boundary included) the inner law wins.
-        Outside, the sample `project` picks sets u = -sign(sigma) * k, and
-        on the switching surface (|sigma| below tolerance) its stored
-        post-switch control.  `project` has no radius cutoff, so the law
-        is total: closed-loop arcs overshoot the densely sampled region
-        before turning back.  Coverage audits go through
-        query/illumination, which keep the radius.
+        Outside, sample i = `project(x)` gives sigma = `manifold.sigma(x, i)`
+        and u = -sign(sigma) * k, and on the switching surface (|sigma|
+        below tolerance) its stored post-switch control.  `project` has no
+        radius cutoff, so the law is total: closed-loop arcs overshoot the
+        densely sampled region before turning back.  Coverage audits go
+        through query/illumination, which keep the radius.
         """
         if self.boundary_value(x) <= 0.0:
             return self.inner_value(x)
         man = self.manifold
         i = man.project(x)
-        s = switching_values(self.system, x, man.flat_nu[i])[0]
+        s = man.sigma(x, i)
         if s > SWITCH_TOL:
             return [-self.k]
         if s < -SWITCH_TOL:

@@ -184,6 +184,19 @@ class TestExitCodes:
         assert err.startswith("error: invalid-input:")
         assert "tau_max must be positive" in err
 
+    @pytest.mark.parametrize("key, value", [("record_dt", 0.0),
+                                            ("convergence_radius", -1.0)])
+    def test_nonpositive_simulation_setting_exits_one(self, key, value,
+                                                      tmp_path, capsys):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["simulation"][key] = value
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:")
+        assert err.count("\n") == 1
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["simulation"] = {"t_max": 60.0, "x0": [3.0, 3.0], "blowup": 2.0}

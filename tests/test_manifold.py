@@ -169,16 +169,15 @@ class TestBranchClosedForms:
 
 class TestQuery:
     def test_stored_sample_is_its_own_nearest_neighbor(self, di_manifold_small):
-        b = di_manifold_small.branches[24]
-        q = di_manifold_small.query(tuple(b.x[50]))
-        assert q.distance == 0.0
-        assert q.branch == 24
-        assert q.sample == 50
-        assert q.tau == pytest.approx(b.tau[50])
-        assert q.psi == pytest.approx(b.seed.psi)
-        assert q.u == pytest.approx(b.u[50])
-        assert q.w == pytest.approx(b.w[50])
-        assert q.s == pytest.approx(b.s[50])
+        man = di_manifold_small
+        b = man.branches[24]
+        i = man.query(tuple(b.x[50]))
+        assert i == flat_index(man, 24, 50)
+        assert np.array_equal(man.flat_x[i], b.x[50])
+        assert man.flat_tau[i] == b.tau[50]
+        assert np.array_equal(man.flat_u[i], b.u[50])
+        assert man.flat_w[i] == b.w[50]
+        assert man.flat_s[i] == b.s[50]
 
     def test_uncovered_point_raises_with_diagnostics(self, di_manifold_small):
         with pytest.raises(NotCoveredError) as info:
@@ -188,9 +187,10 @@ class TestQuery:
         assert err.radius == pytest.approx(di_manifold_small.query_radius)
 
     def test_unbounded_query_reaches_any_point(self, di_manifold_small):
-        q = di_manifold_small.query((50.0, 50.0), bounded=False)
-        assert q.distance > di_manifold_small.query_radius
-        assert np.isfinite(q.w)
+        man = di_manifold_small
+        i = man.query((50.0, 50.0), bounded=False)
+        assert np.linalg.norm(man.flat_x[i] - (50.0, 50.0)) > man.query_radius
+        assert np.isfinite(man.flat_w[i])
 
     def test_ties_are_sorted_and_contain_the_nearest(self, di_manifold_small):
         # the midpoint of sample 507 of branches 17 and 18 is nearer to
@@ -221,7 +221,7 @@ class TestQuery:
         assert min(abs(v) for v in sig) > SWITCH_TOL
         assert (sig[0] > 0.0) == (sig[1] > 0.0)
         assert man.project(p) == i18
-        assert man.query(p, bounded=False).branch == 19
+        assert man.query(p, bounded=False) == i19
 
 
 class TestSwitchingCurve:
@@ -442,7 +442,8 @@ class TestBuildControls:
         m2 = M.build_manifold(di_system, di_lyap, 32, 6.0)
         assert np.array_equal(m1.flat_x, m2.flat_x)
         assert np.array_equal(m1.flat_w, m2.flat_w)
-        assert np.array_equal(m1.flat_branch, m2.flat_branch)
+        assert [len(b.tau) for b in m1.branches] == \
+            [len(b.tau) for b in m2.branches]
 
     def test_failed_branches_are_counted(self, di_lyap):
         # sqrt(2 - x1) leaves its domain on the branches that reach x1 > 2

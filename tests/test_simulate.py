@@ -1,6 +1,7 @@
 """Discontinuous closed-loop simulation: event-driven integration, sliding
 motion and grid audits."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +83,25 @@ class CenterLaw(StaticSwitchingLaw):
         return lambda t, y: [y[1], -4.0 * y[0]]
 
 
+@dataclass(frozen=True)
+class SmallHandoverLaw(CenterLaw):
+    """The handover set is the disc |x| <= 0.007, inside the convergence
+    ball, so an orbit can leave the ball outside the handover set."""
+
+    def boundary_value(self, x):
+        return float(np.dot(x, x)) - 0.007 ** 2
+
+
+@pytest.fixture(scope="module")
+def center_system():
+    return ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
+                         drift=("x2", "-4*x1"), columns=(("0", "1"),))
+
+
 class TestDwell:
-    def test_dwell_that_leaves_the_ball_does_not_converge(self):
-        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
-                            drift=("x2", "-4*x1"), columns=(("0", "1"),))
-        traj = simulate_closed_loop(CenterLaw(sys, "x1"), (0.009, 0.0), 2.0)
+    def test_dwell_that_leaves_the_ball_does_not_converge(self, center_system):
+        traj = simulate_closed_loop(CenterLaw(center_system, "x1"),
+                                    (0.009, 0.0), 2.0)
         assert not traj.converged
         assert traj.events == ()
         assert traj.t[-1] == 2.0
@@ -95,6 +110,39 @@ class TestDwell:
         r = np.linalg.norm(traj.x, axis=1)
         assert np.count_nonzero(np.isclose(r, 1e-2, rtol=1e-6)) >= 3
         assert float(r.max()) > 1.5e-2
+
+    def test_dwell_that_leaves_the_ball_outside_the_handover_set_crosses(
+            self, center_system):
+        # x = (0.006 cos 2t, -0.012 sin 2t) reaches |x| = 0.01 when
+        # sin^2 2t = 64/108, outside the disc |x| <= 0.007
+        traj = simulate_closed_loop(SmallHandoverLaw(center_system, "x1"),
+                                    (0.006, 0.0), 0.5)
+        first = traj.events[0]
+        assert first.kind == "boundary-cross"
+        assert first.t == pytest.approx(
+            math.asin(math.sqrt(64.0 / 108.0)) / 2.0, abs=1e-6)
+        assert np.linalg.norm(first.x) == pytest.approx(1e-2, rel=1e-6)
+
+    def test_dwell_is_cut_at_the_horizon(self, di_law_small):
+        # from (2, 1) the ball is entered at t = 21.1469; a horizon 0.01
+        # later leaves no room for the dwell
+        traj = simulate_closed_loop(di_law_small, (2.0, 1.0), 21.157)
+        assert not traj.converged
+        assert traj.t_converged is None
+        assert traj.t[-1] == 21.157
+        traj = simulate_closed_loop(di_law_small, (2.0, 1.0), 60.0)
+        assert traj.converged
+        assert traj.t_converged == 21.146879425046908
+
+
+class TestSettings:
+    @pytest.mark.parametrize("key, value", [
+        ("rel_tol", 0.0), ("abs_tol", 0.0), ("convergence_radius", -1.0),
+        ("dwell", -1.0), ("dwell", float("nan")), ("blowup", 0.0),
+        ("record_dt", 0.0), ("record_dt", -0.5)])
+    def test_nonpositive_setting_is_rejected(self, relay_law, key, value):
+        with pytest.raises(ValueError, match="convergence_radius, dwell"):
+            simulate_closed_loop(relay_law, (0.8,), 10.0, **{key: value})
 
 
 class TestDoubleIntegratorLoop:

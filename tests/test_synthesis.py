@@ -155,7 +155,7 @@ class TestLawEvaluation:
         assert sig[0] > SWITCH_TOL and sig[1] < -SWITCH_TOL
         assert man.flat_w[i17] < man.flat_w[i18]
         assert man.project(p) == i17
-        assert man.query(p, bounded=False).branch == 18
+        assert man.query(p, bounded=False) == i18
         assert di_law_small.control(p) == [-di_law_small.k]
 
     def test_law_is_total_far_outside_the_sampling(self, di_law_small):
