@@ -33,13 +33,18 @@ A segment with dense output can record samples into the row's `Samples`
 store.  With `record` "grid" or "grid-after" they are np.union1d of the
 step points and
 np.arange(floor(t0/grid_step)*grid_step + grid_step, t_end, grid_step),
-minus every time at most `min_gap` after its predecessor and, for
+minus every time at most `min_gap` (>= 0) after its predecessor and, for
 "grid-after", every time up to t0 + min_gap.  Each time is evaluated by
 the dense output of the step that ends at or after it, as `OdeSolution`
-does, in one batched pass per iteration, so no per-step data outlives its
-iteration.  The length of the arange depends on t_end, which is
-  known only at the last step; the samples can differ from the union
-  above only if an earlier step ends within a few ulps of t_end.
+does.  One batched pass per iteration finds the times of every row in
+mid-segment, each with the bits of the arange entry (g0, g0 + step, then
+g0 + i * delta); a segment's first and last step are found row by row.
+The samples of all rows are evaluated together, and written to
+per-row stages of _STAGE samples in one scatter; a row's stage is copied
+to its store when full and at the end of the segment.  The length of
+the arange depends on t_end, which is known only at the last step; the
+samples can differ from the union above only if an earlier step ends
+within a few ulps of t_end.
 """
 
 from __future__ import annotations
@@ -71,6 +76,10 @@ _TOO_SMALL = "Required step size is less than spacing between numbers."
 # double integrator's flow and 25 for the pendulum's (2-core Xeon, numpy
 # 2.4); whole manifold builds take the same time with 8 and with 16.
 _SMALL = 16
+# samples staged per row before one copy to its store: on the pendulum
+# build (256 rows, about 9 samples per step) the stages take 1.5 MB and a
+# store takes one copy per 14 steps instead of one per step
+_STAGE = 128
 
 
 @dataclass(frozen=True)
@@ -334,6 +343,8 @@ class _Lockstep:
             outcome = ended.pop(p)    # the outcome refers to the store
             if p in dead:
                 continue
+            if self.dense:
+                self.flush(self.rows[p])
             got = self.handover(self.rows[p], outcome)
             if got is None:
                 keep[p] = False
@@ -360,6 +371,11 @@ class _Lockstep:
         # the dense-output stages
         self.K_work = np.empty((len(starts), _NX, self.y.shape[1]))
         self.K_dense = np.empty_like(self.K_work)
+        if self.dense:
+            # per generator, samples waiting to be copied to its store
+            self.stage_t = np.empty((len(gens), _STAGE))
+            self.stage_y = np.empty((len(gens), _STAGE, self.y.shape[1]))
+            self.staged = np.zeros(len(gens), dtype=int)
         while self.rows:
             self.settle(*self.attempt())
         return self.results
@@ -504,7 +520,7 @@ class _Lockstep:
             F[hits] = self.dense_coefficients(
                 [acc[i] for i in hits], tc[hits], y_old[hits], f_old[hits],
                 ya[hits], fa[hits], h[hits], dead)
-        sample_at, sample_t = [], []
+        edge_at, edge_t, mid = [], [], []
         for i, (p, r) in enumerate(zip(acc, rows)):
             if p in dead:
                 continue
@@ -528,23 +544,22 @@ class _Lockstep:
             else:
                 end = None
             if b is not None and r.seg.record is not None:
-                times = self.grid_times(r, t_old, b, end)
-                sample_at += [i] * len(times)
-                sample_t += times
+                if r.first or end is not None:
+                    times = self.edge_times(r, t_old, b, end)
+                    edge_at += [i] * len(times)
+                    edge_t += times
+                else:
+                    mid.append(i)
             r.first = False
-        if sample_t:
-            at, st = np.array(sample_at), np.array(sample_t)
+        if mid or edge_t:
+            owner, mid_t = self.step_times([rows[i] for i in mid])
+            at = np.concatenate((np.array(mid, dtype=int)[owner],
+                                 np.array(edge_at, dtype=int)))
+            st = np.concatenate((mid_t, edge_t))
             t_old = np.array(to_list)[at]
             hd = np.array(ta_list)[at] - t_old    # Dop853DenseOutput.h
             Y = _interp_rows(F, at, y_old[at], t_old, hd, st)
-            lo = 0
-            while lo < len(at):
-                i = sample_at[lo]
-                hi = lo + 1
-                while hi < len(at) and sample_at[hi] == i:
-                    hi += 1
-                rows[i].samples.put(st[lo:hi], Y[lo:hi])
-                lo = hi
+            self.stage(rows, at, st, Y)
 
     def locate(self, F, y_old, t_old, t_new, active):
         """solve_ivp's handle_events on one step: a brentq root of every
@@ -563,29 +578,26 @@ class _Lockstep:
 
     # --------------------------------------------------------- sampling
 
-    def grid_times(self, row: _Row, t_old: float, b: float,
+    def edge_times(self, row: _Row, t_old: float, b: float,
                    end: float | None) -> list[float]:
-        """The sample times of the step (t_old, b]; `end` is the segment
-        end when the step is the last one, else None."""
+        """The sample times of the first or last step (t_old, b] of a
+        segment; `end` is the segment end when the step is the last one,
+        else None."""
         step, g0, gd, i = self.grid_step, row.gstart, row.gdelta, row.gi
-        # np.arange(g0, ., step)[i] is g0, g0 + step, then g0 + i * gd
         if end is None:
             count, last = math.inf, b
         else:
             count, last = max(0, math.ceil((end - g0) / step)), math.inf
         cands = [t_old] if row.first else []
         while i < count:
-            v = g0 + i * gd if i > 1 else (g0 + step if i else g0)
+            v = _grid(g0, gd, step, i)
             if v > last:
                 break
             cands.append(v)
             i += 1
         row.gi = i
-        if row.first or end is not None:
-            cands.append(b)
-            cands = sorted(set(cands))
-        elif not cands or cands[-1] != b:
-            cands.append(b)
+        cands.append(b)
+        cands = sorted(set(cands))
         floor_t = (row.seg.t0 + self.min_gap if row.seg.record == "grid-after"
                    else -math.inf)
         out = []
@@ -596,6 +608,87 @@ class _Lockstep:
             prev = e
         row.prev = prev
         return out
+
+    def step_times(self, rows: list) -> tuple[np.ndarray, np.ndarray]:
+        """The sample times of the steps (t_old, row.t] of `rows`, none of
+        them the first or last step of its segment, in one pass: the grid
+        times up to row.t, then row.t, minus every time at most min_gap
+        after its predecessor (row.prev before the first) or, for
+        "grid-after", at most t0 + min_gap.  Returns (owner, times), owner
+        indexing `rows`."""
+        step, gap = self.grid_step, self.min_gap
+        g0 = np.array([r.gstart for r in rows])
+        gd = np.array([r.gdelta for r in rows])
+        gi = np.array([r.gi for r in rows], dtype=int)
+        b = np.array([r.t for r in rows])
+        # j: the last grid index with a time <= b, from an estimate; the
+        # grid times rise with the index
+        j = np.maximum(np.floor((b - g0) / gd).astype(int), gi - 1)
+        while (down := (j >= gi) & (_grid(g0, gd, step, j) > b)).any():
+            j -= down
+        while (up := _grid(g0, gd, step, j + 1) <= b).any():
+            j += up
+        # the grid times gi..j, then b: a b equal to the last of them is
+        # dropped below, as 0 <= min_gap
+        n = j + 1 - gi
+        count = n + 1
+        owner = np.repeat(np.arange(len(rows)), count)
+        start = np.cumsum(count) - count
+        k = np.arange(len(owner)) - start[owner]
+        times = np.where(k < n[owner],
+                         _grid(g0[owner], gd[owner], step, gi[owner] + k),
+                         b[owner])
+        before = np.empty_like(times)
+        before[1:] = times[:-1]
+        before[start] = [r.prev for r in rows]
+        floor_t = np.array([r.seg.t0 + gap if r.seg.record == "grid-after"
+                            else -math.inf for r in rows])
+        keep = (times - before > gap) & (times > floor_t[owner])
+        for r, i in zip(rows, (j + 1).tolist()):
+            r.gi, r.prev = i, r.t
+        return owner[keep], times[keep]
+
+    def stage(self, rows: list, at: np.ndarray, st: np.ndarray,
+              Y: np.ndarray) -> None:
+        """Stage the samples (st, Y) of rows[at], each row's in one run in
+        time order, in one scatter.  A row whose stage would overflow is
+        flushed first, and a run longer than a stage goes to the store."""
+        first = np.flatnonzero(np.diff(at, prepend=-1))
+        counts = np.diff(first, append=len(at))
+        owners = [rows[i] for i in at[first].tolist()]
+        gen = np.array([r.index for r in owners], dtype=int)
+        fill = self.staged[gen]
+        for k in np.flatnonzero(fill + counts > _STAGE).tolist():
+            self.flush(owners[k])
+            fill[k] = 0
+            if counts[k] > _STAGE:
+                lo, hi = first[k], first[k] + counts[k]
+                owners[k].samples.put(st[lo:hi], Y[lo:hi])
+        fits = counts <= _STAGE
+        self.staged[gen] = np.where(fits, fill + counts, 0)
+        # the flat stage slot of sample q: gen * _STAGE + fill + q - first
+        g = np.repeat(gen * _STAGE + fill - first, counts) + np.arange(len(at))
+        if not fits.all():
+            sel = np.repeat(fits, counts)
+            g, st, Y = g[sel], st[sel], Y[sel]
+        self.stage_t.reshape(-1)[g] = st
+        self.stage_y.reshape(-1, Y.shape[1])[g] = Y
+
+    def flush(self, row: _Row) -> None:
+        """Move the row's staged samples to its store."""
+        k = self.staged[row.index]
+        if k:
+            row.samples.put(self.stage_t[row.index, :k],
+                            self.stage_y[row.index, :k])
+            self.staged[row.index] = 0
+
+
+def _grid(g0, gd, step, i):
+    """np.arange(g0, ., step)[i]: g0, g0 + step, then g0 + i * gd, for
+    scalars or arrays."""
+    if isinstance(i, int):
+        return g0 + i * gd if i > 1 else (g0 + step if i else g0)
+    return np.where(i > 1, g0 + i * gd, np.where(i == 1, g0 + step, g0))
 
 
 def run(gens: Sequence, rhs: Callable, events: Sequence = (), *,

@@ -44,6 +44,9 @@ class ConfigError(ValueError):
 # json.load gives these exact types; bool is not a number here
 _NUMBER = ("a number", lambda v: type(v) in (int, float))
 _COUNT = ("a positive integer", lambda v: type(v) is int and v > 0)
+# nan is no positive number either
+_POSITIVE = ("a positive number",
+             lambda v: type(v) in (int, float) and v > 0)
 _TEXT = ("a string", lambda v: type(v) is str)
 
 
@@ -80,13 +83,13 @@ _CONFIG = dict(
         grid=(_OPTIONAL, dict(lower=(_REQUIRED, _NUMBERS),
                               upper=(_REQUIRED, _NUMBERS),
                               res=(_REQUIRED, _COUNT))),
-        record_dt=(None, _NUMBER), convergence_radius=(1e-2, _NUMBER),
-        dwell=(1.0, _NUMBER), rel_tol=(1e-9, _NUMBER),
-        abs_tol=(1e-12, _NUMBER), blowup=(1e6, _NUMBER)),
+        record_dt=(None, _POSITIVE), convergence_radius=(1e-2, _POSITIVE),
+        dwell=(1.0, _POSITIVE), rel_tol=(1e-9, _POSITIVE),
+        abs_tol=(1e-12, _POSITIVE), blowup=(1e6, _POSITIVE)),
     observer=_block(
         L=(1.0, _NUMBER), margin=(0.1, _NUMBER), x0=(_OPTIONAL, _NUMBERS),
         z0=(_OPTIONAL, _NUMBERS), t_max=(100.0, _NUMBER),
-        record_dt=(0.01, _NUMBER), delta=(_OPTIONAL, _NUMBER),
+        record_dt=(0.01, _POSITIVE), delta=(_OPTIONAL, _NUMBER),
         beta1=(_OPTIONAL, _NUMBER), beta2=(_OPTIONAL, _NUMBER)),
 )
 

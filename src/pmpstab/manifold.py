@@ -797,26 +797,44 @@ def _csv_row(fields) -> str:
     return ",".join(fields)
 
 
+def _chunk_formatter(c: np.ndarray):
+    """A function (lo, hi) -> the CSV fields of c[lo:hi], in order: repr
+    for floats, str otherwise, quoted where a text field needs it.
+
+    A numeric column with at most half as many distinct values as rows
+    formats each distinct value once and gathers the strings.  Distinct
+    means distinct bit patterns, so -0.0 and 0.0 keep their own strings.
+    """
+    kind = c.dtype.kind
+    fmt = repr if kind == "f" else str
+    if kind not in "biuf":
+        return lambda lo, hi: map(_csv_field, map(fmt, c[lo:hi].tolist()))
+    keys = c.view(f"u{c.dtype.itemsize}")
+    s = np.sort(keys)
+    new = s[1:] != s[:-1]
+    if 2 * (1 + np.count_nonzero(new)) > len(c):
+        return lambda lo, hi: map(fmt, c[lo:hi].tolist())
+    uniq = np.concatenate((s[:1], s[1:][new]))
+    strings = np.array(list(map(fmt, uniq.view(c.dtype).tolist())),
+                       dtype=object)
+    return lambda lo, hi: strings[np.searchsorted(uniq, keys[lo:hi])].tolist()
+
+
 def write_table(fh, header: Sequence[str], columns: Sequence) -> None:
     """Write a header and equal-length columns as CSV rows, byte for byte
     as csv.writer does (rows end in \r\n, minimal quoting).
 
     Float columns are written with repr, so the text reads back to the
     same doubles; every other column (int, str) is written with str, and
-    only str columns can need quotes.  Rows are formatted a chunk at a
-    time to bound the memory held.
+    only str columns can need quotes.  A numeric column that repeats its
+    values formats each distinct value once (see _chunk_formatter).  Rows
+    are formatted a chunk at a time to bound the memory held.
     """
     cols = [np.asarray(c) for c in columns]
-    fmts = [repr if c.dtype.kind == "f" else str for c in cols]
-    texts = [c.dtype.kind not in "biuf" for c in cols]
+    fields = [_chunk_formatter(c) for c in cols]
     fh.write(_csv_row([_csv_field(str(h)) for h in header]) + "\r\n")
     for lo in range(0, len(cols[0]), _WRITE_CHUNK):
-        hi = lo + _WRITE_CHUNK
-        parts = []
-        for fmt, text, c in zip(fmts, texts, cols):
-            part = map(fmt, c[lo:hi].tolist())
-            parts.append(map(_csv_field, part) if text else part)
-        rows = zip(*parts)
+        rows = zip(*(f(lo, lo + _WRITE_CHUNK) for f in fields))
         if len(cols) == 1:
             fh.write("".join(_csv_row(r) + "\r\n" for r in rows))
         else:

@@ -218,11 +218,13 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
     x = np.asarray(x0, dtype=float)
     if len(x) != sys.n:
         raise ValueError(f"x0 must have {sys.n} components")
-    if not (all(v > 0.0 for v in (rel_tol, abs_tol, convergence_radius,
-                                  dwell, blowup))
-            and (record_dt is None or record_dt > 0.0)):
-        raise ValueError("rel_tol, abs_tol, convergence_radius, dwell, "
-                         "blowup and record_dt must be positive")
+    bad = [name for name, v in (
+        ("rel_tol", rel_tol), ("abs_tol", abs_tol),
+        ("convergence_radius", convergence_radius), ("dwell", dwell),
+        ("blowup", blowup), ("record_dt", record_dt))
+        if not (v is None and name == "record_dt" or v > 0.0)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be positive")
     rec = _Recorder()
     t = 0.0
     switch_times: collections.deque = collections.deque(maxlen=CHATTER_LIMIT)

@@ -47,6 +47,23 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def assert_rejected_before_build(block, key, value, tmp_path, capsys,
+                                 monkeypatch):
+    """`simulate` exits 1 on config.block.key = value, naming the key,
+    before any manifold is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("the manifold was built")
+    monkeypatch.setattr(cli, "build_manifold", no_build)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg.setdefault(block, {})[key] = value
+    rc = main(["simulate", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid-input: config.{block}.{key} must be a positive "
+        "number\n")
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     return write_config(tmp_path, BASE_CONFIG)
@@ -184,18 +201,20 @@ class TestExitCodes:
         assert err.startswith("error: invalid-input:")
         assert "tau_max must be positive" in err
 
-    @pytest.mark.parametrize("key, value", [("record_dt", 0.0),
-                                            ("convergence_radius", -1.0)])
+    @pytest.mark.parametrize("key, value", [
+        ("record_dt", 0.0), ("convergence_radius", -1.0),
+        ("dwell", float("nan")), ("rel_tol", 0), ("abs_tol", -1e-12),
+        ("blowup", 0.0)])
     def test_nonpositive_simulation_setting_exits_one(self, key, value,
-                                                      tmp_path, capsys):
-        cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["simulation"][key] = value
-        rc = main(["simulate", "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path / "t.csv")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid-input:")
-        assert err.count("\n") == 1
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        assert_rejected_before_build("simulation", key, value, tmp_path,
+                                     capsys, monkeypatch)
+
+    def test_nonpositive_observer_record_dt_exits_one(self, tmp_path, capsys,
+                                                      monkeypatch):
+        assert_rejected_before_build("observer", "record_dt", -0.01,
+                                     tmp_path, capsys, monkeypatch)
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -449,6 +468,16 @@ class TestQuickStart:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in QUICK_START_SHA256}
         assert digests == QUICK_START_SHA256
+
+    def test_pendulum_law_matches_its_pinned_hash(self, tmp_path):
+        # the 54 MB law CSV: every sample of the pendulum manifold and the
+        # text of every value
+        pend = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "pendulum.json")
+        out = tmp_path / "plaw.csv"
+        assert main(["synthesize", "--config", pend, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ff888826f6dbb34d52e7332c57c413f9640782bd6440033b18b4025f73d9a637")
 
 
 class TestEntryPoint:

@@ -8,6 +8,7 @@ points at the engine or at a numpy/scipy/BLAS version whose rounding
 differs from the one the engine mirrors.
 """
 
+import dataclasses
 import math
 import re
 
@@ -39,6 +40,22 @@ def bits(values):
 def one_segment(seg):
     out = yield seg
     return out
+
+
+def two_segments(compiler, seg, t_split):
+    """A "grid" segment of `seg` up to t_split, then a "grid-after" one on
+    to seg.t_bound from where it ended, at the control branch_control
+    resolves there; returns both segments, the sample count after the
+    first and the second's outcome."""
+    first = dataclasses.replace(seg, t_bound=t_split)
+    out = yield first
+    count = out.samples.count
+    u, s_eff, _, _ = M.branch_control(compiler.sys, out.y[:2], out.y[2:4],
+                                      "reversed")
+    second = compiler.request(out.y, out.t, seg.t_bound, u, s_eff,
+                              "reversed", "grid-after")
+    out = yield second
+    return first, second, count, out
 
 
 def engine(compiler, segs, events, dense=True):
@@ -197,6 +214,59 @@ class TestOracle:
             assert_same_segment(out, sol, 2)
             assert_same_grid(out, sol, False)
 
+
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @pytest.mark.parametrize("stage", [None, 2])
+    def test_grid_then_grid_after_in_one_store(self, name, stage,
+                                               monkeypatch):
+        # one row runs a "grid" segment, then from where it ended a
+        # "grid-after" segment into the same store, as manifold._branch
+        # does; stage 2 sends most samples through the stage overflow
+        if stage is not None:
+            monkeypatch.setattr(_dop853, "_STAGE", stage)
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        segs = []
+        for k, seg in enumerate(segments(compiler, seeds(sys, 36, 0.8),
+                                         (2.0,), "grid")):
+            if k % 3 == 1:
+                # a start 3 ulps below a grid point
+                t0 = np.nextafter(np.nextafter(np.nextafter(0.31, 0), 0), 0)
+            elif k % 3 == 2:
+                # the first step ends 1e-13 below a grid point, which the
+                # second step (a mid-segment one) then drops
+                h1 = reference(compiler, seg, events).t[1]
+                t0 = round(h1 + 0.3, 2) - h1 - 1e-13
+            else:
+                t0 = 0.0
+            segs.append(dataclasses.replace(seg, t0=t0, t_bound=t0 + 2.0))
+        assert_batched(segs)
+        outs = _dop853.run([two_segments(compiler, seg, seg.t0 + 0.9)
+                            for seg in segs], compiler.flow, events,
+                           dense=True, rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL,
+                           grid_step=STEP, min_gap=GAP)
+        dropped = 0
+        for first, second, count, out in outs:
+            sol1 = reference(compiler, first, events)
+            sol2 = reference(compiler, second, events)
+            assert_same_segment(out, sol2, 1)
+            t1, y1 = grid_reference(sol1, False)
+            t2, y2 = grid_reference(sol2, True)
+            assert count == len(t1)
+            n = out.samples.count
+            assert bits(out.samples.t[:n]) == bits(np.concatenate((t1, t2)))
+            assert bits(out.samples.y[:n]) == bits(np.concatenate((y1, y2)))
+            b1 = sol1.t[1]
+            start = math.floor(first.t0 / STEP) * STEP + STEP
+            grid = np.arange(start, sol1.t[-1], STEP)
+            if len(sol1.t) > 3 and np.any((grid > b1) & (grid - b1 <= GAP)):
+                dropped += 1
+        assert dropped >= 3
+        # first segments that end at a switch and at t_split both occur
+        assert {second.t0 < first.t_bound
+                for first, second, _, _ in outs} == {True, False}
 
 
 class TestFailures:

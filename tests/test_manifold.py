@@ -24,6 +24,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmpstab.exprs as ex
 import pmpstab.manifold as M
@@ -581,11 +583,64 @@ class TestExport:
         M.write_table(got, ["s"], [np.array(["", "x"])])
         assert got.getvalue() == want.getvalue()
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_write_table_matches_csv_writer_on_any_columns(self, data):
+        # columns drawn from a small pool repeat their values and take the
+        # format-once path; the others hold mostly distinct values
+        chunk = M._WRITE_CHUNK
+        rows = data.draw(st.sampled_from(
+            [0, 1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1])
+            | st.integers(0, 3 * chunk))
+        columns = [data.draw(_table_columns(rows))
+                   for _ in range(data.draw(st.integers(1, 4)))]
+        header = [f"c{j}" for j in range(len(columns))]
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
+        got = io.StringIO(newline="")
+        M.write_table(got, header, columns)
+        assert got.getvalue() == want.getvalue()
+
     def test_export_is_reproducible(self, di_manifold_small, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         M.export_manifold_csv(di_manifold_small, str(a))
         M.export_manifold_csv(di_manifold_small, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+# -0.0 next to 0.0, nan, infinities, subnormals and plain values
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                   -5e-324, 1e-310, 0.1, -1.5e300, 1.0, -1.0]
+
+
+@st.composite
+def _table_columns(draw, rows):
+    """A float, int or bool column of `rows` values: from a pool of at most
+    six (repeating) or mostly distinct, contiguous or strided."""
+    kind = draw(st.sampled_from(["float", "int", "bool"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stride = draw(st.sampled_from([1, 2]))
+    size = rows * stride
+    if kind == "bool":
+        values = rng.random(size) < 0.5
+    elif draw(st.booleans()):
+        pool = draw(st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats()
+                             if kind == "float" else
+                             st.integers(-2 ** 63, 2 ** 63 - 1),
+                             min_size=1, max_size=4))
+        if kind == "float" and draw(st.booleans()):
+            pool += [0.0, -0.0]
+        values = np.array(pool)[rng.integers(len(pool), size=size)]
+    elif kind == "float":
+        values = np.ldexp(rng.standard_normal(size),
+                          rng.integers(-1070, 1020, size))
+        special = rng.random(size) < 0.1
+        values[special] = rng.choice(_SPECIAL_FLOATS, np.count_nonzero(special))
+    else:
+        values = rng.integers(-2 ** 63, 2 ** 63 - 1, size)
+    return values[::stride]
 
 
 def bits(values):

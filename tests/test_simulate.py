@@ -141,8 +141,14 @@ class TestSettings:
         ("dwell", -1.0), ("dwell", float("nan")), ("blowup", 0.0),
         ("record_dt", 0.0), ("record_dt", -0.5)])
     def test_nonpositive_setting_is_rejected(self, relay_law, key, value):
-        with pytest.raises(ValueError, match="convergence_radius, dwell"):
+        with pytest.raises(ValueError, match=f"^{key} must be positive$"):
             simulate_closed_loop(relay_law, (0.8,), 10.0, **{key: value})
+
+    def test_every_bad_setting_is_named(self, relay_law):
+        with pytest.raises(ValueError,
+                           match="^abs_tol, record_dt must be positive$"):
+            simulate_closed_loop(relay_law, (0.8,), 10.0, abs_tol=-1.0,
+                                 record_dt=0.0)
 
 
 class TestDoubleIntegratorLoop:
