@@ -5,12 +5,17 @@ Every row is run by a generator that yields `Segment` requests and
 receives an `Outcome` for each.  One segment is, bit for bit,
 
     solve_ivp(fun, (t0, t_bound), y0, method="DOP853", rtol=rtol,
-              atol=atol, dense_output=dense, events=events)
+              atol=atol, max_step=max_step, dense_output=dense,
+              events=armed, t_eval=times)
 
 with every event terminal: the same step sizes, accepted states, event
 roots and dense-output values (Hairer, Norsett & Wanner, Solving ODEs I,
-II.5-II.6, as implemented in scipy.integrate).  Whatever numpy rounds
-differently when batched stays per row:
+II.5-II.6, as implemented in scipy.integrate).  `max_step` clamps the
+initial step and every new step attempt, as RungeKutta._step_impl does.
+A segment arms a subset of the run's events, in its own order; when two
+armed events have the same root in one step, the one listed first ends
+the segment, as in solve_ivp.  Whatever numpy rounds differently when
+batched stays per row:
 
 - stage sums, the solution update, the error estimates and the dense-output
   coefficients are batched `np.matmul` calls, which give the bits of
@@ -18,8 +23,9 @@ differently when batched stays per row:
 - the error norms (`ndarray.dot`) and the step factors (`**`) are per-row
   scalars;
 - the right-hand side is evaluated per group of rows sharing a key, and
-  the events over all rows, with a batched function equal row by row to
-  the scalar one; fewer than `_SMALL` rows call the scalar function.
+  each event over the rows that arm it, with a batched function equal row
+  by row to the scalar one; fewer than `_SMALL` rows, or a function with
+  no batched form, call the scalar function.
   The batched functions let overflow and nan pass silently, as the scalar
   function's Python arithmetic does; the rest of the step arithmetic runs
   under the caller's numpy error settings, as in solve_ivp;
@@ -29,27 +35,43 @@ A row whose right-hand side, event function or generator raises leaves with
 that exception as its result; the other rows go on.  Time runs forwards:
 a segment needs t_bound > t0.
 
-A segment with dense output can record samples into the row's `Samples`
-store.  With `record` "grid" or "grid-after" they are np.union1d of the
-step points and
-np.arange(floor(t0/grid_step)*grid_step + grid_step, t_end, grid_step),
-minus every time at most `min_gap` (>= 0) after its predecessor and, for
-"grid-after", every time up to t0 + min_gap.  Each time is evaluated by
-the dense output of the step that ends at or after it, as `OdeSolution`
-does.  One batched pass per iteration finds the times of every row in
-mid-segment, each with the bits of the arange entry (g0, g0 + step, then
-g0 + i * delta); a segment's first and last step are found row by row.
-The samples of all rows are evaluated together, and written to
-per-row stages of _STAGE samples in one scatter; a row's stage is copied
-to its store when full and at the end of the segment.  The length of
-the arange depends on t_end, which is known only at the last step; the
-samples can differ from the union above only if an earlier step ends
-within a few ulps of t_end.
+A segment can record samples into the row's `Samples` store, by its
+`record` mode:
+
+- "steps": solve_ivp's sol.t and sol.y without t_eval: t0 and every
+  accepted step point, the last one replaced by the root of a terminal
+  event and the interpolant there.
+- "times": solve_ivp's sol.t and sol.y with t_eval = `times`: each time up
+  to the segment's end, evaluated by the dense output of the step that
+  holds it.  Without `dense`, the dense-output coefficients are computed
+  only on the steps that hold a record time or an active event, as
+  solve_ivp does.
+- "grid" or "grid-after" (these need `dense`): np.union1d of the step
+  points and
+  np.arange(floor(t0/grid_step)*grid_step + grid_step, t_end, grid_step),
+  minus every time at most `min_gap` (>= 0) after its predecessor and, for
+  "grid-after", every time up to t0 + min_gap.  Each time is evaluated by
+  the dense output of the step that ends at or after it, as `OdeSolution`
+  does.  One batched pass per iteration finds the times of every row in
+  mid-segment, each with the bits of the arange entry (g0, g0 + step, then
+  g0 + i * delta); a segment's first and last step are found row by row.
+  The length of the arange depends on t_end, which is known only at the
+  last step; the samples can differ from the union above only if an
+  earlier step ends within a few ulps of t_end.
+
+The interpolated samples of all rows are evaluated together.  From
+_SMALL rows on they are written to per-row stages of _STAGE samples in
+one scatter, and a stage goes to the row's store when it is full and at
+the end of the segment; fewer rows put their samples straight into their
+stores, which costs less than the scatter's fixed numpy overhead.
+"steps" samples wait in a per-row list until the end of the segment.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
@@ -69,7 +91,8 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 _ERR_EXP = -1 / (7 + 1)                # the error estimator has order 7
-_ROOT_TOL = 4 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_ROOT_TOL = 4 * _EPS
 _TOO_SMALL = "Required step size is less than spacing between numbers."
 # groups with fewer rows call the scalar function row by row.  Per call
 # the row loop and one batched call cost the same at about 10 rows for the
@@ -84,23 +107,27 @@ _STAGE = 128
 
 @dataclass(frozen=True)
 class Segment:
-    """One solver run requested by a row's generator.  `key` selects the right-hand
-    side, `directions` holds one direction per event as in solve_ivp, and
-    `record` is None, "grid" or "grid-after"."""
+    """One solver run requested by a row's generator.  `key` selects the
+    right-hand side, `events` lists the indices of the run's events the
+    segment arms (None: all, in order), `directions` holds one direction
+    per armed event as in solve_ivp, and `record` is None, "steps",
+    "times" (at `times`), "grid" or "grid-after"."""
     t0: float
     y0: np.ndarray
     t_bound: float
     key: Hashable
     directions: tuple[float, ...] = ()
     record: str | None = None
+    events: tuple[int, ...] | None = None
+    times: Sequence[float] | None = None
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """The end of a segment as solve_ivp's sol.t[-1] and sol.y[:, -1].
-    `event` is the index of the terminal event (None if there was none);
-    then t is its t_events entry.  `message` is set when the solver
-    failed.  `samples` is the row's store."""
+    """The end of a segment as solve_ivp's sol.t[-1] and sol.y[:, -1]
+    without t_eval.  `event` is the run's index of the terminal event
+    (None if there was none); then t is its t_events entry.  `message` is
+    set when the solver failed.  `samples` is the row's store."""
     t: float
     y: np.ndarray
     event: int | None
@@ -138,6 +165,11 @@ class Samples:
         self.y[self.count:self.count + k] = y
         self.count += k
 
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored samples as copies (t, y), emptying the store."""
+        k, self.count = self.count, 0
+        return self.t[:k].copy(), self.y[:k].copy()
+
 
 class _Row:
     """One row: its generator and segment, the solver's scalar state as Python
@@ -145,13 +177,14 @@ class _Row:
     state.  The row's y and f live in the lockstep arrays."""
 
     __slots__ = ("index", "gen", "seg", "samples", "t", "h_abs", "tb",
-                 "rejected", "g", "kid", "first", "prev", "gi", "gstart",
-                 "gdelta")
+                 "rejected", "armed", "g", "kid", "first", "prev", "gi",
+                 "gstart", "gdelta", "times", "ti", "steps")
 
     def __init__(self, index, gen):
         self.index = index
         self.gen = gen
         self.samples = None
+        self.steps = []     # "steps" samples (t, y as a list) not yet stored
 
 
 def _norm(v: np.ndarray) -> float:
@@ -198,11 +231,13 @@ class _Lockstep:
     """The state of one `run`: the rows still going, their y and f as
     (R, d) arrays, and one stage work array reused by every attempt."""
 
-    def __init__(self, rhs, events, dense, rtol, atol, grid_step, min_gap):
+    def __init__(self, rhs, events, dense, rtol, atol, max_step, grid_step,
+                 min_gap):
         self.rhs = rhs
         self.events = list(events)
+        self.all_events = tuple(range(len(self.events)))
         self.dense = dense
-        self.rtol, self.atol = rtol, atol
+        self.rtol, self.atol, self.max_step = rtol, atol, max_step
         self.grid_step, self.min_gap = grid_step, min_gap
         self.keys: dict = {}
         self.funcs: list = []
@@ -212,19 +247,22 @@ class _Lockstep:
     def apply(self, fns, T, Y, sel, pos, out, dead):
         """out[sel] = fn(T[sel], Y[sel]) (all rows when sel is None), with
         fns = (scalar, batch); `pos` maps the rows of Y to lockstep
-        positions, and a row that raises is put in `dead`."""
-        if (len(Y) if sel is None else len(sel)) >= _SMALL:
+        positions, and a row that raises is put in `dead`.  A batch of None
+        means that there is no batched form."""
+        batch = fns[1]
+        if batch is not None and (len(Y) if sel is None
+                                  else len(sel)) >= _SMALL:
             try:
                 if sel is None:
-                    out[:] = fns[1](T, Y)
+                    out[:] = batch(T, Y)
                 else:
-                    out[sel] = fns[1](T[sel], Y[sel])
+                    out[sel] = batch(T[sel], Y[sel])
                 return
             except Exception:
                 pass    # find the rows that raise, one by one
         scalar, tl = fns[0], T.tolist()
         for i in (range(len(Y)) if sel is None else sel.tolist()):
-            if pos[i] in dead:
+            if dead and pos[i] in dead:
                 out[i] = 0.0
                 continue
             try:
@@ -257,15 +295,31 @@ class _Lockstep:
         if not np.isfinite(y0).all():
             raise ValueError("All components of the initial state `y0` "
                              "must be finite.")
-        if len(seg.directions) != len(self.events):
+        armed = (self.all_events if seg.events is None
+                 else tuple(seg.events))
+        if not set(armed) <= set(self.all_events):
+            raise ValueError("a segment can only arm the run's events")
+        if len(seg.directions) != len(armed):
             raise ValueError("a segment needs one direction per event")
         t0, tb = float(seg.t0), float(seg.t_bound)
         if not tb > t0:
             raise ValueError("a segment needs t_bound > t0")
-        if seg.record not in (None, "grid", "grid-after"):
+        if seg.record not in (None, "steps", "times", "grid", "grid-after"):
             raise ValueError(f"unknown record {seg.record!r}")
-        if seg.record is not None and not self.dense:
+        if seg.record in ("grid", "grid-after") and not self.dense:
             raise ValueError("grid samples need dense output")
+        if (seg.times is not None) != (seg.record == "times"):
+            raise ValueError('record "times" and `times` go together')
+        if seg.record == "times":
+            times = np.asarray(seg.times, dtype=float)
+            if times.ndim != 1:
+                raise ValueError("`t_eval` must be 1-dimensional.")
+            if np.any(times < t0) or np.any(times > tb):
+                raise ValueError("Values in `t_eval` are not within "
+                                 "`t_span`.")
+            if np.any(np.diff(times) <= 0):
+                raise ValueError("Values in `t_eval` are not properly "
+                                 "sorted.")
         kid = self.keys.get(seg.key)
         if kid is None:
             kid = self.keys[seg.key] = len(self.funcs)
@@ -283,13 +337,19 @@ class _Lockstep:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        row.h_abs = min(100 * h0, h1, interval)
-        row.g = [float(ev(t0, y0)) for ev, _ in self.events]
+        row.h_abs = min(100 * h0, h1, interval, self.max_step)
+        row.armed = armed
+        row.g = [float(self.events[j][0](t0, y0)) for j in armed]
         if row.samples is None:
             row.samples = Samples(len(y0))
         row.seg, row.t, row.tb, row.kid = seg, t0, tb, kid
         row.rejected, row.first, row.prev = False, True, None
-        if seg.record is not None:
+        if seg.record == "steps":
+            row.steps.append((t0, y0.tolist()))
+        elif seg.record == "times":
+            row.times, row.ti = times.tolist(), 0
+            row.samples.reserve(len(times))
+        elif seg.record is not None:
             step = self.grid_step
             row.gstart = math.floor(t0 / step) * step + step
             row.gdelta = (row.gstart + step) - row.gstart
@@ -343,8 +403,7 @@ class _Lockstep:
             outcome = ended.pop(p)    # the outcome refers to the store
             if p in dead:
                 continue
-            if self.dense:
-                self.flush(self.rows[p])
+            self.flush(self.rows[p])
             got = self.handover(self.rows[p], outcome)
             if got is None:
                 keep[p] = False
@@ -371,11 +430,10 @@ class _Lockstep:
         # the dense-output stages
         self.K_work = np.empty((len(starts), _NX, self.y.shape[1]))
         self.K_dense = np.empty_like(self.K_work)
-        if self.dense:
-            # per generator, samples waiting to be copied to its store
-            self.stage_t = np.empty((len(gens), _STAGE))
-            self.stage_y = np.empty((len(gens), _STAGE, self.y.shape[1]))
-            self.staged = np.zeros(len(gens), dtype=int)
+        # per generator, samples waiting to be copied to its store
+        self.stage_t = np.empty((len(gens), _STAGE))
+        self.stage_y = np.empty((len(gens), _STAGE, self.y.shape[1]))
+        self.staged = np.zeros(len(gens), dtype=int)
         while self.rows:
             self.settle(*self.attempt())
         return self.results
@@ -388,11 +446,15 @@ class _Lockstep:
         pos = range(na)
         dead: dict[int, BaseException] = {}
         small, T, TN, H = [], [], [], []
+        max_step = self.max_step
         for p, r in enumerate(rows):
             t = r.t
             min_step = 10 * (math.nextafter(t, math.inf) - t)
-            if not r.rejected and r.h_abs < min_step:
-                r.h_abs = min_step
+            if not r.rejected:
+                if r.h_abs > max_step:
+                    r.h_abs = max_step
+                elif r.h_abs < min_step:
+                    r.h_abs = min_step
             if r.h_abs < min_step:
                 small.append(p)
             t_new = t + r.h_abs
@@ -491,41 +553,30 @@ class _Lockstep:
         ta_list = [TN[p] for p in acc]
         for r, ta in zip(rows, ta_list):
             r.t = ta
-        F = None
-        if self.dense:
-            F = self.dense_coefficients(acc, tc, y_old, f_old, ya, fa, h, dead)
         active = [()] * len(acc)
         if self.events:
-            g_new = np.empty((len(acc), len(self.events)))
-            col = np.empty(len(acc))
-            ta = np.array(ta_list)
-            for j, fns in enumerate(self.events):
-                self.apply(fns, ta, ya, None, acc, col, dead)
-                g_new[:, j] = col
-            for i, (r, gn) in enumerate(zip(rows, g_new.tolist())):
-                act = []
-                # find_active_events' sign test
-                for j, (g0, g1, dr) in enumerate(
-                        zip(r.g, gn, r.seg.directions)):
-                    up = g0 <= 0 and g1 >= 0
-                    down = g0 >= 0 and g1 <= 0
-                    if (up and dr > 0 or down and dr < 0
-                            or (up or down) and dr == 0):
-                        act.append(j)
-                active[i] = act
-                r.g = gn
-        hits = [i for i, act in enumerate(active) if act]
-        if F is None and hits:
+            active = self.active_events(rows, acc, ta_list, ya, dead)
+        # the dense output of every step of a dense run, else of the steps
+        # with an active event or a due record time
+        need = range(len(acc)) if self.dense else [
+            i for i, (r, act) in enumerate(zip(rows, active))
+            if act or r.seg.record == "times"
+            and r.ti < len(r.times) and r.times[r.ti] <= ta_list[i]]
+        F = None
+        if len(need) == len(acc):
+            F = self.dense_coefficients(acc, tc, y_old, f_old, ya, fa, h, dead)
+        elif need:
             F = np.empty((len(acc), _POWER, ya.shape[1]))
-            F[hits] = self.dense_coefficients(
-                [acc[i] for i in hits], tc[hits], y_old[hits], f_old[hits],
-                ya[hits], fa[hits], h[hits], dead)
+            F[need] = self.dense_coefficients(
+                [acc[i] for i in need], tc[need], y_old[need], f_old[need],
+                ya[need], fa[need], h[need], dead)
         edge_at, edge_t, mid = [], [], []
         for i, (p, r) in enumerate(zip(acc, rows)):
             if p in dead:
                 continue
             t_old = to_list[i]
-            end = b = ta_list[i]
+            stop = end = b = ta_list[i]
+            y_end = ya[i]
             if active[i]:
                 try:
                     e, root, y_end = self.locate(F[i], y_old[i], t_old, b,
@@ -533,7 +584,7 @@ class _Lockstep:
                 except Exception as exc:
                     dead[p] = exc
                     continue
-                end = b = root
+                stop = end = b = root
                 if self.dense and not r.first and root == t_old:
                     # solve_ivp drops the step whose terminal root repeats
                     # the previous step point
@@ -543,36 +594,80 @@ class _Lockstep:
                 ended[p] = Outcome(b, ya[i].copy(), None, None, r.samples)
             else:
                 end = None
-            if b is not None and r.seg.record is not None:
-                if r.first or end is not None:
-                    times = self.edge_times(r, t_old, b, end)
-                    edge_at += [i] * len(times)
-                    edge_t += times
-                else:
-                    mid.append(i)
+            record = r.seg.record
+            if record == "times":
+                j = bisect.bisect_right(r.times, stop, r.ti)
+                edge_at += [i] * (j - r.ti)
+                edge_t += r.times[r.ti:j]
+                r.ti = j
+            elif b is None or record is None:
+                pass
+            elif record == "steps":
+                r.steps.append((b, y_end.tolist()))
+            elif r.first or end is not None:
+                times = self.edge_times(r, t_old, b, end)
+                edge_at += [i] * len(times)
+                edge_t += times
+            else:
+                mid.append(i)
             r.first = False
         if mid or edge_t:
-            owner, mid_t = self.step_times([rows[i] for i in mid])
-            at = np.concatenate((np.array(mid, dtype=int)[owner],
-                                 np.array(edge_at, dtype=int)))
-            st = np.concatenate((mid_t, edge_t))
+            at, st = np.array(edge_at, dtype=int), np.array(edge_t)
+            if mid:
+                owner, mid_t = self.step_times([rows[i] for i in mid])
+                at = np.concatenate((np.array(mid, dtype=int)[owner], at))
+                st = np.concatenate((mid_t, st))
             t_old = np.array(to_list)[at]
             hd = np.array(ta_list)[at] - t_old    # Dop853DenseOutput.h
             Y = _interp_rows(F, at, y_old[at], t_old, hd, st)
             self.stage(rows, at, st, Y)
 
+    def active_events(self, rows, acc, ta_list, ya, dead) -> list:
+        """The events of each accepted row that find_active_events reports
+        between its last two step points, as run indices in the row's
+        armed order; updates the rows' event values."""
+        ta = np.array(ta_list)
+        col = np.empty(len(acc))
+        # the rows that arm each event; None: every row
+        sels: dict = dict.fromkeys(self.all_events)
+        if not all(r.armed is self.all_events for r in rows):
+            sels = {}
+            for i, r in enumerate(rows):
+                for j in r.armed:
+                    sels.setdefault(j, []).append(i)
+            sels = {j: np.array(sel) for j, sel in sels.items()}
+        values = {}     # per event, its values at the rows that arm it
+        for j, sel in sels.items():
+            self.apply(self.events[j], ta, ya, sel, acc, col, dead)
+            values[j] = col.tolist()
+        active = []
+        for i, r in enumerate(rows):
+            act = []
+            gn = [values[j][i] for j in r.armed]
+            # find_active_events' sign test
+            for j, g0, g1, dr in zip(r.armed, r.g, gn, r.seg.directions):
+                up = g0 <= 0 and g1 >= 0
+                down = g0 >= 0 and g1 <= 0
+                if (up and dr > 0 or down and dr < 0
+                        or (up or down) and dr == 0):
+                    act.append(j)
+            active.append(act)
+            r.g = gn
+        return active
+
     def locate(self, F, y_old, t_old, t_new, active):
         """solve_ivp's handle_events on one step: a brentq root of every
-        active event on the step's interpolant; returns the event index,
-        root and state of the earliest."""
+        active event on the step's interpolant, which the event function
+        receives as an array; returns the event index, root and state of
+        the earliest."""
         Fl, yl, h = F.tolist(), y_old.tolist(), t_new - t_old
         roots = []
         for e in active:
             ev = self.events[e][0]
             roots.append((brentq(
-                lambda tt: ev(tt, _interp(Fl, yl, t_old, h, tt)),
+                lambda tt: ev(tt, np.array(_interp(Fl, yl, t_old, h, tt))),
                 t_old, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), e))
-        # the earliest; ties go to the lower event index
+        # the earliest; ties go to the event armed first
         root, e = min(roots, key=lambda r: r[0])
         return e, root, np.array(_interp(Fl, yl, t_old, h, root))
 
@@ -652,7 +747,17 @@ class _Lockstep:
               Y: np.ndarray) -> None:
         """Stage the samples (st, Y) of rows[at], each row's in one run in
         time order, in one scatter.  A row whose stage would overflow is
-        flushed first, and a run longer than a stage goes to the store."""
+        flushed first, and a run longer than a stage goes to the store.
+        Fewer than _SMALL rows put their runs in their stores directly."""
+        if len(rows) < _SMALL:
+            atl, lo = at.tolist(), 0
+            for hi in range(1, len(atl) + 1):
+                if hi == len(atl) or atl[hi] != atl[lo]:
+                    row = rows[atl[lo]]
+                    self.flush(row)
+                    row.samples.put(st[lo:hi], Y[lo:hi])
+                    lo = hi
+            return
         first = np.flatnonzero(np.diff(at, prepend=-1))
         counts = np.diff(first, append=len(at))
         owners = [rows[i] for i in at[first].tolist()]
@@ -675,12 +780,16 @@ class _Lockstep:
         self.stage_y.reshape(-1, Y.shape[1])[g] = Y
 
     def flush(self, row: _Row) -> None:
-        """Move the row's staged samples to its store."""
+        """Move the row's staged samples and step samples to its store."""
         k = self.staged[row.index]
         if k:
             row.samples.put(self.stage_t[row.index, :k],
                             self.stage_y[row.index, :k])
             self.staged[row.index] = 0
+        if row.steps:
+            t, y = zip(*row.steps)
+            row.samples.put(t, np.array(y))
+            row.steps = []
 
 
 def _grid(g0, gd, step, i):
@@ -692,16 +801,24 @@ def _grid(g0, gd, step, i):
 
 
 def run(gens: Sequence, rhs: Callable, events: Sequence = (), *,
-        dense: bool, rtol: float, atol: float, grid_step: float = math.inf,
-        min_gap: float = 0.0) -> list:
+        dense: bool, rtol: float, atol: float, max_step: float = math.inf,
+        grid_step: float = math.inf, min_gap: float = 0.0) -> list:
     """Run every generator to its end, all rows in lockstep.
 
     `rhs(key)` returns the (scalar, batch) pair of one right-hand side:
     scalar(t, y) -> sequence of d values for one state, batch(T, Y) ->
-    (R, d) array for R states, equal row by row.  `events` holds
+    (R, d) array for R states, equal row by row, or None.  `events` holds
     (scalar, batch) pairs of the same kind with one value per state.
+    rtol below 100 eps is raised to it with a warning, as solve_ivp does.
     Returns, per generator, the value it returned or the exception it ended
     with.
     """
-    return _Lockstep(rhs, events, dense, rtol, atol, grid_step,
+    if not max_step > 0:
+        raise ValueError("`max_step` must be positive.")
+    if rtol < 100 * _EPS:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
+                      stacklevel=2)
+        rtol = np.maximum(rtol, 100 * _EPS)
+    return _Lockstep(rhs, events, dense, rtol, atol, max_step, grid_step,
                      min_gap).run(list(gens))

@@ -1,16 +1,18 @@
 """Closed-loop simulation with Filippov handling of switching surfaces.
 
-The engine integrates xdot = f(x, u(x)) for a feedback law that is smooth
+The loop integrates xdot = f(x, u(x)) for a feedback law that is smooth
 inside a handover set and discontinuous across switching surfaces outside
 it.  Integration is segment based: inside each segment the control is
-frozen (outer region) or smooth (inner region), and `segment`, the loop's
-one solver call, integrates it with scipy's DOP853; terminal events mark
-surface crossings, handover, convergence and blowup.  At a surface hit a
-trial micro-step with the other side's control decides between crossing
-and sliding.  Sliding integrates the Filippov convex combination
-u_eq = alpha u+ + (1 - alpha) u- of the one-sided limits u+ = -k and
-u- = +k, with alpha estimated from directional derivatives of the
-switching value.
+frozen (outer region) or smooth (inner region), and the lockstep DOP853
+engine of `_dop853` integrates it; terminal events mark surface
+crossings, handover, convergence and blowup.  Each start is a generator
+that yields its segments to the engine, so `simulate_grid` steps all its
+starts together, while the mode logic, the sliding steps and the probes
+stay scalar per start.  At a surface hit a trial micro-step with the
+other side's control decides between crossing and sliding.  Sliding
+integrates the Filippov convex combination u_eq = alpha u+ + (1 - alpha)
+u- of the one-sided limits u+ = -k and u- = +k, with alpha estimated from
+directional derivatives of the switching value.
 
 The loop reads these members of a law: `system`, `k`, `boundary_value`,
 `switching_value`, `control`, `fd_scale` and `inner_dynamics`.
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import exprs as ex
+from . import _dop853, exprs as ex
 from .hamiltonian import SWITCH_TOL
 from .manifold import box_grid, write_table
 from .systems import ControlSystem
@@ -172,15 +173,6 @@ def filippov_step(law, x: Sequence[float], h: float):
     return _rk4(sys, x, u, h), list(u), sliding
 
 
-def _event(fn, direction: float):
-    """Terminal solver event at the zeros of fn(y), crossed in direction."""
-    def event(t, y):
-        return fn(y)
-    event.terminal = True
-    event.direction = direction
-    return event
-
-
 class _Recorder:
     def __init__(self):
         self.ts: list[float] = []
@@ -199,75 +191,83 @@ class _Recorder:
             kind, self.ts[i], tuple(self.xs[i]), i))
 
 
-def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
-                         rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-                         convergence_radius: float = 1e-2,
-                         dwell: float = 1.0,
-                         blowup: float = 1e6,
-                         record_dt: float | None = None) -> Trajectory:
-    """Integrate the closed loop from x0 until t_max, convergence or blowup.
+# the loop's solver events, by index: |x| entering or leaving the
+# convergence ball, V leaving or entering the handover set, sigma crossing
+# zero and |x| leaving the blowup ball
+_BALL, _LEAVE, _ENTER, _SIGMA, _BLOWUP = range(5)
+# the solver key of the inner dynamics; an outer key is the frozen control
+_INNER = "inner"
 
-    Convergence means |x| entered the convergence ball and stayed there
-    for a dwell period ending by t_max; the trajectory then stops early.
-    Blowup raises BlowupError.  Sliding steps are SLIDE_STEP long, the
-    last one shortened to end at t_max.
-    record_dt switches sampling from solver steps to a fixed grid (events
-    are always recorded).
-    """
+
+def _settings(rel_tol: float = 1e-9, abs_tol: float = 1e-12,
+              convergence_radius: float = 1e-2, dwell: float = 1.0,
+              blowup: float = 1e6, record_dt: float | None = None) -> dict:
+    """The closed-loop settings as a dict, each checked to be positive,
+    with the squared radii r2_ball and r2_blowup."""
+    settings = dict(rel_tol=rel_tol, abs_tol=abs_tol,
+                    convergence_radius=convergence_radius, dwell=dwell,
+                    blowup=blowup, record_dt=record_dt)
+    bad = [name for name, v in settings.items()
+           if not (v is None and name == "record_dt" or v > 0.0)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be positive")
+    return dict(settings, r2_ball=convergence_radius ** 2,
+                r2_blowup=blowup * blowup)
+
+
+def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
+    """The closed loop from x0 as a row of `_run`: a generator that yields
+    its solver segments and returns the Trajectory.  A failed solver
+    segment raises RuntimeError; blowup raises BlowupError."""
     sys = law.system
     x = np.asarray(x0, dtype=float)
     if len(x) != sys.n:
         raise ValueError(f"x0 must have {sys.n} components")
-    bad = [name for name, v in (
-        ("rel_tol", rel_tol), ("abs_tol", abs_tol),
-        ("convergence_radius", convergence_radius), ("dwell", dwell),
-        ("blowup", blowup), ("record_dt", record_dt))
-        if not (v is None and name == "record_dt" or v > 0.0)]
-    if bad:
-        raise ValueError(f"{', '.join(bad)} must be positive")
+    dwell, record_dt = settings["dwell"], settings["record_dt"]
     rec = _Recorder()
     t = 0.0
     switch_times: collections.deque = collections.deque(maxlen=CHATTER_LIMIT)
     mode = "inner" if law.boundary_value(x) <= 0.0 else "outer"
+    r2_ball, r2_blowup = settings["r2_ball"], settings["r2_blowup"]
 
-    r2_ball, r2_blowup = convergence_radius ** 2, blowup * blowup
-
-    def ball(y):
-        return float(np.dot(y, y)) - r2_ball
-
-    blowup_event = _event(lambda y: float(np.dot(y, y)) - r2_blowup, 1.0)
-    ball_in, ball_out = _event(ball, -1.0), _event(ball, 1.0)
-    leave_inner = _event(lambda y: law.boundary_value(y) - 1e-9, 1.0)
-    enter_inner = _event(law.boundary_value, -1.0)
-
-    def segment(rhs, t_end, events, u_of=None):
-        """Integrate from (t, x) to t_end or the first event, recording
-        the samples when u_of gives the control; the blowup event raises.
-        Returns (t, x, index of the fired event or None)."""
-        t_eval = None
-        if u_of is not None and record_dt is not None:
+    def segment(key, t_end, events, directions, u_of=None):
+        """Integrate from (t, x) to t_end or the first of `events`, armed
+        in `directions`, recording the samples when u_of gives the
+        control; the blowup event raises BlowupError and a failed segment
+        RuntimeError.  Returns (t, x, the fired event or None)."""
+        if not t_end > t:
+            # a dwell from a ball event at t_max: solve_ivp takes no step
+            # over an empty span and finds no event
+            return t, x, None
+        record = times = None
+        if u_of is not None and record_dt is None:
+            record = "steps"
+        elif u_of is not None:
             pts = np.arange(math.floor(t / record_dt) + 1,
                             math.floor(t_end / record_dt) + 1) * record_dt
-            t_eval = np.concatenate([[t], pts[pts > t + 1e-15]])
-            if t_eval[-1] < t_end - 1e-15:
-                t_eval = np.concatenate([t_eval, [t_end]])
-        sol = solve_ivp(rhs, (t, t_end), x, method="DOP853",
-                        rtol=rel_tol, atol=abs_tol, t_eval=t_eval,
-                        max_step=MAX_STEP, events=events)
-        points = list(zip(sol.t, sol.y.T))
-        # every event is terminal, so at most one fires
-        fired = next((i for i, e in enumerate(sol.t_events) if e.size), None)
-        if fired is not None:
-            points.append((sol.t_events[fired][0],
-                           np.asarray(sol.y_events[fired][0])))
+            times = np.concatenate([[t], pts[pts > t + 1e-15]])
+            if times[-1] < t_end - 1e-15:
+                times = np.concatenate([times, [t_end]])
+            record = "times"
+        out = yield _dop853.Segment(t, x, t_end, key, directions, record,
+                                    events, times)
+        if out.message is not None:
+            raise RuntimeError(f"closed-loop solver failed at "
+                               f"t={out.t!r}: {out.message}")
+        points = []
+        if record is not None:
+            ts, ys = out.samples.take()
+            points = list(zip(ts.tolist(), ys))
+        if out.event is not None:
+            points.append((out.t, out.y))
         if u_of is not None:
             for tt, y in points:
-                if not rec.ts or float(tt) > rec.ts[-1] + 1e-15:
+                if not rec.ts or tt > rec.ts[-1] + 1e-15:
                     rec.add(tt, y, u_of(y))
-        t_out, x_out = float(points[-1][0]), points[-1][1]
-        if fired is not None and events[fired] is blowup_event:
+        t_out, x_out = points[-1] if points else (out.t, out.y)
+        if out.event == _BLOWUP:
             raise BlowupError(t_out, x_out)
-        return t_out, x_out, fired
+        return t_out, x_out, out.event
 
     converged, t_converged = False, None
 
@@ -277,21 +277,21 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
 
         if mode == "inner":
             if float(np.dot(x, x)) > r2_ball:
-                t, x, fired = segment(
-                    law.inner_dynamics, t_max,
-                    [ball_in, leave_inner, blowup_event], law.control)
-                if fired == 1:
+                t, x, fired = yield from segment(
+                    _INNER, t_max, (_BALL, _LEAVE, _BLOWUP),
+                    (-1.0, 1.0, 1.0), law.control)
+                if fired == _LEAVE:
                     rec.mark("boundary-cross")
                     mode = "outer"
-                if fired != 0:
+                if fired != _BALL:
                     continue
             elif not rec.ts:
                 # already in the ball: no crossing event will fire
                 rec.add(t, x, law.control(x))
             t_in, t_end = t, t + dwell
             # one dwell period, cut at t_max; it fails when |x| leaves the ball
-            t, x, left = segment(law.inner_dynamics, min(t_end, t_max),
-                                 [ball_out])
+            t, x, left = yield from segment(
+                _INNER, min(t_end, t_max), (_BALL,), (1.0,))
             rec.add(t, x, law.control(x))
             if left is None and t_end <= t_max:
                 converged, t_converged = True, t_in
@@ -308,16 +308,15 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
                 continue
             s0 = 1.0 if sigma0 > 0.0 else -1.0
             u = law.control(x)
-            rhs = lambda tt, y, uu=tuple(u): sys.eval_dynamics(y, uu)
-            t, x, fired = segment(
-                rhs, t_max,
-                [_event(law.switching_value, -s0), enter_inner, blowup_event],
-                lambda y: u)
-            if fired == 1:
+            # the key holds the control's exact bits, signed zeros apart
+            t, x, fired = yield from segment(
+                tuple(float.hex(v) for v in u), t_max,
+                (_SIGMA, _ENTER, _BLOWUP), (-s0, -1.0, 1.0), lambda y: u)
+            if fired == _ENTER:
                 rec.mark("boundary-cross")
                 mode = "inner"
                 continue
-            if fired == 0:
+            if fired == _SIGMA:
                 rec.mark("control-switch")
                 switch_times.append(t)
                 if (len(switch_times) == CHATTER_LIMIT
@@ -382,6 +381,53 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
                       converged, t_converged, final_region)
 
 
+def _run(law, rows: list, settings: dict) -> list:
+    """Run closed-loop rows in lockstep on the DOP853 engine and return
+    their results; the first row that failed, in row order, raises."""
+    sys = law.system
+    r2_ball, r2_blowup = settings["r2_ball"], settings["r2_blowup"]
+
+    def rhs(key):
+        if key == _INNER:
+            return law.inner_dynamics, None
+        u = tuple(float.fromhex(v) for v in key)
+        return lambda t, y: sys.eval_dynamics(y, u), None
+
+    events = [(lambda t, y: float(np.dot(y, y)) - r2_ball, None),
+              (lambda t, y: law.boundary_value(y) - 1e-9, None),
+              (lambda t, y: law.boundary_value(y), None),
+              (lambda t, y: law.switching_value(y), None),
+              (lambda t, y: float(np.dot(y, y)) - r2_blowup, None)]
+    results = _dop853.run(rows, rhs, events, dense=False,
+                          rtol=settings["rel_tol"],
+                          atol=settings["abs_tol"], max_step=MAX_STEP)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
+def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
+                         rel_tol: float = 1e-9, abs_tol: float = 1e-12,
+                         convergence_radius: float = 1e-2,
+                         dwell: float = 1.0,
+                         blowup: float = 1e6,
+                         record_dt: float | None = None) -> Trajectory:
+    """Integrate the closed loop from x0 until t_max, convergence or blowup.
+
+    Convergence means |x| entered the convergence ball and stayed there
+    for a dwell period ending by t_max; the trajectory then stops early.
+    Blowup raises BlowupError, and a failed solver segment RuntimeError.
+    Sliding steps are SLIDE_STEP long, the last one shortened to end at
+    t_max.  record_dt switches sampling from solver steps to a fixed grid
+    (events are always recorded).
+    """
+    settings = _settings(rel_tol, abs_tol, convergence_radius, dwell,
+                         blowup, record_dt)
+    (traj,) = _run(law, [_closed_loop(law, x0, t_max, settings)], settings)
+    return traj
+
+
 @dataclass(frozen=True)
 class Verdict:
     converged: bool
@@ -435,13 +481,19 @@ class GridReport:
 
 def simulate_grid(law, lower: Sequence[float], upper: Sequence[float],
                   grid_res: int, t_max: float, **options) -> GridReport:
-    """Run the closed loop from every node of a box grid, one start after
-    another; the report follows the row-major grid order."""
+    """Run the closed loop from every node of a box grid, all starts in
+    lockstep, each with the verdict `simulate_closed_loop` and
+    `stabilization_verdict` give it; the report follows the row-major grid
+    order, and the first start that raises, in that order, raises."""
     pts = box_grid(lower, upper, grid_res)
-    verdicts = tuple(
-        stabilization_verdict(law, simulate_closed_loop(law, p, t_max, **options))
-        for p in pts)
-    return GridReport(pts, verdicts)
+    settings = _settings(**options)
+
+    def row(x0):
+        traj = yield from _closed_loop(law, x0, t_max, settings)
+        return stabilization_verdict(law, traj)
+
+    verdicts = _run(law, [row(p) for p in pts], settings)
+    return GridReport(pts, tuple(verdicts))
 
 
 def export_trajectory_csv(traj: Trajectory, path: str) -> None:

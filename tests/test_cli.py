@@ -433,7 +433,7 @@ class TestPlot:
             assert dst.read_text().startswith("<svg")
 
 
-# SHA-256 of the README quick-start outputs (all but the grid) on the
+# SHA-256 of the README quick-start outputs (the grid has its own test) on the
 # shipped configs; they change with any change to the numerics, and with a
 # numpy or BLAS that rounds differently
 QUICK_START_SHA256 = {
@@ -468,6 +468,17 @@ class TestQuickStart:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                    .hexdigest() for name in QUICK_START_SHA256}
         assert digests == QUICK_START_SHA256
+
+    def test_double_integrator_grid_matches_its_pinned_hash(self, tmp_path):
+        # every verdict of the 441 starts of the shipped grid, with the
+        # text of every value
+        di = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "double_integrator.json")
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--config", di, "--grid",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8f7f2434a333436a0748144105cd2fadce9ade5b2f82bdfa0574aa2da8e6c069")
 
     def test_pendulum_law_matches_its_pinned_hash(self, tmp_path):
         # the 54 MB law CSV: every sample of the pendulum manifold and the

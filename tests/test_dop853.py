@@ -325,3 +325,169 @@ class TestFailures:
             assert bits(out.y) == bits(sol.y[:, -1])
             too_small += 1
         assert too_small > 0
+
+
+# ------------------------------------------- closed-loop engine features
+
+def run_rows(compiler, segs, events, **options):
+    """One row per segment, without dense output, as the closed loop runs
+    the engine."""
+    return _dop853.run([one_segment(s) for s in segs], compiler.flow, events,
+                       dense=False, rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL,
+                       **options)
+
+
+def armed_reference(compiler, seg, events, **options):
+    """solve_ivp over the events `seg` arms, in its order."""
+    armed = range(len(events)) if seg.events is None else seg.events
+    evs = []
+    for j, direction in zip(armed, seg.directions):
+        def ev(t, y, scalar=events[j][0]):
+            return scalar(t, y)
+        ev.terminal = True
+        ev.direction = direction
+        evs.append(ev)
+    return solve_ivp(compiler.flow(seg.key)[0], (seg.t0, seg.t_bound),
+                     seg.y0, method="DOP853", rtol=M.FLOW_RTOL,
+                     atol=M.FLOW_ATOL, events=evs, **options)
+
+
+def assert_same_armed_segment(out, sol, seg):
+    """As assert_same_segment, with out.event a run index and sol's events
+    the armed ones in the segment's order."""
+    armed = list(seg.events)
+    assert sol.success and out.success
+    assert bits(out.t) == bits(sol.t[-1])
+    assert bits(out.y) == bits(sol.y[:, -1])
+    fired = [armed[k] for k in range(len(armed)) if len(sol.t_events[k])]
+    assert fired == ([] if out.event is None else [out.event])
+    if out.event is not None:
+        k = armed.index(out.event)
+        assert bits(sol.t_events[k]) == bits([out.t])
+        assert bits(sol.y_events[k][0]) == bits(out.y)
+
+
+def with_record(segs, record, times=None):
+    return [dataclasses.replace(seg, events=(0,), record=record,
+                                times=None if times is None
+                                else times(seg))
+            for seg in segs]
+
+
+class TestClosedLoopFeatures:
+    @pytest.mark.parametrize("count", [1, 3, 24])
+    @pytest.mark.parametrize("max_step", [0.05, 0.15])
+    def test_max_step_clamps_every_step(self, count, max_step):
+        sys = SYSTEMS["pendulum"]()
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        segs = with_record(segments(compiler, seeds(sys, count), (2.0, 0.7),
+                                    None), "steps")
+        outs = run_rows(compiler, segs, events, max_step=max_step)
+        steps = 0
+        for seg, out in zip(segs, outs):
+            sol = armed_reference(compiler, seg, events, max_step=max_step)
+            assert_same_armed_segment(out, sol, seg)
+            t, y = out.samples.take()
+            assert bits(t) == bits(sol.t)
+            assert bits(y) == bits(sol.y.T)
+            assert np.diff(t).max() <= max_step * (1 + 1e-12)
+            steps += len(t) - 1
+        unclamped = run_rows(compiler, segs, events)
+        assert steps > sum(o.samples.count - 1 for o in unclamped)
+
+    def test_max_step_must_be_positive(self):
+        sys = SYSTEMS["di"]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        with pytest.raises(ValueError, match="`max_step` must be positive."):
+            run_rows(compiler, [], events_for(compiler), max_step=0.0)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_step_record_is_sol_t(self, name):
+        # every accepted step point; a terminal root replaces the last one
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        segs = with_record(segments(compiler, seeds(sys, 20), (0.4, 3.0),
+                                    None, t0s=(0.0, 0.37)), "steps")
+        outs = run_rows(compiler, segs, events, max_step=0.1)
+        for seg, out in zip(segs, outs):
+            sol = armed_reference(compiler, seg, events, max_step=0.1)
+            assert_same_armed_segment(out, sol, seg)
+            t, y = out.samples.take()
+            assert bits(t) == bits(sol.t)
+            assert bits(y) == bits(sol.y.T)
+            assert out.samples.count == 0
+        assert {out.event for out in outs} == {0, None}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @pytest.mark.parametrize("count", [1, 20])
+    def test_times_record_is_sol_t_with_t_eval(self, name, count):
+        # t_eval as the closed loop builds it for record_dt: the start, a
+        # grid, and the end when the grid misses it
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+
+        def times(seg, dt=0.013):
+            pts = np.arange(math.floor(seg.t0 / dt) + 1,
+                            math.floor(seg.t_bound / dt) + 1) * dt
+            t_eval = np.concatenate([[seg.t0], pts[pts > seg.t0 + 1e-15]])
+            return np.concatenate([t_eval, [seg.t_bound]])
+
+        segs = with_record(segments(compiler, seeds(sys, count), (0.4, 3.0),
+                                    None, t0s=(0.0, 0.37)), "times", times)
+        outs = run_rows(compiler, segs, events, max_step=0.1)
+        for seg, out in zip(segs, outs):
+            sol = armed_reference(compiler, seg, events, max_step=0.1,
+                                  t_eval=seg.times)
+            t, y = out.samples.take()
+            assert bits(t) == bits(sol.t)
+            assert bits(y) == bits(sol.y.T)
+            assert bits(out.t) == bits(sol.t_events[0] if out.event == 0
+                                       else [seg.t_bound])
+        if count > 1:
+            assert {out.event for out in outs} == {0, None}
+
+    def test_times_outside_the_span_are_rejected(self):
+        sys = SYSTEMS["di"]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        (seg,) = with_record(segments(compiler, seeds(sys, 1),
+                                      (1.0,), None), "times",
+                             lambda seg: [0.0, 1.5])
+        (out,) = run_rows(compiler, [seg], events_for(compiler))
+        assert isinstance(out, ValueError)
+        assert str(out) == "Values in `t_eval` are not within `t_span`."
+
+    @pytest.mark.parametrize("count", [1, 23])
+    def test_armed_subsets_and_ties_go_to_the_first_listed(self, count):
+        # events 0 and 1 are the same switching function, so every switch
+        # is a tie: the event a segment lists first ends it, as in
+        # solve_ivp; event 2, the budget, is armed by some segments only
+        sys = SYSTEMS["di"]()
+        compiler = M._compiler(sys)
+        sigma = compiler.sigma_event
+        twin = (lambda t, y: sigma[0](t, y), lambda t, y: sigma[1](t, y))
+        events = [sigma, twin, M._budget_event(compiler.n, 1.3)]
+        orders = [(1, 0), (0, 1), (2, 1, 0), (1,), (2,)]
+        segs = []
+        for k, seg in enumerate(segments(compiler, seeds(sys, count),
+                                         (2.5,), None)):
+            armed = orders[k % len(orders)]
+            s_dir = seg.directions[0]
+            segs.append(dataclasses.replace(
+                seg, events=armed, record="steps",
+                directions=tuple(1.0 if j == 2 else s_dir for j in armed)))
+        outs = run_rows(compiler, segs, events, max_step=0.1)
+        fired = set()
+        for seg, out in zip(segs, outs):
+            sol = armed_reference(compiler, seg, events, max_step=0.1)
+            assert_same_armed_segment(out, sol, seg)
+            t, y = out.samples.take()
+            assert bits(t) == bits(sol.t)
+            assert bits(y) == bits(sol.y.T)
+            fired.add((seg.events, out.event))
+        if count > 1:
+            assert {((1, 0), 1), ((0, 1), 0), ((1,), 1)} <= fired
+            assert any(seg_events[0] == 2 and event == 2
+                       for seg_events, event in fired)

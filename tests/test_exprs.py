@@ -333,6 +333,30 @@ class TestProperties:
             got = compile_batch(es, weights)(0.0, X)
             assert [[_bits(v) for v in row] for row in got.tolist()] == want
 
+    @_PROPERTY
+    @given(st.sampled_from(exprs.FUNCTIONS),
+           st.lists(st.tuples(st.floats(), st.floats()), min_size=1,
+                    max_size=6),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example("log", [(0.0, 1.0)], 1.0)
+    @example("sqrt", [(-1.0, math.nan)], -math.inf)
+    @example("exp", [(710.0, -math.inf)], 0.5)
+    def test_batched_calls_equal_scalar_calls(self, fn, rows, c):
+        # one-argument calls on a column, a sum and a finite literal, with
+        # nan, infinities and domain errors drawn as states
+        x1, x2 = _VARS
+        es = [exprs.Call(fn, x1), exprs.Call(fn, exprs.BinOp("+", x1, x2)),
+              exprs.BinOp("*", exprs.Call(fn, exprs.Num(abs(c))), x2)]
+        X = np.array(rows)
+        want = [_reference(es, (), x) for x in rows]
+        assert [_outcome(compile_scalar(es), 0.0, x) for x in X] == want
+        if "domain" in want:
+            with pytest.raises(ExprDomainError):
+                compile_batch(es)(0.0, X)
+        else:
+            got = compile_batch(es)(0.0, X)
+            assert [[_bits(v) for v in row] for row in got.tolist()] == want
+
     @settings(_PROPERTY, max_examples=1000)
     @given(_trees(tuple(f for f in exprs.FUNCTIONS
                         if f not in ("abs", "sign")), 6, 10.0),

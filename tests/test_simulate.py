@@ -1,13 +1,16 @@
 """Discontinuous closed-loop simulation: event-driven integration, sliding
 motion and grid audits."""
 
+import contextlib
 import math
+import signal
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import pmpstab.simulate as SM
+from pmpstab.manifold import box_grid
 from pmpstab.simulate import (
     BlowupError,
     StaticSwitchingLaw,
@@ -16,7 +19,24 @@ from pmpstab.simulate import (
     simulate_grid,
     stabilization_verdict,
 )
+from pmpstab.synthesis import double_integrator_system
 from pmpstab.systems import ControlSet, ControlSystem
+
+
+@contextlib.contextmanager
+def wall_time_limit(seconds):
+    """Raise TimeoutError in the test when the block runs longer than
+    `seconds` of wall time, so that a loop that never returns fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +255,14 @@ class TestVerdict:
         assert v.v_inner_increase_max <= 1e-9
 
 
+def serial_verdicts(law, lower, upper, res, t_max, **options):
+    """The grid's verdicts from simulate_closed_loop, one start after
+    another, with the trajectories."""
+    trajs = [simulate_closed_loop(law, p, t_max, **options)
+             for p in box_grid(lower, upper, res)]
+    return [stabilization_verdict(law, tr) for tr in trajs], trajs
+
+
 class TestGrid:
     def test_coarse_grid_converges_and_is_deterministic(self, di_law_small):
         g1 = simulate_grid(di_law_small, (-2.0, -2.0), (2.0, 2.0), 5, 40.0)
@@ -243,6 +271,109 @@ class TestGrid:
         assert all(v.converged for v in g1.verdicts)
         assert all(tuple(p) == tuple(q) for p, q in zip(g1.points, g2.points))
         assert all(a == b for a, b in zip(g1.verdicts, g2.verdicts))
+
+    @pytest.mark.parametrize("record_dt", [None, 0.1])
+    def test_lockstep_grid_equals_starts_run_one_by_one(self, di_law_small,
+                                                        record_dt):
+        # the block holds inner starts, outer starts and starts that slide
+        box = (-1.5, -0.5), (-0.5, 0.5), 3
+        report = simulate_grid(di_law_small, *box, 40.0, record_dt=record_dt)
+        want, trajs = serial_verdicts(di_law_small, *box, 40.0,
+                                      record_dt=record_dt)
+        assert report.verdicts == tuple(want)
+        kinds = [{e.kind for e in tr.events} for tr in trajs]
+        assert any(k == {"converged"} for k in kinds)
+        assert any("control-switch" in k and "sliding-enter" not in k
+                   for k in kinds)
+        assert any("sliding-enter" in k for k in kinds)
+
+    def test_many_rows_sharing_a_control_keep_their_own_verdicts(
+            self, di_law_small):
+        # 36 starts, many of them stepping under the same control at once
+        box = (-3.0, -3.0), (3.0, 3.0), 6
+        report = simulate_grid(di_law_small, *box, 40.0)
+        want, _ = serial_verdicts(di_law_small, *box, 40.0)
+        assert report.verdicts == tuple(want)
+
+    def test_first_failing_start_in_grid_order_raises(self, di_law_small):
+        # four starts leave the blowup ball; the first of them in grid
+        # order raises, although it fails last in time
+        box = (1.0, 1.0), (3.0, 3.0), 3
+        errors = []
+        for p in box_grid(*box):
+            try:
+                simulate_closed_loop(di_law_small, p, 40.0, blowup=4.0)
+            except BlowupError as exc:
+                errors.append(exc)
+        assert len(errors) == 4
+        assert errors[0].t > max(e.t for e in errors[1:])
+        with pytest.raises(BlowupError) as info:
+            simulate_grid(di_law_small, *box, 40.0, blowup=4.0)
+        assert (info.value.t, info.value.x) == (errors[0].t, errors[0].x)
+
+    def test_unknown_option_is_rejected(self, di_law_small):
+        with pytest.raises(TypeError):
+            simulate_grid(di_law_small, (0.0, 0.0), (1.0, 1.0), 2, 1.0,
+                          max_step=0.1)
+
+
+@pytest.fixture(scope="module")
+def pole_law():
+    """x1' = x1/(1 - x1) reaches its pole x1 = 1 in finite time,
+    t = x1 - 1 - log(x1) from x1(0) = x1, where the solver fails; the
+    surface x2 = 100 is never reached."""
+    sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
+                        drift=("x1/(1 - x1)", "0"), columns=(("0", "1"),))
+    return StaticSwitchingLaw(sys, "x2 - 100")
+
+
+class TestSolverFailure:
+    def test_failed_segment_raises_instead_of_restarting(self, pole_law):
+        with wall_time_limit(30), pytest.raises(RuntimeError) as info:
+            simulate_closed_loop(pole_law, (0.5, 0.0), 5.0)
+        msg = str(info.value)
+        assert msg.endswith(
+            ": Required step size is less than spacing between numbers.")
+        t = float(msg.split("t=")[1].split(":")[0])
+        assert t == pytest.approx(0.5 - 1.0 - math.log(0.5), abs=1e-6)
+
+    def test_grid_raises_the_first_failing_start_in_grid_order(
+            self, pole_law):
+        # the start x1 = 0.3 comes first in the grid and fails last in time
+        with wall_time_limit(30), pytest.raises(RuntimeError) as info:
+            simulate_grid(pole_law, (0.3, 0.0), (0.5, 0.0), 2, 5.0)
+        t = float(str(info.value).split("t=")[1].split(":")[0])
+        assert t == pytest.approx(0.3 - 1.0 - math.log(0.3), abs=1e-6)
+
+
+def time_to_origin(x):
+    """Closed-form minimum time of x1'' = u, |u| <= 1, to the origin:
+    x2 + 2 sqrt(x1 + x2^2/2) on or above the switching curve
+    x1 + x2|x2|/2 = 0, and the same at -x below it."""
+    x1, x2 = x
+    if x1 + x2 * abs(x2) / 2.0 < 0.0:
+        x1, x2 = -x1, -x2
+    return x2 + 2.0 * math.sqrt(x1 + x2 * x2 / 2.0)
+
+
+class TestTimeOptimalOracle:
+    """The simulator against a closed form that needs no manifold: the
+    time-optimal double-integrator surface as a static switching law."""
+
+    def test_origin_is_reached_at_the_minimum_time(self):
+        law = StaticSwitchingLaw(double_integrator_system(),
+                                 "x1 + x2*abs(x2)/2")
+        rng = np.random.default_rng(20261019)
+        for x0 in rng.uniform(-3.0, 3.0, (20, 2)):
+            T = time_to_origin(x0)
+            traj = simulate_closed_loop(law, x0, T + 0.5)
+            near = np.linalg.norm(traj.x, axis=1) <= 0.05
+            assert near.any(), x0
+            t_hit = float(traj.t[np.argmax(near)])
+            # the ball is reached before the origin, and samples on the
+            # sliding arc lie SLIDE_STEP = 0.02 apart; measured over 60
+            # starts: from 0.0499 early to 1.1e-5 late
+            assert T - 0.05 <= t_hit <= T + 1e-4, (x0, T, t_hit)
 
 
 class TestExport:
