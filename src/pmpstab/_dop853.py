@@ -5,8 +5,8 @@ Every row is run by a generator that yields `Segment` requests and
 receives an `Outcome` for each.  One segment is, bit for bit,
 
     solve_ivp(fun, (t0, t_bound), y0, method="DOP853", rtol=rtol,
-              atol=atol, max_step=max_step, dense_output=dense,
-              events=armed, t_eval=times)
+              atol=atol, max_step=max_step,
+              dense_output=(record == "grid"), events=armed, t_eval=times)
 
 with every event terminal: the same step sizes, accepted states, event
 roots and dense-output values (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -43,21 +43,21 @@ A segment can record samples into the row's `Samples` store, by its
   event and the interpolant there.
 - "times": solve_ivp's sol.t and sol.y with t_eval = `times`: each time up
   to the segment's end, evaluated by the dense output of the step that
-  holds it.  Without `dense`, the dense-output coefficients are computed
-  only on the steps that hold a record time or an active event, as
-  solve_ivp does.
-- "grid" or "grid-after" (these need `dense`): np.union1d of the step
-  points and
+  holds it.  As in solve_ivp without dense output, the dense-output
+  coefficients are computed only on the steps that hold a record time or
+  an active event.
+- "grid": np.union1d of the step points and
   np.arange(floor(t0/grid_step)*grid_step + grid_step, t_end, grid_step),
-  minus every time at most `min_gap` (>= 0) after its predecessor and, for
-  "grid-after", every time up to t0 + min_gap.  Each time is evaluated by
-  the dense output of the step that ends at or after it, as `OdeSolution`
-  does.  One batched pass per iteration finds the times of every row in
-  mid-segment, each with the bits of the arange entry (g0, g0 + step, then
-  g0 + i * delta); a segment's first and last step are found row by row.
-  The length of the arange depends on t_end, which is known only at the
-  last step; the samples can differ from the union above only if an
-  earlier step ends within a few ulps of t_end.
+  minus every time at most `min_gap` (>= 0) after its predecessor.  The
+  predecessor of the first is the row's last grid candidate of an earlier
+  segment, so a segment that starts within `min_gap` of where the row's
+  last one ended drops its own start.  Each time is evaluated by the
+  dense output of the step that ends at or after it, as `OdeSolution`
+  does.  One batched pass per iteration finds the times of every row,
+  each with the bits of the arange entry (g0, g0 + step, then
+  g0 + i * delta).  The length of the arange depends on t_end, which is
+  known only at the last step; the samples can differ from the union
+  above only if an earlier step ends within a few ulps of t_end.
 
 The interpolated samples of all rows are evaluated together.  From
 _SMALL rows on they are written to per-row stages of _STAGE samples in
@@ -111,7 +111,7 @@ class Segment:
     right-hand side, `events` lists the indices of the run's events the
     segment arms (None: all, in order), `directions` holds one direction
     per armed event as in solve_ivp, and `record` is None, "steps",
-    "times" (at `times`), "grid" or "grid-after"."""
+    "times" (at `times`) or "grid"."""
     t0: float
     y0: np.ndarray
     t_bound: float
@@ -174,7 +174,8 @@ class Samples:
 class _Row:
     """One row: its generator and segment, the solver's scalar state as Python
     floats (scipy's float64 scalars round the same), and the sample grid
-    state.  The row's y and f live in the lockstep arrays."""
+    state; `prev`, the row's last grid candidate, lives across its
+    segments.  The row's y and f live in the lockstep arrays."""
 
     __slots__ = ("index", "gen", "seg", "samples", "t", "h_abs", "tb",
                  "rejected", "armed", "g", "kid", "first", "prev", "gi",
@@ -184,6 +185,7 @@ class _Row:
         self.index = index
         self.gen = gen
         self.samples = None
+        self.prev = -math.inf
         self.steps = []     # "steps" samples (t, y as a list) not yet stored
 
 
@@ -231,12 +233,11 @@ class _Lockstep:
     """The state of one `run`: the rows still going, their y and f as
     (R, d) arrays, and one stage work array reused by every attempt."""
 
-    def __init__(self, rhs, events, dense, rtol, atol, max_step, grid_step,
+    def __init__(self, rhs, events, rtol, atol, max_step, grid_step,
                  min_gap):
         self.rhs = rhs
         self.events = list(events)
         self.all_events = tuple(range(len(self.events)))
-        self.dense = dense
         self.rtol, self.atol, self.max_step = rtol, atol, max_step
         self.grid_step, self.min_gap = grid_step, min_gap
         self.keys: dict = {}
@@ -304,10 +305,8 @@ class _Lockstep:
         t0, tb = float(seg.t0), float(seg.t_bound)
         if not tb > t0:
             raise ValueError("a segment needs t_bound > t0")
-        if seg.record not in (None, "steps", "times", "grid", "grid-after"):
+        if seg.record not in (None, "steps", "times", "grid"):
             raise ValueError(f"unknown record {seg.record!r}")
-        if seg.record in ("grid", "grid-after") and not self.dense:
-            raise ValueError("grid samples need dense output")
         if (seg.times is not None) != (seg.record == "times"):
             raise ValueError('record "times" and `times` go together')
         if seg.record == "times":
@@ -343,13 +342,13 @@ class _Lockstep:
         if row.samples is None:
             row.samples = Samples(len(y0))
         row.seg, row.t, row.tb, row.kid = seg, t0, tb, kid
-        row.rejected, row.first, row.prev = False, True, None
+        row.rejected, row.first = False, True
         if seg.record == "steps":
             row.steps.append((t0, y0.tolist()))
         elif seg.record == "times":
             row.times, row.ti = times.tolist(), 0
             row.samples.reserve(len(times))
-        elif seg.record is not None:
+        elif seg.record == "grid":
             step = self.grid_step
             row.gstart = math.floor(t0 / step) * step + step
             row.gdelta = (row.gstart + step) - row.gstart
@@ -556,12 +555,11 @@ class _Lockstep:
         active = [()] * len(acc)
         if self.events:
             active = self.active_events(rows, acc, ta_list, ya, dead)
-        # the dense output of every step of a dense run, else of the steps
+        # the dense output of every step of a grid record, else of the steps
         # with an active event or a due record time
-        need = range(len(acc)) if self.dense else [
-            i for i, (r, act) in enumerate(zip(rows, active))
-            if act or r.seg.record == "times"
-            and r.ti < len(r.times) and r.times[r.ti] <= ta_list[i]]
+        need = [i for i, (r, act) in enumerate(zip(rows, active))
+                if act or r.seg.record == "grid" or r.seg.record == "times"
+                and r.ti < len(r.times) and r.times[r.ti] <= ta_list[i]]
         F = None
         if len(need) == len(acc):
             F = self.dense_coefficients(acc, tc, y_old, f_old, ya, fa, h, dead)
@@ -570,13 +568,15 @@ class _Lockstep:
             F[need] = self.dense_coefficients(
                 [acc[i] for i in need], tc[need], y_old[need], f_old[need],
                 ya[need], fa[need], h[need], dead)
-        edge_at, edge_t, mid = [], [], []
+        times_at, times_t = [], []      # "times" samples
+        grid, grid_b, first, last = [], [], [], []  # "grid" record steps
         for i, (p, r) in enumerate(zip(acc, rows)):
             if p in dead:
                 continue
             t_old = to_list[i]
-            stop = end = b = ta_list[i]
+            stop = b = ta_list[i]
             y_end = ya[i]
+            record = r.seg.record
             if active[i]:
                 try:
                     e, root, y_end = self.locate(F[i], y_old[i], t_old, b,
@@ -584,39 +584,37 @@ class _Lockstep:
                 except Exception as exc:
                     dead[p] = exc
                     continue
-                stop = end = b = root
-                if self.dense and not r.first and root == t_old:
-                    # solve_ivp drops the step whose terminal root repeats
-                    # the previous step point
+                stop = b = root
+                if record == "grid" and not r.first and root == t_old:
+                    # with dense output, solve_ivp drops the step whose
+                    # terminal root repeats the previous step point
                     y_end, b = y_old[i].copy(), None
                 ended[p] = Outcome(root, y_end, e, None, r.samples)
             elif b >= r.tb:
                 ended[p] = Outcome(b, ya[i].copy(), None, None, r.samples)
-            else:
-                end = None
-            record = r.seg.record
             if record == "times":
                 j = bisect.bisect_right(r.times, stop, r.ti)
-                edge_at += [i] * (j - r.ti)
-                edge_t += r.times[r.ti:j]
+                times_at += [i] * (j - r.ti)
+                times_t += r.times[r.ti:j]
                 r.ti = j
             elif b is None or record is None:
                 pass
             elif record == "steps":
                 r.steps.append((b, y_end.tolist()))
-            elif r.first or end is not None:
-                times = self.edge_times(r, t_old, b, end)
-                edge_at += [i] * len(times)
-                edge_t += times
             else:
-                mid.append(i)
+                grid.append(i)
+                grid_b.append(b)
+                first.append(r.first)
+                last.append(p in ended)
             r.first = False
-        if mid or edge_t:
-            at, st = np.array(edge_at, dtype=int), np.array(edge_t)
-            if mid:
-                owner, mid_t = self.step_times([rows[i] for i in mid])
-                at = np.concatenate((np.array(mid, dtype=int)[owner], at))
-                st = np.concatenate((mid_t, st))
+        if grid or times_t:
+            at, st = np.array(times_at, dtype=int), np.array(times_t)
+            if grid:
+                owner, grid_t = self.step_times(
+                    [rows[i] for i in grid], np.array(to_list)[grid],
+                    np.array(grid_b), np.array(first), np.array(last))
+                at = np.concatenate((np.array(grid)[owner], at))
+                st = np.concatenate((grid_t, st))
             t_old = np.array(to_list)[at]
             hd = np.array(ta_list)[at] - t_old    # Dop853DenseOutput.h
             Y = _interp_rows(F, at, y_old[at], t_old, hd, st)
@@ -673,49 +671,19 @@ class _Lockstep:
 
     # --------------------------------------------------------- sampling
 
-    def edge_times(self, row: _Row, t_old: float, b: float,
-                   end: float | None) -> list[float]:
-        """The sample times of the first or last step (t_old, b] of a
-        segment; `end` is the segment end when the step is the last one,
-        else None."""
-        step, g0, gd, i = self.grid_step, row.gstart, row.gdelta, row.gi
-        if end is None:
-            count, last = math.inf, b
-        else:
-            count, last = max(0, math.ceil((end - g0) / step)), math.inf
-        cands = [t_old] if row.first else []
-        while i < count:
-            v = _grid(g0, gd, step, i)
-            if v > last:
-                break
-            cands.append(v)
-            i += 1
-        row.gi = i
-        cands.append(b)
-        cands = sorted(set(cands))
-        floor_t = (row.seg.t0 + self.min_gap if row.seg.record == "grid-after"
-                   else -math.inf)
-        out = []
-        prev = row.prev
-        for e in cands:
-            if (prev is None or e - prev > self.min_gap) and e > floor_t:
-                out.append(e)
-            prev = e
-        row.prev = prev
-        return out
-
-    def step_times(self, rows: list) -> tuple[np.ndarray, np.ndarray]:
-        """The sample times of the steps (t_old, row.t] of `rows`, none of
-        them the first or last step of its segment, in one pass: the grid
-        times up to row.t, then row.t, minus every time at most min_gap
-        after its predecessor (row.prev before the first) or, for
-        "grid-after", at most t0 + min_gap.  Returns (owner, times), owner
-        indexing `rows`."""
-        step, gap = self.grid_step, self.min_gap
+    def step_times(self, rows: list, t_old: np.ndarray, b: np.ndarray,
+                   first: np.ndarray, last: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The sample times of the steps (t_old, b] of "grid" `rows` in one
+        pass: t_old on a segment's first step, the grid times up to b (on
+        its last step, the arange's whole count of them), then b, in time
+        order per row, minus every time at most min_gap after its
+        predecessor (row.prev before the first).  Returns (owner, times),
+        owner indexing `rows`."""
+        step = self.grid_step
         g0 = np.array([r.gstart for r in rows])
         gd = np.array([r.gdelta for r in rows])
         gi = np.array([r.gi for r in rows], dtype=int)
-        b = np.array([r.t for r in rows])
         # j: the last grid index with a time <= b, from an estimate; the
         # grid times rise with the index
         j = np.maximum(np.floor((b - g0) / gd).astype(int), gi - 1)
@@ -723,24 +691,29 @@ class _Lockstep:
             j -= down
         while (up := _grid(g0, gd, step, j + 1) <= b).any():
             j += up
-        # the grid times gi..j, then b: a b equal to the last of them is
+        # a segment ends at b: its arange has ceil((b - g0) / step) times,
+        # the last possibly a few ulps past b
+        count = np.maximum(np.ceil((b - g0) / step), 0).astype(int)
+        j = np.where(last, np.maximum(count, gi) - 1, j)
+        # t_old, the grid times gi..j, then b; a b equal to a grid time is
         # dropped below, as 0 <= min_gap
         n = j + 1 - gi
-        count = n + 1
-        owner = np.repeat(np.arange(len(rows)), count)
-        start = np.cumsum(count) - count
-        k = np.arange(len(owner)) - start[owner]
-        times = np.where(k < n[owner],
-                         _grid(g0[owner], gd[owner], step, gi[owner] + k),
-                         b[owner])
+        size = first + n + 1
+        owner = np.repeat(np.arange(len(rows)), size)
+        start = np.cumsum(size) - size
+        k = np.arange(len(owner)) - start[owner] - first[owner]
+        times = np.where(k < 0, t_old[owner],
+                         np.where(k < n[owner],
+                                  _grid(g0[owner], gd[owner], step,
+                                        gi[owner] + k), b[owner]))
+        times = times[np.lexsort((times, owner))]
         before = np.empty_like(times)
         before[1:] = times[:-1]
         before[start] = [r.prev for r in rows]
-        floor_t = np.array([r.seg.t0 + gap if r.seg.record == "grid-after"
-                            else -math.inf for r in rows])
-        keep = (times - before > gap) & (times > floor_t[owner])
-        for r, i in zip(rows, (j + 1).tolist()):
-            r.gi, r.prev = i, r.t
+        keep = times - before > self.min_gap
+        for r, i, prev in zip(rows, (j + 1).tolist(),
+                              times[start + size - 1].tolist()):
+            r.gi, r.prev = i, prev
         return owner[keep], times[keep]
 
     def stage(self, rows: list, at: np.ndarray, st: np.ndarray,
@@ -793,15 +766,12 @@ class _Lockstep:
 
 
 def _grid(g0, gd, step, i):
-    """np.arange(g0, ., step)[i]: g0, g0 + step, then g0 + i * gd, for
-    scalars or arrays."""
-    if isinstance(i, int):
-        return g0 + i * gd if i > 1 else (g0 + step if i else g0)
+    """np.arange(g0, ., step)[i]: g0, g0 + step, then g0 + i * gd."""
     return np.where(i > 1, g0 + i * gd, np.where(i == 1, g0 + step, g0))
 
 
 def run(gens: Sequence, rhs: Callable, events: Sequence = (), *,
-        dense: bool, rtol: float, atol: float, max_step: float = math.inf,
+        rtol: float, atol: float, max_step: float = math.inf,
         grid_step: float = math.inf, min_gap: float = 0.0) -> list:
     """Run every generator to its end, all rows in lockstep.
 
@@ -809,7 +779,10 @@ def run(gens: Sequence, rhs: Callable, events: Sequence = (), *,
     scalar(t, y) -> sequence of d values for one state, batch(T, Y) ->
     (R, d) array for R states, equal row by row, or None.  `events` holds
     (scalar, batch) pairs of the same kind with one value per state.
-    rtol below 100 eps is raised to it with a warning, as solve_ivp does.
+    "grid" segments sample every `grid_step` and keep dense output on
+    every step; other segments compute it only where solve_ivp without
+    dense output does.  rtol below 100 eps is raised to it with a warning,
+    as solve_ivp does.
     Returns, per generator, the value it returned or the exception it ended
     with.
     """
@@ -820,5 +793,5 @@ def run(gens: Sequence, rhs: Callable, events: Sequence = (), *,
                       f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
                       stacklevel=2)
         rtol = np.maximum(rtol, 100 * _EPS)
-    return _Lockstep(rhs, events, dense, rtol, atol, max_step, grid_step,
+    return _Lockstep(rhs, events, rtol, atol, max_step, grid_step,
                      min_gap).run(list(gens))

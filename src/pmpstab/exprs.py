@@ -255,7 +255,11 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.next()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExprSyntaxError(
+                    f"number literal {text!r} overflows", pos)
+            return Num(value)
         if kind == "op":
             if text == "(":
                 e = self.expr()

@@ -265,10 +265,10 @@ class _FlowCompiler:
         directions = (-s_eff, 1.0) if budget else (-s_eff,)
         return _dop853.Segment(t0, y, t_end, key, directions, record)
 
-    def run(self, gens: Sequence, events: Sequence, dense: bool) -> list:
-        """Run flow generators in lockstep (see `_dop853.run`); the samples
-        are the solver steps plus a FORCED_TAU_STEP grid."""
-        return _dop853.run(gens, self.flow, events, dense=dense,
+    def run(self, gens: Sequence, events: Sequence) -> list:
+        """Run flow generators in lockstep (see `_dop853.run`); "grid"
+        samples are the solver steps plus a FORCED_TAU_STEP grid."""
+        return _dop853.run(gens, self.flow, events,
                            rtol=FLOW_RTOL, atol=FLOW_ATOL,
                            grid_step=FORCED_TAU_STEP,
                            min_gap=10 * _EVENT_NUDGE)
@@ -343,8 +343,7 @@ def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
     tau0 = 0.0
     while tau0 < tau_max:
         seg = compiler.request(y, tau0, tau_max, u, s_eff, "reversed",
-                               "grid" if sample_count == 0 else "grid-after",
-                               budget=True)
+                               "grid", budget=True)
         if seg.t0 >= tau_max:
             # a switch within the nudge of tau_max: the flow from there
             # adds no sample
@@ -400,8 +399,7 @@ def _run_branches(compiler: _FlowCompiler, seeds: Sequence[Seed],
     or the exception it failed with."""
     return compiler.run(
         [_branch(compiler, seed, tau_max, epsilon) for seed in seeds],
-        [compiler.sigma_event, _budget_event(compiler.n, budget)],
-        dense=True)
+        [compiler.sigma_event, _budget_event(compiler.n, budget)])
 
 
 def integrate_bicharacteristic(compiler: _FlowCompiler, seed: Seed,
@@ -459,7 +457,7 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
     """
     compiler = _compiler(sys)
     (result,) = compiler.run([_forward(compiler, x0, nu0, duration)],
-                             [compiler.sigma_event], dense=False)
+                             [compiler.sigma_event])
     if isinstance(result, Exception):
         raise result
     return result

@@ -14,8 +14,9 @@ integrates the Filippov convex combination u_eq = alpha u+ + (1 - alpha)
 u- of the one-sided limits u+ = -k and u- = +k, with alpha estimated from
 directional derivatives of the switching value.
 
-The loop reads these members of a law: `system`, `k`, `boundary_value`,
-`switching_value`, `control`, `fd_scale` and `inner_dynamics`.
+The module reads these members of a law: `system`, `k`, `boundary_value`,
+`switching_value`, `control`, `fd_scale`, `inner_dynamics`, and, for the
+verdicts, `lyapunov` and `epsilon`.
 """
 
 from __future__ import annotations
@@ -398,8 +399,7 @@ def _run(law, rows: list, settings: dict) -> list:
               (lambda t, y: law.boundary_value(y), None),
               (lambda t, y: law.switching_value(y), None),
               (lambda t, y: float(np.dot(y, y)) - r2_blowup, None)]
-    results = _dop853.run(rows, rhs, events, dense=False,
-                          rtol=settings["rel_tol"],
+    results = _dop853.run(rows, rhs, events, rtol=settings["rel_tol"],
                           atol=settings["abs_tol"], max_step=MAX_STEP)
     for result in results:
         if isinstance(result, BaseException):
@@ -484,7 +484,8 @@ def simulate_grid(law, lower: Sequence[float], upper: Sequence[float],
     """Run the closed loop from every node of a box grid, all starts in
     lockstep, each with the verdict `simulate_closed_loop` and
     `stabilization_verdict` give it; the report follows the row-major grid
-    order, and the first start that raises, in that order, raises."""
+    order.  Every start runs to its end; then the first start that failed,
+    in grid order, raises its exception."""
     pts = box_grid(lower, upper, grid_res)
     settings = _settings(**options)
 

@@ -168,6 +168,17 @@ class TestSupportedSystems:
         assert "stationary" in err
         assert not (tmp_path / "law.csv").exists()
 
+    def test_number_literal_that_overflows_is_rejected(self, tmp_path,
+                                                        capsys):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["system"]["drift"] = ["x2", "x1/1e400"]
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "law.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid-input: number literal '1e400' overflows "
+            "(at position 3)\n")
+        assert not (tmp_path / "law.csv").exists()
 
     def test_time_dependent_lyapunov_function_is_rejected(
             self, tmp_path, monkeypatch, capsys):

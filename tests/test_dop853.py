@@ -1,9 +1,10 @@
 """The lockstep DOP853 engine against scipy's solve_ivp, bit for bit.
 
 Every row of an engine run is compared with its own
-solve_ivp(method="DOP853", dense_output=True, events=...) call: the end
-state, t_events/y_events and the samples on the forced tau grid, which
-hold every step point (t, y) and the dense output between them.  The reference is scipy itself, so a failure here
+solve_ivp(method="DOP853", dense_output=(record == "grid"), events=...)
+call: the end state, t_events/y_events and the samples on the forced tau
+grid, which hold every step point (t, y) and the dense output between
+them.  The reference is scipy itself, so a failure here
 points at the engine or at a numpy/scipy/BLAS version whose rounding
 differs from the one the engine mirrors.
 """
@@ -43,8 +44,8 @@ def one_segment(seg):
 
 
 def two_segments(compiler, seg, t_split):
-    """A "grid" segment of `seg` up to t_split, then a "grid-after" one on
-    to seg.t_bound from where it ended, at the control branch_control
+    """A "grid" segment of `seg` up to t_split, then another one on to
+    seg.t_bound from where it ended, at the control branch_control
     resolves there; returns both segments, the sample count after the
     first and the second's outcome."""
     first = dataclasses.replace(seg, t_bound=t_split)
@@ -53,18 +54,18 @@ def two_segments(compiler, seg, t_split):
     u, s_eff, _, _ = M.branch_control(compiler.sys, out.y[:2], out.y[2:4],
                                       "reversed")
     second = compiler.request(out.y, out.t, seg.t_bound, u, s_eff,
-                              "reversed", "grid-after")
+                              "reversed", "grid")
     out = yield second
     return first, second, count, out
 
 
-def engine(compiler, segs, events, dense=True):
+def engine(compiler, segs, events):
     return _dop853.run([one_segment(s) for s in segs], compiler.flow, events,
-                       dense=dense, rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL,
-                       grid_step=STEP, min_gap=GAP)
+                       rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL, grid_step=STEP,
+                       min_gap=GAP)
 
 
-def reference(compiler, seg, events, dense=True):
+def reference(compiler, seg, events):
     evs = []
     for (scalar, _), direction in zip(events, seg.directions):
         def ev(t, y, scalar=scalar):
@@ -74,12 +75,14 @@ def reference(compiler, seg, events, dense=True):
         evs.append(ev)
     return solve_ivp(compiler.flow(seg.key)[0], (seg.t0, seg.t_bound),
                      seg.y0, method="DOP853", rtol=M.FLOW_RTOL,
-                     atol=M.FLOW_ATOL, dense_output=dense, events=evs)
+                     atol=M.FLOW_ATOL, dense_output=seg.record == "grid",
+                     events=evs)
 
 
 def grid_reference(sol, after):
     """The forced-grid samples of one segment as the manifold took them
-    from solve_ivp."""
+    from solve_ivp; `after` drops the start of a segment that goes on from
+    where the row's last one ended."""
     t0 = sol.t[0]
     start = math.floor(t0 / STEP) * STEP + STEP
     times = np.union1d(sol.t, np.arange(start, sol.t[-1], STEP))
@@ -168,7 +171,7 @@ class TestOracle:
         assert len({seg.key for seg in segs}) == 2
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
-    @pytest.mark.parametrize("record", ["grid", "grid-after"])
+    @pytest.mark.parametrize("record", ["grid"])
     def test_dense_grid_samples(self, name, record):
         sys = SYSTEMS[name]()   # the compiler holds its system weakly
         compiler = M._compiler(sys)
@@ -183,9 +186,38 @@ class TestOracle:
         for seg, out in zip(segs, outs):
             sol = reference(compiler, seg, events)
             assert_same_segment(out, sol, 2)
-            assert_same_grid(out, sol, record == "grid-after")
+            assert_same_grid(out, sol, False)
         # segments that end at a root and at t_bound both occur
         assert {out.event is None for out in outs} == {True, False}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_arange_entry_past_the_end_is_dropped(self, name):
+        # from t0 = 1.0 the arange up to 1.3 ends with 1.3000000000000003,
+        # past the segment's end, so the last step's grid times are not in
+        # order before t_bound; segments of 0.004 are shorter than their
+        # first step, which is then also their last
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        events = events_for(compiler, budget=2.5)
+        overshoot = 1.3000000000000003
+        assert np.arange(1.01, 1.3, STEP)[-1] == overshoot
+        segs = segments(compiler, seeds(sys, 36, radius=0.8), (0.3, 0.004),
+                        "grid", budget=2.5, t0s=(1.0, 1.0, 1.298))
+        assert_batched(segs)
+        outs = engine(compiler, segs, events)
+        at_bound = one_step = 0
+        for seg, out in zip(segs, outs):
+            sol = reference(compiler, seg, events)
+            assert_same_segment(out, sol, 2)
+            assert_same_grid(out, sol, False)
+            t = out.samples.t[:out.samples.count]
+            if seg.t_bound == 1.3 and out.event is None:
+                assert t[-1] == 1.3 and overshoot not in t
+                at_bound += 1
+            if seg.t_bound - seg.t0 < 0.005:
+                assert len(sol.t) == 2
+                one_step += 1
+        assert at_bound and one_step
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_forward_flow_without_dense_output(self, name):
@@ -195,10 +227,9 @@ class TestOracle:
         rng = np.random.default_rng(7)
         starts = np.column_stack([rng.normal(size=(12, 4)), np.zeros(12)])
         segs = segments(compiler, starts, (1.5,), None, direction="forward")
-        outs = engine(compiler, segs, events, dense=False)
+        outs = engine(compiler, segs, events)
         for seg, out in zip(segs, outs):
-            assert_same_segment(out, reference(compiler, seg, events,
-                                               dense=False), 1)
+            assert_same_segment(out, reference(compiler, seg, events), 1)
         assert {out.event for out in outs} == {0, None}
 
     def test_few_rows_take_the_scalar_path(self):
@@ -214,15 +245,14 @@ class TestOracle:
             assert_same_segment(out, sol, 2)
             assert_same_grid(out, sol, False)
 
-
-
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     @pytest.mark.parametrize("stage", [None, 2])
     def test_grid_then_grid_after_in_one_store(self, name, stage,
                                                monkeypatch):
-        # one row runs a "grid" segment, then from where it ended a
-        # "grid-after" segment into the same store, as manifold._branch
-        # does; stage 2 sends most samples through the stage overflow
+        # one row runs a "grid" segment, then from where it ended another
+        # one into the same store, as manifold._branch does: the second is
+        # grid_reference's `after` case, which drops its own start; stage 2
+        # sends most samples through the stage overflow
         if stage is not None:
             monkeypatch.setattr(_dop853, "_STAGE", stage)
         sys = SYSTEMS[name]()   # the compiler holds its system weakly
@@ -245,7 +275,7 @@ class TestOracle:
         assert_batched(segs)
         outs = _dop853.run([two_segments(compiler, seg, seg.t0 + 0.9)
                             for seg in segs], compiler.flow, events,
-                           dense=True, rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL,
+                           rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL,
                            grid_step=STEP, min_gap=GAP)
         dropped = 0
         for first, second, count, out in outs:
@@ -276,7 +306,7 @@ class TestFailures:
         compiler = M._compiler(sys)
         y = np.array([0.3, -0.2, 0.5, 0.7, 0.0])
         seg = _dop853.Segment(1.0, y, t_bound, ((1.0,), "forward"), (-1.0,))
-        (out,) = engine(compiler, [seg], events_for(compiler), dense=False)
+        (out,) = engine(compiler, [seg], events_for(compiler))
         assert isinstance(out, ValueError)
         assert str(out) == "a segment needs t_bound > t0"
 
@@ -330,11 +360,9 @@ class TestFailures:
 # ------------------------------------------- closed-loop engine features
 
 def run_rows(compiler, segs, events, **options):
-    """One row per segment, without dense output, as the closed loop runs
-    the engine."""
+    """One row per segment, as the closed loop runs the engine."""
     return _dop853.run([one_segment(s) for s in segs], compiler.flow, events,
-                       dense=False, rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL,
-                       **options)
+                       rtol=M.FLOW_RTOL, atol=M.FLOW_ATOL, **options)
 
 
 def armed_reference(compiler, seg, events, **options):

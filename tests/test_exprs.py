@@ -79,6 +79,14 @@ class TestParseEvaluate:
         with pytest.raises(ExprSyntaxError, match="unknown identifier"):
             parse("foo(x1)", 1)
 
+    def test_number_literal_that_overflows_is_rejected(self):
+        # a literal that parses to an infinity has no source spelling, so
+        # the compiled functions could not evaluate it
+        with pytest.raises(ExprSyntaxError,
+                           match=r"'1e400' overflows \(at position 5\)"):
+            parse("x1 + 1e400", 1)
+        assert ev("x1 + 1e308", (0.0,)) == 1e308
+
     def test_variable_range_enforced(self):
         with pytest.raises(ExprSyntaxError, match="out of range"):
             parse("x3", 2)
