@@ -86,7 +86,8 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 
 # ------------------------------------------------------- smart constructors
 # Used by the differentiator so derivatives come out readable; they fold
-# literal zeros/ones only, never anything value-dependent.
+# literal zeros/ones, and two numbers only into a finite number, which
+# has a source spelling.
 
 def _num(v: float) -> Expr:
     if v < 0:
@@ -107,7 +108,8 @@ def _add(a: Expr, b: Expr) -> Expr:
         return b
     if _is_zero(b):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
+    if (isinstance(a, Num) and isinstance(b, Num)
+            and math.isfinite(a.value + b.value)):
         return _num(a.value + b.value)
     return BinOp("+", a, b)
 
@@ -117,7 +119,8 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return a
     if _is_zero(a):
         return _neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
+    if (isinstance(a, Num) and isinstance(b, Num)
+            and math.isfinite(a.value - b.value)):
         return _num(a.value - b.value)
     return BinOp("-", a, b)
 
@@ -129,7 +132,8 @@ def _mul(a: Expr, b: Expr) -> Expr:
         return b
     if _is_one(b):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
+    if (isinstance(a, Num) and isinstance(b, Num)
+            and math.isfinite(a.value * b.value)):
         return _num(a.value * b.value)
     return BinOp("*", a, b)
 

@@ -521,39 +521,69 @@ class LagrangianManifold:
                 worst = max(worst, float(np.max(dnu[keep] / dx[keep])))
         return worst
 
+    def nearest(self, x, k: int = 1) -> tuple:
+        """The KD-tree's own (dist, idx) of the k nearest samples to a
+        point x, or to every row of an (R, n) array, in the shapes of
+        `cKDTree.query`."""
+        return self._tree.query(np.asarray(x, dtype=float), k=k)
+
     def query(self, x: Sequence[float], *, bounded: bool = True) -> int:
-        """Flat index of the nearest sample, within query_radius if bounded."""
-        p = np.asarray(x, dtype=float)
-        dist, idx = self._tree.query(p)
+        """Flat index of the nearest sample to the point x (see `nearest`),
+        within query_radius if bounded."""
+        dist, idx = self.nearest(x)
         if bounded and dist > self.query_radius:
-            raise NotCoveredError(p, float(dist), self.query_radius)
+            raise NotCoveredError(x, float(dist), self.query_radius)
         return int(idx)
 
-    def sigma(self, x: Sequence[float], i: int) -> float:
-        """Switching value <nu_i, b(x)> of sample i at the point x."""
-        return switching_values(self.system, x, self.flat_nu[i])[0]
+    def sigma(self, x, i):
+        """Switching value <nu_i, b(x)> of sample i at the point x.
 
-    def project(self, x: Sequence[float]) -> int:
-        """Flat index of the sample the outer feedback law reads at x.
+        For an (R, n) array x and R sample indices i, the values of the
+        rows as an array, each equal bit for bit to the pointwise value:
+        0 + nu_1 b_1(x) + nu_2 b_2(x) + ..., summed in switching_values'
+        order, with b from the system's batched columns.
+        """
+        if not isinstance(i, np.ndarray):
+            return switching_values(self.system, x, self.flat_nu[i])[0]
+        b = self.system.eval_columns_batch(x)[0]
+        nu = self.flat_nu[i]
+        s = 0.0
+        for k in range(self.system.n):
+            s = s + nu[:, k] * b[:, k]
+        return s
+
+    def project(self, x):
+        """Flat index of the sample the outer feedback law reads at the
+        point x, or an index array for the rows of an (R, n) array.
 
         The samples within TIE_TOL of the nearest distance are tied.  When
         their switching values at x disagree in sign, the smallest W wins;
         otherwise the nearest, and an exact tie goes to the earliest flat
-        index.  There is no radius cutoff: the law is total.
+        index.  There is no radius cutoff: the law is total.  All rows
+        share one two-nearest tree read; only a row whose runner-up lies
+        within TIE_TOL of the nearest (with a relative slack, as the
+        ball query compares squared distances) gathers its ties.
         """
         p = np.asarray(x, dtype=float)
-        dmin, _ = self._tree.query(p)
-        ties = sorted(self._tree.query_ball_point(p, float(dmin) + TIE_TOL))
-        if len(ties) == 1:
-            return ties[0]
-        signs = set()
-        for i in ties:
-            s = self.sigma(x, i)
-            if abs(s) > SWITCH_TOL:
-                signs.add(s > 0)
-        if len(signs) > 1:
-            return min(ties, key=lambda i: self.flat_w[i])
-        return min(ties, key=lambda i: np.linalg.norm(self.flat_x[i] - p))
+        rows = p.reshape(-1, p.shape[-1])
+        d, idx = self.nearest(rows, k=2)
+        out = idx[:, 0]
+        alone = d[:, 1] > (d[:, 0] + TIE_TOL) * (1.0 + 1e-12)
+        for r in np.flatnonzero(~alone):
+            q = rows[r]
+            ties = sorted(self._tree.query_ball_point(
+                q, float(d[r, 0]) + TIE_TOL))
+            if len(ties) == 1:
+                out[r] = ties[0]
+                continue
+            signs = {s > 0 for s in (self.sigma(q, i) for i in ties)
+                     if abs(s) > SWITCH_TOL}
+            if len(signs) > 1:
+                out[r] = min(ties, key=lambda i: self.flat_w[i])
+            else:
+                out[r] = min(ties, key=lambda i:
+                             np.linalg.norm(self.flat_x[i] - q))
+        return int(out[0]) if p.ndim == 1 else out
 
 
 def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
@@ -645,10 +675,11 @@ def box_grid(lower: Sequence[float], upper: Sequence[float],
 
 def illumination_check(man: LagrangianManifold,
                        points: Sequence[Sequence[float]]) -> list[str]:
-    """Classify points: 'inner' if V <= eps, 'illuminated' if some branch
-    sample lies within the query radius, 'dark' otherwise.  The nearest
-    samples of all points come from one batched KD-tree query."""
-    dist, _ = man._tree.query(
+    """Classify points: 'inner' if V <= eps, 'illuminated' if the nearest
+    branch sample lies within the query radius, 'dark' otherwise.  The
+    distances of all points come from one `nearest` read of the (R, n)
+    array, as the tree gives them."""
+    dist, _ = man.nearest(
         np.asarray(points, dtype=float).reshape(-1, man.system.n))
     out = []
     for p, d in zip(points, dist.tolist()):

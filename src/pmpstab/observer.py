@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exprs as ex
-from .manifold import LagrangianManifold, NotCoveredError, write_table
+from .manifold import LagrangianManifold, write_table
 from .simulate import TrajectoryEvent, simulate_closed_loop
 from .systems import ControlSet, ControlSystem
 
@@ -103,10 +103,12 @@ def error_lyapunov(gains: ObserverGains, e: Sequence[float]) -> float:
     """V(e) = 2(beta2/beta1) e1^2 - 2 e1 e2 + (2/beta1 + beta1/beta2) e2^2.
 
     Positive definite for any positive gains: the determinant of the
-    quadratic form is 4 beta2/beta1^2 + 1.
+    quadratic form is 4 beta2/beta1^2 + 1.  For a pair of arrays (e1, e2)
+    the values at all their entries, each equal bit for bit to the value
+    of that entry's pair.
     """
     c = 2.0 / gains.beta1 + gains.beta1 / gains.beta2
-    e1, e2 = float(e[0]), float(e[1])
+    e1, e2 = e[0], e[1]
     return (2.0 * gains.beta2 / gains.beta1 * e1 * e1
             - 2.0 * e1 * e2 + c * e2 * e2)
 
@@ -213,6 +215,13 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
     the true state, and the switching-mismatch record
     |sigma(x) du| <= 2 M |e2| at samples where both states are outer,
     with M = law.manifold.nu2_lipschitz.
+
+    W is V at inner samples.  The outer samples are read in one batch:
+    one `nearest` read gives W at the nearest sample (nan beyond
+    query_radius) and the sample of sigma, as `law.switching_value` reads
+    it; at the covered ones where the surrogate state is outer too, one
+    array `project` and `law.outer_controls` give the law's control at
+    the true state, as `law.control` gives it.
     """
     if not is_manipulator(sys):
         raise ValueError("output feedback needs the manipulator form")
@@ -224,32 +233,28 @@ def simulate_output_feedback(sys: ControlSystem, law, gains: ObserverGains,
     x = traj.x[:, :2]
     z = traj.x[:, 2:]
     e = z - x
-    v_e = np.array([error_lyapunov(gains, ei) for ei in e])
+    v_e = error_lyapunov(gains, e.T)
 
-    M = law.manifold.nu2_lipschitz
+    man = law.manifold
+    M = man.nu2_lipschitz
 
-    w = np.full(len(traj.t), math.nan)
-    mis_t, mis_lhs, mis_rhs = [], [], []
-    for i, p in enumerate(x):
-        if law.boundary_value(p) <= 0.0:
-            w[i] = law.lyapunov.value(p)
-            continue
-        try:
-            w[i] = law.manifold.flat_w[law.manifold.query(p)]
-        except NotCoveredError:
-            continue
-        if law.boundary_value((p[0], z[i][1])) <= 0.0:
-            continue
-        u_true = law.control(p)
-        sigma = law.switching_value(p)
-        du = float(traj.u[i][0]) - u_true[0]
-        mis_t.append(float(traj.t[i]))
-        mis_lhs.append(abs(sigma * du))
-        mis_rhs.append(2.0 * M * abs(float(e[i][1])))
+    v = np.array([law.lyapunov.value(p) for p in x])
+    inner = v - law.epsilon <= 0.0      # law.boundary_value(p) <= 0
+    w = np.where(inner, v, math.nan)
+    outer = np.flatnonzero(~inner)
+    dist, near = man.nearest(x[outer])
+    covered = ~(dist > man.query_radius)
+    outer, near = outer[covered], near[covered]
+    w[outer] = man.flat_w[near]
+    both = ~(np.array([law.boundary_value((x[i, 0], z[i, 1]))
+                       for i in outer]) <= 0.0)
+    rows, near = outer[both], near[both]
+    du = traj.u[rows, 0] - law.outer_controls(x[rows], man.project(x[rows]))
+    mis_lhs = np.abs(man.sigma(x[rows], near) * du)
+    mis_rhs = 2.0 * M * np.abs(e[rows, 1])
 
     return OutputFeedbackResult(
-        traj.t, x, z, e, traj.u, v_e, w,
-        np.asarray(mis_t), np.asarray(mis_lhs), np.asarray(mis_rhs),
+        traj.t, x, z, e, traj.u, v_e, w, traj.t[rows], mis_lhs, mis_rhs,
         traj.events, traj.converged, traj.t_converged, float(M))
 
 

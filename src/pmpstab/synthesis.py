@@ -78,23 +78,26 @@ class FeedbackLaw:
         """Control value at x, as a one-element list.
 
         Inside {V <= epsilon} (boundary included) the inner law wins.
-        Outside, sample i = `project(x)` gives sigma = `manifold.sigma(x, i)`
-        and u = -sign(sigma) * k, and on the switching surface (|sigma|
-        below tolerance) its stored post-switch control.  `project` has no
-        radius cutoff, so the law is total: closed-loop arcs overshoot the
-        densely sampled region before turning back.  Coverage audits go
-        through query/illumination, which keep the radius.
+        Outside, `outer_controls` at the sample `project(x)`.  `project`
+        has no radius cutoff, so the law is total: closed-loop arcs
+        overshoot the densely sampled region before turning back.
+        Coverage audits go through query/illumination, which keep the
+        radius.
         """
         if self.boundary_value(x) <= 0.0:
             return self.inner_value(x)
+        return [float(self.outer_controls(x, self.manifold.project(x)))]
+
+    def outer_controls(self, x, i):
+        """The bang-bang control at the point x read from sample i, or at
+        the rows of an (R, n) array read from R samples: sigma =
+        `manifold.sigma(x, i)` gives u = -sign(sigma) * k, and on the
+        switching surface (|sigma| <= SWITCH_TOL) the sample's stored
+        post-switch control."""
         man = self.manifold
-        i = man.project(x)
         s = man.sigma(x, i)
-        if s > SWITCH_TOL:
-            return [-self.k]
-        if s < -SWITCH_TOL:
-            return [self.k]
-        return [float(man.flat_u[i, 0])]
+        return np.where(s > SWITCH_TOL, -self.k,
+                        np.where(s < -SWITCH_TOL, self.k, man.flat_u[i, 0]))
 
     @property
     def fd_scale(self) -> float:

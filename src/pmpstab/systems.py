@@ -136,6 +136,11 @@ class ControlSystem:
     def eval_columns(self, x: Sequence[float]) -> list[list[float]]:
         return [fn(0.0, x) for fn in self._column_fns]
 
+    def eval_columns_batch(self, x: np.ndarray) -> list[np.ndarray]:
+        """eval_columns at every row of x (K, n): one (K, n) array per
+        column, equal to it bit for bit."""
+        return [fn(0.0, x) for fn in self._column_batches]
+
     def eval_dynamics(self, x: Sequence[float], u: Sequence[float]) -> list[float]:
         out = self._drift_fn(0.0, x)
         for j, fn in enumerate(self._column_fns):

@@ -180,6 +180,18 @@ class TestSupportedSystems:
             "(at position 3)\n")
         assert not (tmp_path / "law.csv").exists()
 
+    def test_constant_that_overflows_in_a_derivative(self, tmp_path, capsys):
+        # 1e308*10 appears only in the derivative of the drift; it is
+        # kept as a product, so no compiled function names a bare inf
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["system"]["drift"] = ["x2", "x1*1e308*10"]
+        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "law.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: numerical:")
+        assert "inf" not in err
+
     def test_time_dependent_lyapunov_function_is_rejected(
             self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_manifold", _no_build)

@@ -143,6 +143,16 @@ class TestDifferentiation:
         d = diff(parse("pi + x2", 2), "x1")
         assert evaluate(d, (9.0, 9.0)) == 0.0
 
+    def test_constant_that_overflows_is_not_folded(self):
+        # the derivative of x1*1e308*10 multiplies 1e308 by 10; folded, it
+        # would be a number with no source spelling
+        d = diff(parse("x1*1e308*10", 1), "x1")
+        assert evaluate(d, (0.5,)) == math.inf
+        assert compile_scalar([d])(0.0, [0.5]) == [evaluate(d, (0.5,))]
+        assert parse(to_source(d), 1) == d
+        # a finite product still folds
+        assert diff(parse("x1*1e300*10", 1), "x1") == exprs.Num(1e301)
+
 
 class TestKinkDetection:
     def test_kink_arguments_lists_inner_expressions(self):

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import pmpstab.exprs as ex
 import pmpstab.manifold as M
@@ -224,6 +225,104 @@ class TestQuery:
         assert (sig[0] > 0.0) == (sig[1] > 0.0)
         assert man.project(p) == i18
         assert man.query(p, bounded=False) == i19
+
+
+def ball_project(man, tree, x):
+    """The tie rule of `project` as one nearest query and one ball query
+    per point, with a KD-tree of its own: the samples within TIE_TOL of
+    the nearest distance are tied; opposite switching values at x give the
+    smallest W, else the nearest, the earliest flat index first."""
+    p = np.asarray(x, dtype=float)
+    dmin, _ = tree.query(p)
+    ties = sorted(tree.query_ball_point(p, float(dmin) + M.TIE_TOL))
+    if len(ties) == 1:
+        return ties[0]
+    signs = set()
+    for i in ties:
+        s = man.sigma(x, i)
+        if abs(s) > SWITCH_TOL:
+            signs.add(s > 0)
+    if len(signs) > 1:
+        return min(ties, key=lambda i: man.flat_w[i])
+    return min(ties, key=lambda i: np.linalg.norm(man.flat_x[i] - p))
+
+
+def near_tie_points(man, count, rng, reach=8):
+    """Points whose runner-up sample lies within a few ulps of the nearest
+    distance plus TIE_TOL.  From each of `count` random points, Newton
+    steps move it to where d2 - d1 = TIE_TOL for its two nearest samples;
+    of the lattice of whole-ulp moves of its coordinates around there, the
+    points with |d2 - (d1 + TIE_TOL)| <= 4 ulp(d1 + TIE_TOL) are kept."""
+    out = []
+    half = float(np.max(np.abs(man.flat_x))) / 4.0
+    k = np.arange(-reach, reach + 1)
+    steps = np.stack([a.ravel() for a in np.meshgrid(k, k, indexing="ij")],
+                     axis=1)
+    for q in rng.uniform(-half, half, (count, 2)):
+        for _ in range(4):
+            (da, db), (a, b) = man.nearest(q, k=2)
+            g = (q - man.flat_x[b]) / db - (q - man.flat_x[a]) / da
+            q = q - (db - da - M.TIE_TOL) * g / (g @ g)
+        lattice = q + steps * np.spacing(q)
+        d, _ = man.nearest(lattice, k=2)
+        edge = d[:, 0] + M.TIE_TOL
+        out.append(lattice[np.abs(d[:, 1] - edge) <= 4 * np.spacing(edge)])
+    return np.concatenate(out)
+
+
+class TestArrayProject:
+    """`project` over arrays against the tie rule read point by point."""
+
+    @pytest.fixture(params=["di_law", "pend_law"])
+    def man(self, request):
+        return request.getfixturevalue(request.param).manifold
+
+    @staticmethod
+    def compare(man, pts):
+        tree = cKDTree(man.flat_x)
+        want = np.array([ball_project(man, tree, p) for p in pts])
+        got = man.project(pts)
+        assert got.shape == (len(pts),)
+        assert np.array_equal(got, want)
+        return want
+
+    def test_random_points(self, man):
+        rng = np.random.default_rng(20261019)
+        half = float(np.max(np.abs(man.flat_x))) / 4.0
+        self.compare(man, rng.uniform(-half, half, (600, 2)))
+
+    def test_exact_midpoints(self, man):
+        # midpoints of consecutive samples on a branch and of the same
+        # sample index on neighbouring branches: exact ties up to rounding
+        rng = np.random.default_rng(7)
+        pts = []
+        for _ in range(300):
+            bi = int(rng.integers(len(man.branches) - 1))
+            a, b = man.branches[bi].x, man.branches[bi + 1].x
+            k = int(rng.integers(min(len(a), len(b)) - 1))
+            pts += [(a[k] + b[k]) / 2.0, (a[k] + a[k + 1]) / 2.0]
+        pts = np.array(pts)
+        want = self.compare(man, pts)
+        # the tie rule decides: the nearest sample by the tree is not the
+        # one read at some of these points
+        assert (want != man.nearest(pts)[1]).any()
+
+    def test_runner_up_within_ulps_of_the_tie_radius(self, man):
+        pts = near_tie_points(man, 12, np.random.default_rng(11))
+        assert len(pts) >= 1000
+        self.compare(man, pts)
+
+    def test_array_call_equals_the_pointwise_call(self, man):
+        rng = np.random.default_rng(5)
+        half = float(np.max(np.abs(man.flat_x))) / 4.0
+        pts = np.concatenate([rng.uniform(-half, half, (100, 2)),
+                              near_tie_points(man, 3, rng)])
+        got = man.project(pts)
+        assert got.tolist() == [man.project(p) for p in pts]
+        one = man.project(pts[0])
+        assert type(one) is int and one == got[0]
+        assert type(man.project(tuple(pts[1]))) is int
+        assert man.project(pts[:0]).shape == (0,)
 
 
 class TestSwitchingCurve:

@@ -1,12 +1,18 @@
 """Velocity observer: gain selection, error Lyapunov certificates and
 output-feedback closed loops on the pendulum benchmark."""
 
+import contextlib
+import hashlib
+import io
 import math
+import os
+import types
 
 import numpy as np
 import pytest
 
 import pmpstab.observer as OB
+from pmpstab import cli
 from pmpstab.observer import (
     ObserverGains,
     error_lyapunov,
@@ -92,6 +98,12 @@ class TestErrorLyapunov:
         g = ObserverGains(delta=0.5, beta1=4.0, beta2=100.0, L=1.0)
         assert error_lyapunov(g, (1.0, 0.0)) == pytest.approx(50.0)
         assert error_lyapunov(g, (0.0, 1.0)) == pytest.approx(0.54)
+
+    def test_arrays_give_the_pointwise_values(self):
+        g = select_gains(1.0)
+        e = np.random.default_rng(24).normal(size=(50, 2))
+        assert error_lyapunov(g, e.T).tolist() == \
+            [error_lyapunov(g, (float(a), float(b))) for a, b in e]
 
     def test_matrix_matches_the_quadratic_form(self):
         g = ObserverGains(delta=0.5, beta1=4.0, beta2=100.0, L=1.0)
@@ -212,3 +224,54 @@ class TestOutputFeedback:
         first = lines[1].split(",")
         assert float(first[0]) == result.t[0]
         assert float(first[3]) == pytest.approx(result.v_e[0])
+
+
+def result_digest(res):
+    """SHA-256 over every array of an OutputFeedbackResult and M: per field,
+    its name, its shape and its float64 bytes."""
+    h = hashlib.sha256()
+    for name in ("t", "x", "z", "e", "u", "v_e", "w", "mismatch_t",
+                 "mismatch_lhs", "mismatch_rhs", "M"):
+        a = np.ascontiguousarray(getattr(res, name), dtype=float)
+        h.update(name.encode())
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pendulum_config():
+    """The config, system and law the CLI builds from configs/pendulum.json,
+    with the gains its observer command selects."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "pendulum.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cfg, sys_, _, law = cli._pipeline(types.SimpleNamespace(config=path))
+    obs = cfg["observer"]
+    return obs, sys_, law, select_gains(obs["L"], obs["margin"])
+
+
+class TestPinnedResults:
+    """Every array of the observer's result, bit for bit, on the pendulum
+    config law; the error log's hash in the README covers only t, e, V_e
+    and W."""
+
+    @pytest.mark.parametrize("x0, z0, samples, checked, broken, digest", [
+        # the config's pair
+        ((2.0, 0.0), (2.0, 1.0), 1227, 204, 0,
+         "e2e76967e14e3b1415625fe9e31d2d59851afb7326e43c27298a57a5038f9adb"),
+        # a pair that breaks |sigma du| <= 2 M |e2| at 45 samples
+        ((2.478, 1.463), (2.722, 2.441), 2470, 1454, 45,
+         "2ae5b8e2e39f0675af2e9a740ad1deb01248810e858c131dc63163604abbf181"),
+    ])
+    def test_result_keeps_its_bytes(self, pendulum_config, x0, z0, samples,
+                                    checked, broken, digest):
+        obs, sys_, law, gains = pendulum_config
+        res = simulate_output_feedback(sys_, law, gains, x0, z0,
+                                       obs["t_max"],
+                                       record_dt=obs["record_dt"])
+        assert len(res.t) == samples
+        assert len(res.mismatch_t) == checked
+        assert int(np.sum(res.mismatch_lhs > res.mismatch_rhs + 1e-12)) \
+            == broken
+        assert result_digest(res) == digest

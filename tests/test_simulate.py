@@ -423,6 +423,30 @@ class TestTimeToGo:
         assert max(rel) <= worst
 
 
+class TestGeneratingValueAlongTheLoop:
+    """W, read at the nearest sample, should not rise along the closed
+    loop's outer arcs, where the law follows the manifold's extremals."""
+
+    def test_largest_rise_between_covered_outer_samples(self):
+        cfg, man, law = config_law("double_integrator.json")
+        options = cli._sim_options(cfg)
+        pairs, rise = 0, -math.inf
+        for x0 in box_grid((-5.0, -5.0), (5.0, 5.0), 7):
+            traj = simulate_closed_loop(law, x0, cfg["simulation"]["t_max"],
+                                        **options)
+            outer = np.array([law.boundary_value(p) > 0.0 for p in traj.x])
+            dist, near = man.nearest(traj.x)
+            covered = outer & (dist <= man.query_radius)
+            both = outer[:-1] & outer[1:]
+            pairs += int(np.sum(both))
+            keep = covered[:-1] & covered[1:]
+            rise = max(rise, float(np.max(np.diff(man.flat_w[near])[keep],
+                                          initial=-math.inf)))
+        assert pairs == 3291
+        # measured 0.0614; beyond query_radius W rises by up to 0.63
+        assert rise <= 0.062
+
+
 class TestExport:
     def test_csv_round_trip(self, di_law, tmp_path):
         traj = simulate_closed_loop(di_law, (2.0, 1.0), 30.0, record_dt=0.25)

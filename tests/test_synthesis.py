@@ -158,6 +158,23 @@ class TestLawEvaluation:
         assert man.query(p, bounded=False) == i18
         assert di_law_small.control(p) == [-di_law_small.k]
 
+    @pytest.mark.parametrize("law_name", ["di_law_small", "pend_law"])
+    def test_outer_rows_equal_the_pointwise_law(self, law_name, request):
+        # random outer points and the switch events, where |sigma| is
+        # within SWITCH_TOL and the stored post-switch control is read
+        law = request.getfixturevalue(law_name)
+        man = law.manifold
+        rng = np.random.default_rng(17)
+        pts = np.concatenate([rng.uniform(-4.0, 4.0, (400, 2)),
+                              [e.x for b in man.branches for e in b.events]])
+        pts = pts[[law.boundary_value(p) > 0.0 for p in pts]]
+        idx = man.project(pts)
+        sigma = man.sigma(pts, idx)
+        assert sigma.tolist() == [man.sigma(p, i) for p, i in zip(pts, idx)]
+        assert (np.abs(sigma) <= SWITCH_TOL).any()
+        assert law.outer_controls(pts, idx).tolist() == \
+            [law.control(p)[0] for p in pts]
+
     def test_law_is_total_far_outside_the_sampling(self, di_law_small):
         u = di_law_small.control((40.0, -25.0))
         assert abs(u[0]) == di_law_small.k

@@ -1,0 +1,91 @@
+"""Parent-against-change pairs of perfbench runs.
+
+    python3 tools/pairs.py PARENT_REF --workload NAME --seeds 1-10 [--seconds 5]
+
+Checks PARENT_REF out in a temporary git worktree and runs
+`perfbench/run.py --trace 0` once per seed on each side, alternating which
+side runs first.  The change is the current checkout.  Prints, for every
+end-to-end metric of BENCHMARK.json, each side's median and quartiles and
+the median of the change/parent ratios of the pairs and the number of
+pairs in which the change is better.  Stdlib only.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run(root: str, workload: str, seed: int, seconds: float) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"{root}: seed {seed}: exit {out.returncode}\n{out.stderr}")
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    res["metrics"] = {k: v["value"] for k, v in res["metrics"].items()}
+    return res
+
+
+def quartiles(values: list[float]) -> str:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 \
+        else values * 3
+    return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=seeds, required=True)
+    p.add_argument("--seconds", type=float, default=5.0)
+    args = p.parse_args()
+    change = subprocess.run(["git", "rev-parse", "--show-toplevel"],
+                            capture_output=True, text=True,
+                            check=True).stdout.strip()
+    with open(os.path.join(change, "BENCHMARK.json")) as fh:
+        metrics = json.load(fh)["end_to_end"]
+    tmp = tempfile.TemporaryDirectory()
+    parent = os.path.join(tmp.name, "parent")
+    subprocess.run(["git", "worktree", "add", "--detach", parent, args.parent],
+                   cwd=change, check=True, capture_output=True)
+    sides = {"parent": parent, "change": change}
+    results = {"parent": [], "change": []}
+    try:
+        for k, seed in enumerate(args.seeds):
+            for side in (("parent", "change") if k % 2 == 0
+                         else ("change", "parent")):
+                res = run(sides[side], args.workload, seed, args.seconds)
+                results[side].append(res)
+                values = " ".join(f"{name}={v:.4g}"
+                                  for name, v in res["metrics"].items())
+                print(f"seed {seed} {side}: correct={res['correct']} "
+                      f"failed={res['failed']}/{res['attempted']} {values}",
+                      flush=True)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", parent],
+                       cwd=change, check=False)
+        tmp.cleanup()
+    for m in metrics:
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        par = [r["metrics"][name] for r in results["parent"]]
+        chg = [r["metrics"][name] for r in results["change"]]
+        wins = sum(sign * (c - q) < 0 for q, c in zip(par, chg))
+        ratio = statistics.median(c / q for q, c in zip(par, chg))
+        print(f"{name}: parent {quartiles(par)}  change {quartiles(chg)}  "
+              f"pair ratio {ratio:.3f}  change better in {wins} of "
+              f"{len(par)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
