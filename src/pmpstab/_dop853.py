@@ -32,8 +32,9 @@ batched stays per row:
 - events are located per row with `brentq` on the step's interpolant.
 
 A row whose right-hand side, event function or generator raises leaves with
-that exception as its result; the other rows go on.  Time runs forwards:
-a segment needs t_bound > t0.
+that exception as its result, and one whose right-hand side is not finite
+at a segment's start with a ValueError; the other rows go on.  Time runs
+forwards: a segment needs t_bound > t0.
 
 A segment can record samples into the row's `Samples` store, by its
 `record` mode:
@@ -59,12 +60,9 @@ A segment can record samples into the row's `Samples` store, by its
   known only at the last step; the samples can differ from the union
   above only if an earlier step ends within a few ulps of t_end.
 
-The interpolated samples of all rows are evaluated together.  From
-_SMALL rows on they are written to per-row stages of _STAGE samples in
-one scatter, and a stage goes to the row's store when it is full and at
-the end of the segment; fewer rows put their samples straight into their
-stores, which costs less than the scatter's fixed numpy overhead.
-"steps" samples wait in a per-row list until the end of the segment.
+Each committed step puts its samples straight into the row's store; the
+interpolated samples of all rows are evaluated together, then put one
+run per row.
 """
 
 from __future__ import annotations
@@ -94,15 +92,12 @@ _ERR_EXP = -1 / (7 + 1)                # the error estimator has order 7
 _EPS = np.finfo(float).eps
 _ROOT_TOL = 4 * _EPS
 _TOO_SMALL = "Required step size is less than spacing between numbers."
-# groups with fewer rows call the scalar function row by row.  Per call
-# the row loop and one batched call cost the same at about 10 rows for the
-# double integrator's flow and 25 for the pendulum's (2-core Xeon, numpy
-# 2.4); whole manifold builds take the same time with 8 and with 16.
+# `apply`: groups with fewer rows call the scalar function row by row.
+# Per call the row loop and one batched call cost the same at about 10
+# rows for the double integrator's flow and 25 for the pendulum's (2-core
+# Xeon, numpy 2.4); whole manifold builds take the same time with 8 and
+# with 16.
 _SMALL = 16
-# samples staged per row before one copy to its store: on the pendulum
-# build (256 rows, about 9 samples per step) the stages take 1.5 MB and a
-# store takes one copy per 14 steps instead of one per step
-_STAGE = 128
 
 
 @dataclass(frozen=True)
@@ -179,14 +174,13 @@ class _Row:
 
     __slots__ = ("index", "gen", "seg", "samples", "t", "h_abs", "tb",
                  "rejected", "armed", "g", "kid", "first", "prev", "gi",
-                 "gstart", "gdelta", "times", "ti", "steps")
+                 "gstart", "gdelta", "times", "ti")
 
     def __init__(self, index, gen):
         self.index = index
         self.gen = gen
         self.samples = None
         self.prev = -math.inf
-        self.steps = []     # "steps" samples (t, y as a list) not yet stored
 
 
 def _norm(v: np.ndarray) -> float:
@@ -325,9 +319,20 @@ class _Lockstep:
             self.funcs.append(self.rhs(seg.key))
         fun = self.funcs[kid][0]
         f0 = np.asarray(fun(t0, y0), dtype=float)
+        # with an f0 that is not finite, or too large to scale, h0 below
+        # is 0 and d2 divides by it
+        not_finite = f"the right-hand side is not finite at t = {t0!r}"
+        if not np.isfinite(f0).all():
+            raise ValueError(not_finite)
         interval = tb - t0
         scale = self.atol + np.abs(y0) * self.rtol
-        d0, d1 = _norm(y0 / scale), _norm(f0 / scale)
+        d0 = _norm(y0 / scale)
+        try:
+            with np.errstate(over="raise"):
+                d1 = _norm(f0 / scale)
+        except FloatingPointError:
+            raise ValueError(not_finite + " in the scale of the tolerances"
+                             ) from None
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
         f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
@@ -343,8 +348,10 @@ class _Lockstep:
             row.samples = Samples(len(y0))
         row.seg, row.t, row.tb, row.kid = seg, t0, tb, kid
         row.rejected, row.first = False, True
+        # the two reserves size a store once per segment: without them the
+        # pendulum `synthesize` peaks 1.5 MB higher (166.0 against 164.5 MB)
         if seg.record == "steps":
-            row.steps.append((t0, y0.tolist()))
+            row.samples.put([t0], y0[None])
         elif seg.record == "times":
             row.times, row.ti = times.tolist(), 0
             row.samples.reserve(len(times))
@@ -388,12 +395,6 @@ class _Lockstep:
         compact the arrays to the rows that go on."""
         if not (ended or dead):
             return
-        keep = self.hand_over_ended(ended, dead)
-        if not all(keep):
-            self.rows = [r for r, k in zip(self.rows, keep) if k]
-            self.y, self.f = self.y[keep], self.f[keep]
-
-    def hand_over_ended(self, ended: dict, dead: dict) -> list[bool]:
         keep = [True] * len(self.rows)
         for p, exc in dead.items():
             self.finish(self.rows[p], exc)
@@ -402,13 +403,14 @@ class _Lockstep:
             outcome = ended.pop(p)    # the outcome refers to the store
             if p in dead:
                 continue
-            self.flush(self.rows[p])
             got = self.handover(self.rows[p], outcome)
             if got is None:
                 keep[p] = False
             else:
                 self.y[p], self.f[p] = got
-        return keep
+        if not all(keep):
+            self.rows = [r for r, k in zip(self.rows, keep) if k]
+            self.y, self.f = self.y[keep], self.f[keep]
 
     # -------------------------------------------------------- the loop
 
@@ -429,10 +431,6 @@ class _Lockstep:
         # the dense-output stages
         self.K_work = np.empty((len(starts), _NX, self.y.shape[1]))
         self.K_dense = np.empty_like(self.K_work)
-        # per generator, samples waiting to be copied to its store
-        self.stage_t = np.empty((len(gens), _STAGE))
-        self.stage_y = np.empty((len(gens), _STAGE, self.y.shape[1]))
-        self.staged = np.zeros(len(gens), dtype=int)
         while self.rows:
             self.settle(*self.attempt())
         return self.results
@@ -600,7 +598,7 @@ class _Lockstep:
             elif b is None or record is None:
                 pass
             elif record == "steps":
-                r.steps.append((b, y_end.tolist()))
+                r.samples.put([b], y_end[None])
             else:
                 grid.append(i)
                 grid_b.append(b)
@@ -618,7 +616,11 @@ class _Lockstep:
             t_old = np.array(to_list)[at]
             hd = np.array(ta_list)[at] - t_old    # Dop853DenseOutput.h
             Y = _interp_rows(F, at, y_old[at], t_old, hd, st)
-            self.stage(rows, at, st, Y)
+            # each row's samples are one run of `at`, in time order
+            cut = (np.flatnonzero(np.diff(at)) + 1).tolist()
+            for lo, hi in zip([0] + cut, cut + [len(at)]):
+                if hi > lo:
+                    rows[at[lo]].samples.put(st[lo:hi], Y[lo:hi])
 
     def active_events(self, rows, acc, ta_list, ya, dead) -> list:
         """The events of each accepted row that find_active_events reports
@@ -715,54 +717,6 @@ class _Lockstep:
                               times[start + size - 1].tolist()):
             r.gi, r.prev = i, prev
         return owner[keep], times[keep]
-
-    def stage(self, rows: list, at: np.ndarray, st: np.ndarray,
-              Y: np.ndarray) -> None:
-        """Stage the samples (st, Y) of rows[at], each row's in one run in
-        time order, in one scatter.  A row whose stage would overflow is
-        flushed first, and a run longer than a stage goes to the store.
-        Fewer than _SMALL rows put their runs in their stores directly."""
-        if len(rows) < _SMALL:
-            atl, lo = at.tolist(), 0
-            for hi in range(1, len(atl) + 1):
-                if hi == len(atl) or atl[hi] != atl[lo]:
-                    row = rows[atl[lo]]
-                    self.flush(row)
-                    row.samples.put(st[lo:hi], Y[lo:hi])
-                    lo = hi
-            return
-        first = np.flatnonzero(np.diff(at, prepend=-1))
-        counts = np.diff(first, append=len(at))
-        owners = [rows[i] for i in at[first].tolist()]
-        gen = np.array([r.index for r in owners], dtype=int)
-        fill = self.staged[gen]
-        for k in np.flatnonzero(fill + counts > _STAGE).tolist():
-            self.flush(owners[k])
-            fill[k] = 0
-            if counts[k] > _STAGE:
-                lo, hi = first[k], first[k] + counts[k]
-                owners[k].samples.put(st[lo:hi], Y[lo:hi])
-        fits = counts <= _STAGE
-        self.staged[gen] = np.where(fits, fill + counts, 0)
-        # the flat stage slot of sample q: gen * _STAGE + fill + q - first
-        g = np.repeat(gen * _STAGE + fill - first, counts) + np.arange(len(at))
-        if not fits.all():
-            sel = np.repeat(fits, counts)
-            g, st, Y = g[sel], st[sel], Y[sel]
-        self.stage_t.reshape(-1)[g] = st
-        self.stage_y.reshape(-1, Y.shape[1])[g] = Y
-
-    def flush(self, row: _Row) -> None:
-        """Move the row's staged samples and step samples to its store."""
-        k = self.staged[row.index]
-        if k:
-            row.samples.put(self.stage_t[row.index, :k],
-                            self.stage_y[row.index, :k])
-            self.staged[row.index] = 0
-        if row.steps:
-            t, y = zip(*row.steps)
-            row.samples.put(t, np.array(y))
-            row.steps = []
 
 
 def _grid(g0, gd, step, i):

@@ -303,8 +303,9 @@ def _budget_event(n: int, budget: float) -> tuple:
 
 def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
             epsilon: float):
-    """Generator of one reversed branch (see integrate_bicharacteristic):
-    yields its solver segments and returns the Bicharacteristic."""
+    """Generator of one reversed branch of `compiler.sys` (see
+    integrate_bicharacteristic): yields its solver segments and returns
+    the Bicharacteristic."""
     sys = compiler.sys
     n = sys.n
 
@@ -402,17 +403,17 @@ def _run_branches(compiler: _FlowCompiler, seeds: Sequence[Seed],
         [compiler.sigma_event, _budget_event(compiler.n, budget)])
 
 
-def integrate_bicharacteristic(compiler: _FlowCompiler, seed: Seed,
+def integrate_bicharacteristic(sys: ControlSystem, seed: Seed,
                                tau_max: float, budget: float,
                                epsilon: float) -> Bicharacteristic:
-    """Integrate one reversed branch of `compiler.sys` from `seed` up to
-    tau_max.
+    """Integrate one reversed branch of `sys` from `seed` up to tau_max.
 
     W starts at `epsilon`, the level of the seed set.  The branch stops
     early on a non-transversal switch (|<nu, ad_f b>| at or below
     TRANSVERSALITY_TOL at sigma = 0) or when |x| reaches `budget`.
     """
-    (result,) = _run_branches(compiler, [seed], tau_max, budget, epsilon)
+    (result,) = _run_branches(_compiler(sys), [seed], tau_max, budget,
+                              epsilon)
     if isinstance(result, Exception):
         raise result
     return result
@@ -593,10 +594,10 @@ def build_manifold(sys: ControlSystem, lyap: LyapunovSpec, count: int,
     every reversed branch.
 
     All branches are integrated together, in lockstep, and assembled in
-    seed order; each is bit for bit what integrate_bicharacteristic gives
-    for its seed alone.  Per-branch failures are tolerated up to half the seed count:
-    failed branches are dropped with a warning and counted in the
-    manifold's `dropped`.  A system that is not control-affine with a
+    seed order; each is bit for bit what integrate_bicharacteristic(sys,
+    seed, ...) gives for its seed alone.  Per-branch failures are
+    tolerated up to half the seed count: failed branches are dropped with
+    a warning and counted in the manifold's `dropped`.  A system that is not control-affine with a
     single input and a box control set, or a tau_max that is not
     positive, raises SystemError before seeding.
     """

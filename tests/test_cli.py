@@ -191,6 +191,9 @@ class TestSupportedSystems:
         assert rc == 2
         assert err.startswith("error: numerical:")
         assert "inf" not in err
+        # the flow is inf at the seeds: the error names it and the branch
+        assert "branch 1: the right-hand side is not finite at t = " in err
+        assert "division by zero" not in err
 
     def test_time_dependent_lyapunov_function_is_rejected(
             self, tmp_path, monkeypatch, capsys):

@@ -246,15 +246,10 @@ class TestOracle:
             assert_same_grid(out, sol, False)
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
-    @pytest.mark.parametrize("stage", [None, 2])
-    def test_grid_then_grid_after_in_one_store(self, name, stage,
-                                               monkeypatch):
+    def test_grid_then_grid_after_in_one_store(self, name):
         # one row runs a "grid" segment, then from where it ended another
         # one into the same store, as manifold._branch does: the second is
-        # grid_reference's `after` case, which drops its own start; stage 2
-        # sends most samples through the stage overflow
-        if stage is not None:
-            monkeypatch.setattr(_dop853, "_STAGE", stage)
+        # grid_reference's `after` case, which drops its own start
         sys = SYSTEMS[name]()   # the compiler holds its system weakly
         compiler = M._compiler(sys)
         events = events_for(compiler)
@@ -355,6 +350,29 @@ class TestFailures:
             assert bits(out.y) == bits(sol.y[:, -1])
             too_small += 1
         assert too_small > 0
+
+    @pytest.mark.parametrize("x1", [1e104, 1e50])
+    def test_right_hand_side_not_finite_at_a_start(self, x1):
+        # at x1 = 1e104 the drift x1^3/1000 is inf; at 1e50 it is finite,
+        # but divided by the tolerances' scale its square overflows in the
+        # initial step's norm
+        sys = ControlSystem(2, ControlSet.box([-1.0], [1.0]),
+                            drift=("x2", "x1*x1*x1*0.001"),
+                            columns=[("0", "1")])
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        starts = seeds(sys, 40)
+        starts[7, 0] = x1
+        segs = segments(compiler, starts, (1.0,), "grid")
+        assert_batched(segs)
+        outs = engine(compiler, segs, events)
+        assert isinstance(outs[7], ValueError)
+        assert str(outs[7]).startswith(
+            "the right-hand side is not finite at t = 0.0")
+        for seg, out in zip(segs[:7] + segs[8:], outs[:7] + outs[8:]):
+            sol = reference(compiler, seg, events)
+            assert_same_segment(out, sol, 1)
+            assert_same_grid(out, sol, False)
 
 
 # ------------------------------------------- closed-loop engine features
@@ -476,6 +494,43 @@ class TestClosedLoopFeatures:
                                        else [seg.t_bound])
         if count > 1:
             assert {out.event for out in outs} == {0, None}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_every_record_mode_in_one_run(self, name):
+        # rows of all four record modes share one run and its sample pass
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        events = events_for(compiler)
+        modes = [None, "steps", "times", "grid"]
+        segs = [dataclasses.replace(
+            seg, record=modes[k % 4], times=np.linspace(
+                seg.t0, seg.t_bound, 40) if k % 4 == 2 else None)
+            for k, seg in enumerate(segments(
+                compiler, seeds(sys, 48), (0.4, 3.0, 3.0), None,
+                t0s=(0.0, 0.37, 0.81, 0.37, 0.0)))]
+        assert_batched(segs)
+        outs = run_rows(compiler, segs, events, grid_step=STEP, min_gap=GAP)
+        ended = set()
+        for seg, out in zip(segs, outs):
+            if seg.record == "times":
+                sol = armed_reference(compiler, seg, events,
+                                      t_eval=seg.times)
+                assert bits(out.t) == bits(sol.t_events[0] if out.event == 0
+                                           else [seg.t_bound])
+                t, y = sol.t, sol.y.T
+            else:
+                sol = reference(compiler, seg, events)
+                assert_same_segment(out, sol, 1)
+                t, y = (grid_reference(sol, False) if seg.record == "grid"
+                        else (sol.t, sol.y.T))
+            if seg.record is None:
+                t, y = t[:0], y[:0]
+            n = out.samples.count
+            assert bits(out.samples.t[:n]) == bits(t)
+            assert bits(out.samples.y[:n]) == bits(y)
+            ended.add((seg.record, out.event))
+        assert {(mode, event) for mode in modes for event in (0, None)} \
+            <= ended
 
     def test_times_outside_the_span_are_rejected(self):
         sys = SYSTEMS["di"]()   # the compiler holds its system weakly
