@@ -188,6 +188,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
+def check_finite(f0: np.ndarray, t0: float) -> None:
+    """Raise ValueError naming t0 when the right-hand side value f0 at t0
+    has an inf or nan entry."""
+    if not np.isfinite(f0).all():
+        raise ValueError(f"the right-hand side is not finite at t = {t0!r}")
+
+
 def _interp(F: list, y_old: list, t_old: float, h: float, t: float) -> list:
     """Dop853DenseOutput at one time, in Python floats, operation by
     operation as numpy does it."""
@@ -321,9 +328,7 @@ class _Lockstep:
         f0 = np.asarray(fun(t0, y0), dtype=float)
         # with an f0 that is not finite, or too large to scale, h0 below
         # is 0 and d2 divides by it
-        not_finite = f"the right-hand side is not finite at t = {t0!r}"
-        if not np.isfinite(f0).all():
-            raise ValueError(not_finite)
+        check_finite(f0, t0)
         interval = tb - t0
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _norm(y0 / scale)
@@ -331,7 +336,8 @@ class _Lockstep:
             with np.errstate(over="raise"):
                 d1 = _norm(f0 / scale)
         except FloatingPointError:
-            raise ValueError(not_finite + " in the scale of the tolerances"
+            raise ValueError(f"the right-hand side is not finite at t = "
+                             f"{t0!r} in the scale of the tolerances"
                              ) from None
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
@@ -566,7 +572,7 @@ class _Lockstep:
             F[need] = self.dense_coefficients(
                 [acc[i] for i in need], tc[need], y_old[need], f_old[need],
                 ya[need], fa[need], h[need], dead)
-        times_at, times_t = [], []      # "times" samples
+        runs, times_t = [], []      # (i, sample count) and times of "times"
         grid, grid_b, first, last = [], [], [], []  # "grid" record steps
         for i, (p, r) in enumerate(zip(acc, rows)):
             if p in dead:
@@ -592,9 +598,10 @@ class _Lockstep:
                 ended[p] = Outcome(b, ya[i].copy(), None, None, r.samples)
             if record == "times":
                 j = bisect.bisect_right(r.times, stop, r.ti)
-                times_at += [i] * (j - r.ti)
-                times_t += r.times[r.ti:j]
-                r.ti = j
+                if j > r.ti:
+                    runs.append((i, j - r.ti))
+                    times_t += r.times[r.ti:j]
+                    r.ti = j
             elif b is None or record is None:
                 pass
             elif record == "steps":
@@ -605,22 +612,23 @@ class _Lockstep:
                 first.append(r.first)
                 last.append(p in ended)
             r.first = False
-        if grid or times_t:
-            at, st = np.array(times_at, dtype=int), np.array(times_t)
+        if grid or runs:
+            st = np.array(times_t)
             if grid:
-                owner, grid_t = self.step_times(
+                counts, grid_t = self.step_times(
                     [rows[i] for i in grid], np.array(to_list)[grid],
                     np.array(grid_b), np.array(first), np.array(last))
-                at = np.concatenate((np.array(grid)[owner], at))
+                runs = list(zip(grid, counts)) + runs
                 st = np.concatenate((grid_t, st))
+            # each row's samples are one run of `at`, in time order
+            at = np.repeat(*zip(*runs))
             t_old = np.array(to_list)[at]
             hd = np.array(ta_list)[at] - t_old    # Dop853DenseOutput.h
             Y = _interp_rows(F, at, y_old[at], t_old, hd, st)
-            # each row's samples are one run of `at`, in time order
-            cut = (np.flatnonzero(np.diff(at)) + 1).tolist()
-            for lo, hi in zip([0] + cut, cut + [len(at)]):
-                if hi > lo:
-                    rows[at[lo]].samples.put(st[lo:hi], Y[lo:hi])
+            lo = 0
+            for i, count in runs:
+                rows[i].samples.put(st[lo:lo + count], Y[lo:lo + count])
+                lo += count
 
     def active_events(self, rows, acc, ta_list, ya, dead) -> list:
         """The events of each accepted row that find_active_events reports
@@ -680,8 +688,9 @@ class _Lockstep:
         pass: t_old on a segment's first step, the grid times up to b (on
         its last step, the arange's whole count of them), then b, in time
         order per row, minus every time at most min_gap after its
-        predecessor (row.prev before the first).  Returns (owner, times),
-        owner indexing `rows`."""
+        predecessor (row.prev before the first).  Returns (counts, times):
+        the list of each row's number of times, and the times, row after
+        row."""
         step = self.grid_step
         g0 = np.array([r.gstart for r in rows])
         gd = np.array([r.gdelta for r in rows])
@@ -716,7 +725,7 @@ class _Lockstep:
         for r, i, prev in zip(rows, (j + 1).tolist(),
                               times[start + size - 1].tolist()):
             r.gi, r.prev = i, prev
-        return owner[keep], times[keep]
+        return np.add.reduceat(keep, start).tolist(), times[keep]
 
 
 def _grid(g0, gd, step, i):

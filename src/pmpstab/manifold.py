@@ -85,6 +85,13 @@ class BranchEvent:
 
 @dataclass
 class Bicharacteristic:
+    """One reversed branch: its samples, in tau order, and its events.
+
+    Once the branch is part of a LagrangianManifold, `tau`, `x`, `nu`,
+    `u`, `w` and `s` are views into the manifold's `flat_*` arrays, which
+    are the only copy of the samples.
+    """
+
     seed: Seed
     tau: np.ndarray      # (K,)
     x: np.ndarray        # (K, n)
@@ -317,6 +324,13 @@ def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
     sample_count = 0
     stopped = False
 
+    # the engine's check of the flow at the seed, at either control of the
+    # box, before branch_control, transversality and _assemble form ad_f b
+    # or the Hamiltonian from it
+    for v in (sys.omega.lower[0], sys.omega.upper[0]):
+        _dop853.check_finite(
+            compiler.flow(((float(v),), "reversed"))[0](0.0, y), 0.0)
+
     u, s_eff, sigma0, non_transversal = branch_control(
         sys, y[:n], y[n:2 * n], "reversed")
     degenerate_seed = abs(sigma0) <= SWITCH_TOL
@@ -469,6 +483,15 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
 class LagrangianManifold:
     """Assembled branch family with a cKDTree nearest-sample index.
 
+    The flat arrays `flat_tau`, `flat_x`, `flat_nu`, `flat_u`, `flat_w`
+    and `flat_s` hold every sample once, branch after branch.  The
+    constructor takes over the arrays of the branches it is given: each
+    field of each branch becomes a view of its slice of the flat array,
+    and the branch's own array is released.  A Bicharacteristic passed to
+    two manifolds ends up viewing the arrays of the later one, with the
+    same values; the earlier manifold's `branches` then keep the later
+    one's flat arrays alive as well.
+
     `dropped` counts the seeds whose branch failed and is missing from
     `branches`.
     """
@@ -485,12 +508,14 @@ class LagrangianManifold:
         self.tau_max = tau_max
         self.budget = budget
         self.psi = np.array([b.seed.psi for b in branches])
-        self.flat_x = np.vstack([b.x for b in branches])
-        self.flat_nu = np.vstack([b.nu for b in branches])
-        self.flat_u = np.vstack([b.u for b in branches])
-        self.flat_w = np.concatenate([b.w for b in branches])
-        self.flat_s = np.concatenate([b.s for b in branches])
-        self.flat_tau = np.concatenate([b.tau for b in branches])
+        # one field at a time, so that each branch's own array is freed
+        # before the next flat array is built
+        ends = np.cumsum([len(b.tau) for b in branches]).tolist()
+        for name in ("tau", "x", "nu", "u", "w", "s"):
+            flat = np.concatenate([getattr(b, name) for b in branches])
+            for b, lo, hi in zip(branches, [0] + ends, ends):
+                setattr(b, name, flat[lo:hi])
+            setattr(self, f"flat_{name}", flat)
         if query_radius is None:
             gaps = [np.linalg.norm(np.diff(b.x, axis=0), axis=1)
                     for b in branches if len(b.tau) > 1]

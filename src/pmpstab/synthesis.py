@@ -61,7 +61,14 @@ class FeedbackLaw:
     boundary_margin: float
 
     def inner_value(self, x: Sequence[float]) -> list[float]:
-        return [ex.evaluate(e, x) for e in self.inner_exprs]
+        """The inner law at x, bit for bit as `exprs.evaluate` of each
+        inner expression."""
+        return self.inner_fn(0.0, np.asarray(x, dtype=float))
+
+    @functools.cached_property
+    def inner_fn(self):
+        """Compiled inner law, fn(t, x)."""
+        return ex.compile_scalar(self.inner_exprs)
 
     def boundary_value(self, x: Sequence[float]) -> float:
         """V(x) - epsilon; negative inside the handover set."""
@@ -157,12 +164,13 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
     if C <= 0.0:
         raise ValueError("bound C must be positive")
     inner = tuple(ex.parse(src, sys.n) for src in inner_sources)
+    inner_fn = ex.compile_scalar(inner)
     epsilon = man.epsilon
 
     worst = -math.inf
     boundary_worst = -math.inf
     for p in _shell_points(lyap, epsilon):
-        w = [ex.evaluate(e, p) for e in inner]
+        w = inner_fn(0.0, p)
         for j, wj in enumerate(w):
             if abs(wj) > C + 1e-12:
                 raise ValueError(

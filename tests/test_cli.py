@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -185,15 +186,23 @@ class TestSupportedSystems:
         # kept as a product, so no compiled function names a bare inf
         cfg = json.loads(json.dumps(BASE_CONFIG))
         cfg["system"]["drift"] = ["x2", "x1*1e308*10"]
-        rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path / "law.csv")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["synthesize", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "law.csv")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: numerical:")
         assert "inf" not in err
-        # the flow is inf at the seeds: the error names it and the branch
+        # the flow is inf at the seeds: the error names it and the branch,
+        # also for the seeds on the switching surface (psi = 0 and pi),
+        # before ad_f b or the Hamiltonian is formed from inf
+        assert "64 of 64 branches failed" in err
+        assert "branch 0: the right-hand side is not finite at t = 0.0" in err
         assert "branch 1: the right-hand side is not finite at t = " in err
         assert "division by zero" not in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_time_dependent_lyapunov_function_is_rejected(
             self, tmp_path, monkeypatch, capsys):

@@ -608,6 +608,74 @@ class TestBuildControls:
         assert len(man.psi) == len(man.branches)
 
 
+_FIELDS = ("tau", "x", "nu", "u", "w", "s")
+
+
+class TestSingleCopy:
+    """The flat arrays are the only copy of the samples."""
+
+    @pytest.mark.parametrize("law", ["di_law", "pend_law"])
+    def test_branches_are_views_of_the_flat_arrays(self, law, request):
+        man = request.getfixturevalue(law).manifold
+        start = 0
+        for b in man.branches:
+            end = start + len(b.tau)
+            for name in _FIELDS:
+                flat = getattr(man, f"flat_{name}")
+                assert np.shares_memory(getattr(b, name), flat)
+                assert np.array_equal(getattr(b, name), flat[start:end])
+            start = end
+        assert start == man.n_samples
+
+    def test_built_manifold_holds_about_one_copy(self, di_lyap):
+        sys = double_integrator_system()
+        M.build_manifold(sys, di_lyap, 32, 14.0)   # compile first
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            man = M.build_manifold(sys, di_lyap, 32, 14.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        flat = sum(getattr(man, f"flat_{name}").nbytes for name in _FIELDS)
+        assert held <= 1.25 * flat
+
+    def test_reusing_branches_leaves_the_first_manifold_unchanged(
+            self, di_system, di_lyap):
+        first = M.build_manifold(di_system, di_lyap, 32, 10.0)
+        _, columns = M.manifold_table(first)
+        columns = [c.copy() for c in columns]
+        points = np.random.default_rng(7).uniform(-4.0, 4.0, (500, 2))
+        queries = [first.query(p, bounded=False) for p in points]
+        projected = first.project(points).copy()
+
+        branches = list(first.branches)
+        b = branches[3]
+        s = b.s.copy()
+        s[len(s) // 2] += 1e-3
+        branches[3] = M.Bicharacteristic(b.seed, b.tau, b.x, b.nu, b.u, b.w,
+                                         s, b.events, b.degenerate_seed,
+                                         b.stopped)
+        second = M.LagrangianManifold(first.system, first.lyapunov,
+                                      first.epsilon, branches,
+                                      first.tau_max, first.budget)
+        assert not np.array_equal(second.flat_s, first.flat_s)
+        # the reused branches now view the second manifold's flat arrays,
+        # and only the replaced one still views the first manifold's
+        for i, b in enumerate(first.branches):
+            own, other = (first, second) if i == 3 else (second, first)
+            for name in _FIELDS:
+                assert np.shares_memory(getattr(b, name),
+                                        getattr(own, f"flat_{name}"))
+                assert not np.shares_memory(getattr(b, name),
+                                            getattr(other, f"flat_{name}"))
+
+        _, after = M.manifold_table(first)
+        assert all(np.array_equal(a, c) for a, c in zip(after, columns))
+        assert [first.query(p, bounded=False) for p in points] == queries
+        assert np.array_equal(first.project(points), projected)
+
+
 class TestIllumination:
     def test_point_classification(self, di_manifold_small):
         man = di_manifold_small

@@ -5,9 +5,22 @@
 Checks PARENT_REF out in a temporary git worktree and runs
 `perfbench/run.py --trace 0` once per seed on each side, alternating which
 side runs first.  The change is the current checkout.  Prints, for every
-end-to-end metric of BENCHMARK.json, each side's median and quartiles and
-the median of the change/parent ratios of the pairs and the number of
-pairs in which the change is better.  Stdlib only.
+end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
+median of the change/parent ratios of the pairs, the number of pairs in
+which the change is better (ties count for neither side) and a verdict,
+the first of these that holds:
+
+    gain             the change is better in at least nine tenths of the
+                     pairs, and its median is better than the parent's by
+                     more than the parent's interquartile distance
+    worse than bound the change's median is worse than the parent's by
+                     more than the metric's `bound` (a fraction of the
+                     parent's median) in BENCHMARK.json
+    unresolved       the parent's spread (Q3 - Q1) / median exceeds the
+                     bound, and not every change run beats every parent run
+    within bound     none of these
+
+Uses the standard library only.
 """
 
 import argparse
@@ -36,10 +49,32 @@ def run(root: str, workload: str, seed: int, seconds: float) -> dict:
     return res
 
 
-def quartiles(values: list[float]) -> str:
-    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 \
-        else values * 3
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(Q1, median, Q3)."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 \
+        else tuple(values * 3)
+
+
+def show(values: list[float]) -> str:
+    q1, q2, q3 = quartiles(values)
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdict(par: list[float], chg: list[float], sign: int,
+            bound: float) -> tuple[str, int]:
+    """The verdict (see the module docstring) and the change's win count;
+    sign is 1 where lower is better and -1 where higher is."""
+    wins = sum(sign * (c - q) < 0 for q, c in zip(par, chg))
+    q1, med, q3 = quartiles(par)
+    better_by = sign * (med - quartiles(chg)[1])
+    if wins >= 0.9 * len(par) and better_by > q3 - q1:
+        return "gain", wins
+    if -better_by > bound * abs(med):
+        return "worse than bound", wins
+    beats_all = all(sign * (c - q) < 0 for c in chg for q in par)
+    if q3 - q1 > bound * abs(med) and not beats_all:
+        return "unresolved", wins
+    return "within bound", wins
 
 
 def main() -> int:
@@ -79,11 +114,11 @@ def main() -> int:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
         par = [r["metrics"][name] for r in results["parent"]]
         chg = [r["metrics"][name] for r in results["change"]]
-        wins = sum(sign * (c - q) < 0 for q, c in zip(par, chg))
+        text, wins = verdict(par, chg, sign, m["bound"])
         ratio = statistics.median(c / q for q, c in zip(par, chg))
-        print(f"{name}: parent {quartiles(par)}  change {quartiles(chg)}  "
+        print(f"{name}: parent {show(par)}  change {show(chg)}  "
               f"pair ratio {ratio:.3f}  change better in {wins} of "
-              f"{len(par)}")
+              f"{len(par)}: {text}")
     return 0
 
 
