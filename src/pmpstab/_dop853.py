@@ -54,15 +54,16 @@ A segment can record samples into the row's `Samples` store, by its
   segment, so a segment that starts within `min_gap` of where the row's
   last one ended drops its own start.  Each time is evaluated by the
   dense output of the step that ends at or after it, as `OdeSolution`
-  does.  One batched pass per iteration finds the times of every row,
+  does.  Batched passes per iteration, one per group of rows with at
+  most `_GRID_GROUP` samples between them, find the times of every row,
   each with the bits of the arange entry (g0, g0 + step, then
   g0 + i * delta).  The length of the arange depends on t_end, which is
   known only at the last step; the samples can differ from the union
   above only if an earlier step ends within a few ulps of t_end.
 
 Each committed step puts its samples straight into the row's store; the
-interpolated samples of all rows are evaluated together, then put one
-run per row.
+interpolated samples of the "times" rows, and of each group of "grid"
+rows, are evaluated together, then put one run per row.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ _TOO_SMALL = "Required step size is less than spacing between numbers."
 # Xeon, numpy 2.4); whole manifold builds take the same time with 8 and
 # with 16.
 _SMALL = 16
+# `commit`: the "grid" rows of one step are sampled in consecutive groups of
+# at most this many estimated samples (a single row may exceed it), so that
+# the few long steps of a double-integrator build (up to 204k samples in
+# one step at N = 512) do not gather all their temporaries at once; every
+# step of the pendulum build (at most 5.3k samples) is one group.
+_GRID_GROUP = 8192
 
 
 @dataclass(frozen=True)
@@ -354,8 +361,8 @@ class _Lockstep:
             row.samples = Samples(len(y0))
         row.seg, row.t, row.tb, row.kid = seg, t0, tb, kid
         row.rejected, row.first = False, True
-        # the two reserves size a store once per segment: without them the
-        # pendulum `synthesize` peaks 1.5 MB higher (166.0 against 164.5 MB)
+        # the two reserves size a store once per segment, so that it does
+        # not regrow as the samples come in
         if seg.record == "steps":
             row.samples.put([t0], y0[None])
         elif seg.record == "times":
@@ -370,9 +377,10 @@ class _Lockstep:
         return y0, f0
 
     def finish(self, row: _Row, result) -> None:
-        """End a row with `result` and free its sample store at once, so
-        that rows ending together do not hold their stores while the
-        generators build their results."""
+        """End a row with `result` and drop the row's sample store at once,
+        so that rows ending together do not hold their stores while the
+        other rows go on.  A store that the result still views, as a
+        manifold branch does, stays alive with the result."""
         self.results[row.index] = result
         row.gen.close()
         row.samples = None
@@ -612,23 +620,37 @@ class _Lockstep:
                 first.append(r.first)
                 last.append(p in ended)
             r.first = False
-        if grid or runs:
-            st = np.array(times_t)
-            if grid:
-                counts, grid_t = self.step_times(
-                    [rows[i] for i in grid], np.array(to_list)[grid],
-                    np.array(grid_b), np.array(first), np.array(last))
-                runs = list(zip(grid, counts)) + runs
-                st = np.concatenate((grid_t, st))
-            # each row's samples are one run of `at`, in time order
-            at = np.repeat(*zip(*runs))
-            t_old = np.array(to_list)[at]
-            hd = np.array(ta_list)[at] - t_old    # Dop853DenseOutput.h
-            Y = _interp_rows(F, at, y_old[at], t_old, hd, st)
-            lo = 0
-            for i, count in runs:
-                rows[i].samples.put(st[lo:lo + count], Y[lo:lo + count])
-                lo += count
+        if not (grid or runs):
+            return
+        t_from, t_to = np.array(to_list), np.array(ta_list)
+        if runs:
+            self.put_runs(rows, runs, np.array(times_t), F, y_old, t_from,
+                          t_to)
+        if not grid:
+            return
+        grid_b, first, last = np.array(grid_b), np.array(first), np.array(last)
+        # a row's estimate: its grid times in the step, and b
+        cuts = _group_cuts((grid_b - t_from[grid]) / self.grid_step + 1,
+                           _GRID_GROUP)
+        for lo, hi in zip(cuts, cuts[1:]):
+            g = grid[lo:hi]
+            counts, grid_t = self.step_times(
+                [rows[i] for i in g], t_from[g], grid_b[lo:hi], first[lo:hi],
+                last[lo:hi])
+            self.put_runs(rows, list(zip(g, counts)), grid_t, F, y_old, t_from,
+                          t_to)
+
+    def put_runs(self, rows, runs, st, F, y_old, t_old, t_new) -> None:
+        """Evaluate the dense output of the steps (t_old, t_new] at the
+        sample times st, one run (i, count) of them per row, in time order,
+        and put each run into rows[i]'s store."""
+        at = np.repeat(*zip(*runs))
+        t0 = t_old[at]
+        Y = _interp_rows(F, at, y_old[at], t0, t_new[at] - t0, st)
+        lo = 0
+        for i, count in runs:
+            rows[i].samples.put(st[lo:lo + count], Y[lo:lo + count])
+            lo += count
 
     def active_events(self, rows, acc, ta_list, ya, dead) -> list:
         """The events of each accepted row that find_active_events reports
@@ -726,6 +748,20 @@ class _Lockstep:
                               times[start + size - 1].tolist()):
             r.gi, r.prev = i, prev
         return np.add.reduceat(keep, start).tolist(), times[keep]
+
+
+def _group_cuts(sizes: np.ndarray, limit: float) -> list:
+    """Boundaries [0, ..., len(sizes)] of consecutive groups, each of sizes
+    summing to at most `limit`, or of one size alone."""
+    if sizes.sum() <= limit:
+        return [0, len(sizes)]
+    cuts, total = [0], 0.0
+    for i, size in enumerate(sizes.tolist()):
+        if total + size > limit and i > cuts[-1]:
+            cuts.append(i)
+            total = 0.0
+        total += size
+    return cuts + [len(sizes)]
 
 
 def _grid(g0, gd, step, i):

@@ -89,7 +89,10 @@ class Bicharacteristic:
 
     Once the branch is part of a LagrangianManifold, `tau`, `x`, `nu`,
     `u`, `w` and `s` are views into the manifold's `flat_*` arrays, which
-    are the only copy of the samples.
+    are the only copy of the samples.  Before that, as for the result of
+    `integrate_bicharacteristic`, `tau`, `x`, `nu` and `w` view the sample
+    store its row had in the engine, and keep the whole store alive,
+    including the room it reserved beyond the last sample.
     """
 
     seed: Seed
@@ -398,13 +401,13 @@ def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
 
 
 def _assemble(sys, seed, tau, y, u, events, degenerate_seed, stopped):
-    """The Bicharacteristic of sample times tau and flow states y (K, 2n+1),
-    with its own copies of the arrays."""
+    """The Bicharacteristic of sample times tau and flow states y (K, 2n+1).
+    Its tau is tau and its x, nu and w are column views of y, not copies:
+    for a branch of the engine, views of the row's sample store."""
     n = sys.n
-    x, nu = y[:, :n].copy(), y[:, n:2 * n].copy()
-    w = y[:, 2 * n].copy()
+    x, nu, w = y[:, :n], y[:, n:2 * n], y[:, 2 * n]
     s = hamiltonian_values(sys, x, nu, u)
-    return Bicharacteristic(seed, tau.copy(), x, nu, u, w, s, events,
+    return Bicharacteristic(seed, tau, x, nu, u, w, s, events,
                             degenerate_seed, stopped)
 
 
@@ -509,7 +512,8 @@ class LagrangianManifold:
         self.budget = budget
         self.psi = np.array([b.seed.psi for b in branches])
         # one field at a time, so that each branch's own array is freed
-        # before the next flat array is built
+        # before the next flat array is built; the engine's sample stores,
+        # which tau, x, nu and w view, go once all four are rebound
         ends = np.cumsum([len(b.tau) for b in branches]).tolist()
         for name in ("tau", "x", "nu", "u", "w", "s"):
             flat = np.concatenate([getattr(b, name) for b in branches])

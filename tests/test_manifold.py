@@ -578,24 +578,50 @@ class TestBuildControls:
             M.build_manifold(sys, di_lyap, 16, 3.0)
         assert str(info.value) == f"16 of 16 branches failed: {detail}"
 
-    def test_build_holds_no_per_step_data(self, pend_system, pend_lyap,
-                                          monkeypatch):
+    @pytest.mark.parametrize("system, epsilon, count, tau_max", [
+        ("pend_system", 0.32, 64, 12.0), ("di_system", 0.5, 256, 14.0)],
+        ids=["pendulum", "di"])
+    def test_build_holds_no_per_step_data(self, system, epsilon, count,
+                                          tau_max, request, monkeypatch):
         # the integration phase peaks near the finished branch arrays: the
-        # samples go to one growable store per row, not to per-step objects
-        M.build_manifold(pend_system, pend_lyap, 8, 1.0)   # compile first
+        # samples go to one growable store per row, not to per-step
+        # objects or per-branch copies, and the long steps of the double
+        # integrator are sampled a bounded group of rows at a time
+        sys = request.getfixturevalue(system)
+        lyap = LyapunovSpec("(x1^2 + x2^2)/2", 2, epsilon=epsilon)
+        M.build_manifold(sys, lyap, 8, 1.0)   # compile first
         built = []
         monkeypatch.setattr(M, "LagrangianManifold",
                             lambda sys, lyap, eps, branches, *rest, **kw:
                             built.append(branches))
         tracemalloc.start()
         try:
-            M.build_manifold(pend_system, pend_lyap, 64, 12.0)
+            M.build_manifold(sys, lyap, count, tau_max)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         nbytes = sum(a.nbytes for b in built[0]
                      for a in (b.tau, b.x, b.nu, b.u, b.w, b.s))
         assert peak <= 1.5 * nbytes
+
+    @pytest.mark.parametrize("group", [1, 10**9])
+    @pytest.mark.parametrize("system, epsilon, count, tau_max", [
+        ("di_system", 0.5, 32, 14.0), ("pend_system", 0.32, 16, 12.0)],
+        ids=["di", "pendulum"])
+    def test_grid_groups_keep_the_bits(self, system, epsilon, count, tau_max,
+                                       group, request, monkeypatch):
+        # one sampling pass per grid row, or one for all rows, gives the
+        # samples of the default groups
+        sys = request.getfixturevalue(system)
+        lyap = LyapunovSpec("(x1^2 + x2^2)/2", 2, epsilon=epsilon)
+        _, expected = M.manifold_table(
+            M.build_manifold(sys, lyap, count, tau_max))
+        monkeypatch.setattr(_dop853, "_GRID_GROUP", group)
+        _, columns = M.manifold_table(
+            M.build_manifold(sys, lyap, count, tau_max))
+        assert len(columns) == len(expected)
+        for c, e in zip(columns, expected):
+            assert c.dtype == e.dtype and c.tobytes() == e.tobytes()
 
     def test_nothing_dropped_is_counted_as_zero(self, di_manifold_small):
         assert di_manifold_small.dropped == 0
@@ -626,6 +652,20 @@ class TestSingleCopy:
                 assert np.array_equal(getattr(b, name), flat[start:end])
             start = end
         assert start == man.n_samples
+
+    def test_branches_view_their_engine_store(self, di_system, di_lyap,
+                                              monkeypatch):
+        # before a manifold takes them over, x, nu and w of a branch are
+        # interleaved columns of its row's one store, not copies
+        built = []
+        monkeypatch.setattr(M, "LagrangianManifold",
+                            lambda sys, lyap, eps, branches, *rest, **kw:
+                            built.append(branches))
+        M.build_manifold(di_system, di_lyap, 16, 6.0)
+        for b in built[0]:
+            assert np.may_share_memory(b.x, b.nu)
+            assert np.may_share_memory(b.x, b.w)
+            assert np.may_share_memory(b.nu, b.w)
 
     def test_built_manifold_holds_about_one_copy(self, di_lyap):
         sys = double_integrator_system()

@@ -2,7 +2,7 @@
 
     python3 tools/pairs.py PARENT_REF --workload NAME --seeds 1-10 [--seconds 5]
 
-Checks PARENT_REF out in a temporary git worktree and runs
+Exports PARENT_REF with `git archive` to a temporary directory and runs
 `perfbench/run.py --trace 0` once per seed on each side, alternating which
 side runs first.  The change is the current checkout.  Prints, for every
 end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
@@ -19,6 +19,12 @@ the first of these that holds:
     unresolved       the parent's spread (Q3 - Q1) / median exceeds the
                      bound, and not every change run beats every parent run
     within bound     none of these
+
+After the metric lines it prints each side's failed and attempted ops,
+summed over its runs, and its number of runs that report `correct: false`.
+A gain does not count when the change failed a larger share of its ops
+than the parent, or when any change run was incorrect: its verdict then
+reads `not counted` in place of `gain`.
 
 Uses the standard library only.
 """
@@ -77,6 +83,23 @@ def verdict(par: list[float], chg: list[float], sign: int,
     return "within bound", wins
 
 
+def counted(text: str, parent: tuple[int, int, int],
+            change: tuple[int, int, int]) -> str:
+    """The verdict `text`, or "not counted" for a gain of a change that
+    failed a larger share of its ops than the parent or had an incorrect
+    run; each side is (failed, attempted, incorrect runs)."""
+    (pf, pa, _), (cf, ca, cbad) = parent, change
+    if text == "gain" and (cf * pa > pf * ca or cbad):
+        return "not counted"
+    return text
+
+
+def ops(runs: list[dict]) -> tuple[int, int, int]:
+    """(failed, attempted, incorrect runs) summed over runs."""
+    return (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs),
+            sum(not r["correct"] for r in runs))
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
@@ -89,13 +112,12 @@ def main() -> int:
                             check=True).stdout.strip()
     with open(os.path.join(change, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
-    tmp = tempfile.TemporaryDirectory()
-    parent = os.path.join(tmp.name, "parent")
-    subprocess.run(["git", "worktree", "add", "--detach", parent, args.parent],
-                   cwd=change, check=True, capture_output=True)
-    sides = {"parent": parent, "change": change}
+    archive = subprocess.run(["git", "archive", args.parent], cwd=change,
+                             check=True, capture_output=True).stdout
     results = {"parent": [], "change": []}
-    try:
+    with tempfile.TemporaryDirectory() as parent:
+        subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
+        sides = {"parent": parent, "change": change}
         for k, seed in enumerate(args.seeds):
             for side in (("parent", "change") if k % 2 == 0
                          else ("change", "parent")):
@@ -106,19 +128,20 @@ def main() -> int:
                 print(f"seed {seed} {side}: correct={res['correct']} "
                       f"failed={res['failed']}/{res['attempted']} {values}",
                       flush=True)
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", parent],
-                       cwd=change, check=False)
-        tmp.cleanup()
+    totals = {side: ops(runs) for side, runs in results.items()}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
         par = [r["metrics"][name] for r in results["parent"]]
         chg = [r["metrics"][name] for r in results["change"]]
         text, wins = verdict(par, chg, sign, m["bound"])
+        text = counted(text, totals["parent"], totals["change"])
         ratio = statistics.median(c / q for q, c in zip(par, chg))
         print(f"{name}: parent {show(par)}  change {show(chg)}  "
               f"pair ratio {ratio:.3f}  change better in {wins} of "
               f"{len(par)}: {text}")
+    for side, (failed, attempted, bad) in totals.items():
+        print(f"{side}: failed {failed}/{attempted} ops, {bad} of "
+              f"{len(results[side])} runs correct: false")
     return 0
 
 
