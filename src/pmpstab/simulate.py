@@ -4,15 +4,40 @@ The loop integrates xdot = f(x, u(x)) for a feedback law that is smooth
 inside a handover set and discontinuous across switching surfaces outside
 it.  Integration is segment based: inside each segment the control is
 frozen (outer region) or smooth (inner region), and the lockstep DOP853
-engine of `_dop853` integrates it; terminal events mark surface
-crossings, handover, convergence and blowup.  Each start is a generator
-that yields its segments to the engine, so `simulate_grid` steps all its
-starts together, while the mode logic, the sliding steps and the probes
-stay scalar per start.  At a surface hit a trial micro-step with the
-other side's control decides between crossing and sliding.  Sliding
-integrates the Filippov convex combination u_eq = alpha u+ + (1 - alpha)
-u- of the one-sided limits u+ = -k and u- = +k, with alpha estimated from
-directional derivatives of the switching value.
+engine of `_dop853` integrates it.  Each start is a generator that yields
+its segments to the engine, so `simulate_grid` steps all its starts
+together, while the mode logic, the sliding steps and the probes stay
+scalar per start.  Sliding integrates the Filippov convex combination
+u_eq = alpha u+ + (1 - alpha) u- of the one-sided limits u+ = -k and
+u- = +k, with alpha estimated from directional derivatives of the
+switching value.
+
+A start is in mode inner when boundary_value(x) <= 0 and outer otherwise.
+Every later mode change passes one transition, which marks its event at
+the last sample (`-`: no mark); leaving the blowup ball raises
+BlowupError in any mode, and t_max ends the run.
+
+    mode     when                                  mark            next
+    inner    a segment leaves the handover set     boundary-cross  outer
+    inner    a dwell in the ball ends by t_max     converged       (end)
+    inner    a dwell leaves the ball outside the   boundary-cross  outer
+             handover set
+    outer    a segment enters the handover set     boundary-cross  inner
+    outer    sigma crosses zero                    control-switch  decision
+    outer    |sigma| <= SWITCH_TOL at a segment    -               decision
+             start
+    sliding  the one-sided flows stop meeting      sliding-exit    outer
+    sliding  a step enters the handover set        boundary-cross  inner
+    sliding  a dwell in the ball                   converged       (end)
+
+The decision, part of the same transition, takes the first line that
+holds; none is made at t_max:
+
+    CHATTER_LIMIT control switches within           sliding-enter  sliding
+    MAX_STEP, this one included
+    the one-sided flows meet (`_sliding_state`)     sliding-enter  sliding
+    otherwise: a micro-step under the control of    -              outer
+    the departure side
 
 The module reads these members of a law: `system`, `k`, `boundary_value`,
 `switching_value`, `control`, `fd_scale`, `inner_dynamics`, and, for the
@@ -23,6 +48,7 @@ from __future__ import annotations
 
 import collections
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -186,11 +212,6 @@ class _Recorder:
         self.xs.append([float(v) for v in x])
         self.us.append([float(v) for v in u])
 
-    def mark(self, kind: str):
-        i = len(self.ts) - 1
-        self.events.append(TrajectoryEvent(
-            kind, self.ts[i], tuple(self.xs[i]), i))
-
 
 # the loop's solver events, by index: |x| entering or leaving the
 # convergence ball, V leaving or entering the handover set, sigma crossing
@@ -203,13 +224,14 @@ _INNER = "inner"
 def _settings(rel_tol: float = 1e-9, abs_tol: float = 1e-12,
               convergence_radius: float = 1e-2, dwell: float = 1.0,
               blowup: float = 1e6, record_dt: float | None = None) -> dict:
-    """The closed-loop settings as a dict, each checked to be positive,
-    with the squared radii r2_ball and r2_blowup."""
+    """The closed-loop settings as a dict, each checked to be a positive
+    real number, with the squared radii r2_ball and r2_blowup."""
     settings = dict(rel_tol=rel_tol, abs_tol=abs_tol,
                     convergence_radius=convergence_radius, dwell=dwell,
                     blowup=blowup, record_dt=record_dt)
     bad = [name for name, v in settings.items()
-           if not (v is None and name == "record_dt" or v > 0.0)]
+           if not (v is None and name == "record_dt"
+                   or isinstance(v, numbers.Real) and v > 0.0)]
     if bad:
         raise ValueError(f"{', '.join(bad)} must be positive")
     return dict(settings, r2_ball=convergence_radius ** 2,
@@ -270,9 +292,39 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
             raise BlowupError(t_out, x_out)
         return t_out, x_out, out.event
 
-    converged, t_converged = False, None
+    def transition(kind, to=None):
+        """Mark `kind` (None: no mark) at the last sample and enter mode
+        `to`; without `to`, the chatter rule or, before t_max, the sliding
+        decision picks it.  No self-call: it would put the frame in a
+        reference cycle that keeps the samples until the cycle collector."""
+        nonlocal mode, t, x
+        marks = [] if kind is None else [kind]
+        if kind == "control-switch":
+            switch_times.append(t)
+            if (len(switch_times) == CHATTER_LIMIT
+                    and switch_times[-1] - switch_times[0] < MAX_STEP):
+                to = "sliding"
+                marks.append("sliding-enter")
+        cross = None
+        if to is None and t < t_max:
+            sliding, cross = _sliding_state(law, sys, x)
+            if sliding:
+                to, cross = "sliding", None
+                marks.append("sliding-enter")
+        i = len(rec.ts) - 1
+        for k in marks:
+            rec.events.append(TrajectoryEvent(k, rec.ts[i], tuple(rec.xs[i]),
+                                              i))
+        if cross is not None:
+            # transversal crossing: micro-step with the consistent control
+            h = _probe_h(law, sys, x, cross)
+            x = _rk4(sys, x, cross, h)
+            t = t + h
+            rec.add(t, x, cross)
+        mode = to or "outer"
 
-    while t < t_max and not converged:
+    t_converged = None
+    while t < t_max and t_converged is None:
         if float(np.dot(x, x)) > r2_blowup:
             raise BlowupError(t, x)
 
@@ -282,8 +334,7 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
                     _INNER, t_max, (_BALL, _LEAVE, _BLOWUP),
                     (-1.0, 1.0, 1.0), law.control)
                 if fired == _LEAVE:
-                    rec.mark("boundary-cross")
-                    mode = "outer"
+                    transition("boundary-cross", "outer")
                 if fired != _BALL:
                     continue
             elif not rec.ts:
@@ -295,17 +346,15 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
                 _INNER, min(t_end, t_max), (_BALL,), (1.0,))
             rec.add(t, x, law.control(x))
             if left is None and t_end <= t_max:
-                converged, t_converged = True, t_in
-                rec.mark("converged")
+                t_converged = t_in
+                transition("converged", "inner")
             elif left is not None and law.boundary_value(x) > 0.0:
-                rec.mark("boundary-cross")
-                mode = "outer"
-            continue
+                transition("boundary-cross", "outer")
 
-        if mode == "outer":
+        elif mode == "outer":
             sigma0 = law.switching_value(x)
             if abs(sigma0) <= SWITCH_TOL:
-                mode = "sliding-decision"
+                transition(None)
                 continue
             s0 = 1.0 if sigma0 > 0.0 else -1.0
             u = law.control(x)
@@ -314,79 +363,66 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
                 tuple(float.hex(v) for v in u), t_max,
                 (_SIGMA, _ENTER, _BLOWUP), (-s0, -1.0, 1.0), lambda y: u)
             if fired == _ENTER:
-                rec.mark("boundary-cross")
-                mode = "inner"
-                continue
-            if fired == _SIGMA:
-                rec.mark("control-switch")
-                switch_times.append(t)
-                if (len(switch_times) == CHATTER_LIMIT
-                        and switch_times[-1] - switch_times[0] < MAX_STEP):
-                    rec.mark("sliding-enter")
-                    mode = "sliding"
-                    continue
-                mode = "sliding-decision"
-            continue
+                transition("boundary-cross", "inner")
+            elif fired == _SIGMA:
+                transition("control-switch")
 
-        if mode == "sliding-decision":
-            sliding, u = _sliding_state(law, sys, x)
-            if sliding:
-                rec.mark("sliding-enter")
-                mode = "sliding"
-                continue
-            # transversal crossing: micro-step with the consistent control
-            h = _probe_h(law, sys, x, u)
-            x = _rk4(sys, x, u, h)
-            t = t + h
-            rec.add(t, x, u)
-            mode = "outer"
-            continue
-
-        # sliding
-        in_ball_since = None
-        while t < t_max:
-            x_next, u_eq, sliding = filippov_step(
-                law, x, min(SLIDE_STEP, t_max - t))
-            if not sliding:
-                rec.mark("sliding-exit")
-                mode = "outer"
-                break
-            t = min(t + SLIDE_STEP, t_max)
-            x = x_next
-            rec.add(t, x, u_eq)
-            if law.boundary_value(x) <= 0.0:
-                rec.mark("boundary-cross")
-                mode = "inner"
-                break
-            r2 = float(np.dot(x, x))
-            if r2 > r2_blowup:
-                raise BlowupError(t, x)
-            if r2 <= r2_ball:
-                if in_ball_since is None:
-                    in_ball_since = t
-                elif t - in_ball_since >= dwell:
-                    converged, t_converged = True, in_ball_since
-                    rec.mark("converged")
-                    break
-            else:
-                in_ball_since = None
         else:
-            mode = "outer"
-        continue
+            in_ball_since = None
+            while t < t_max:
+                x_next, u_eq, sliding = filippov_step(
+                    law, x, min(SLIDE_STEP, t_max - t))
+                if not sliding:
+                    transition("sliding-exit", "outer")
+                    break
+                t = min(t + SLIDE_STEP, t_max)
+                x = x_next
+                rec.add(t, x, u_eq)
+                if law.boundary_value(x) <= 0.0:
+                    transition("boundary-cross", "inner")
+                    break
+                r2 = float(np.dot(x, x))
+                if r2 > r2_blowup:
+                    raise BlowupError(t, x)
+                if r2 <= r2_ball:
+                    if in_ball_since is None:
+                        in_ball_since = t
+                    elif t - in_ball_since >= dwell:
+                        t_converged = in_ball_since
+                        transition("converged", "sliding")
+                        break
+                else:
+                    in_ball_since = None
 
     if not rec.ts:
         rec.add(0.0, x, law.control(x))
     final_region = "inner" if law.boundary_value(x) <= 0.0 else "outer"
     return Trajectory(np.asarray(rec.ts), np.asarray(rec.xs),
                       np.asarray(rec.us), tuple(rec.events),
-                      converged, t_converged, final_region)
+                      t_converged is not None, t_converged, final_region)
 
 
 def _run(law, rows: list, settings: dict) -> list:
     """Run closed-loop rows in lockstep on the DOP853 engine and return
-    their results; the first row that failed, in row order, raises."""
+    their results; the first row that failed, in row order, raises.  Once
+    a row fails, the rows after it stop at their next segment and the
+    rows before it run on."""
     sys = law.system
     r2_ball, r2_blowup = settings["r2_ball"], settings["r2_blowup"]
+    failed = len(rows)      # the first failed row so far
+
+    def guarded(i, row):
+        nonlocal failed
+        out = None
+        while i < failed:
+            try:
+                out = yield row.send(out)
+            except StopIteration as stop:
+                return stop.value
+            except BaseException:
+                # the row raised, or the engine ended it with an error
+                failed = min(failed, i)
+                raise
 
     def rhs(key):
         if key == _INNER:
@@ -399,7 +435,8 @@ def _run(law, rows: list, settings: dict) -> list:
               (lambda t, y: law.boundary_value(y), None),
               (lambda t, y: law.switching_value(y), None),
               (lambda t, y: float(np.dot(y, y)) - r2_blowup, None)]
-    results = _dop853.run(rows, rhs, events, rtol=settings["rel_tol"],
+    results = _dop853.run([guarded(i, row) for i, row in enumerate(rows)],
+                          rhs, events, rtol=settings["rel_tol"],
                           atol=settings["abs_tol"], max_step=MAX_STEP)
     for result in results:
         if isinstance(result, BaseException):
@@ -484,8 +521,9 @@ def simulate_grid(law, lower: Sequence[float], upper: Sequence[float],
     """Run the closed loop from every node of a box grid, all starts in
     lockstep, each with the verdict `simulate_closed_loop` and
     `stabilization_verdict` give it; the report follows the row-major grid
-    order.  Every start runs to its end; then the first start that failed,
-    in grid order, raises its exception."""
+    order.  Once a start fails, the starts after it in grid order stop at
+    their next segment and the starts before it run on; then the first
+    start that failed, in grid order, raises its exception."""
     pts = box_grid(lower, upper, grid_res)
     settings = _settings(**options)
 

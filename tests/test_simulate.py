@@ -1,13 +1,17 @@
 """Discontinuous closed-loop simulation: event-driven integration, sliding
 motion and grid audits."""
 
+import collections
 import contextlib
+import gc
+import hashlib
 import io
 import math
 import os
 import signal
 import types
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from pmpstab.simulate import (
     stabilization_verdict,
 )
 from pmpstab.synthesis import double_integrator_system
-from pmpstab.systems import ControlSet, ControlSystem
+from pmpstab.systems import ControlSet, ControlSystem, LyapunovSpec
 
 
 @contextlib.contextmanager
@@ -116,6 +120,36 @@ class SmallHandoverLaw(CenterLaw):
         return float(np.dot(x, x)) - 0.007 ** 2
 
 
+@dataclass(frozen=True)
+class EscapeLaw(StaticSwitchingLaw):
+    """All of the line is inner, and the inner loop x' = s x^2 leaves every
+    ball in finite time from a start x with s x > 0; past |x| = limit it
+    raises.  `calls` logs x at every `control` call, and "raised" where
+    the inner loop raises."""
+
+    s: float = -1.0
+    limit: float = math.inf
+    calls: list = field(default_factory=list, compare=False)
+    lyapunov = LyapunovSpec("x1^2/2", 1, epsilon=0.5)
+    epsilon = 0.5
+
+    def boundary_value(self, x):
+        return -1.0
+
+    @property
+    def inner_dynamics(self):
+        def f(t, y):
+            if abs(y[0]) > self.limit:
+                self.calls.append("raised")
+                raise FloatingPointError(f"|x| > {self.limit}")
+            return [self.s * y[0] * y[0]]
+        return f
+
+    def control(self, x):
+        self.calls.append(float(x[0]))
+        return super().control(x)
+
+
 @pytest.fixture(scope="module")
 def center_system():
     return ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
@@ -163,7 +197,11 @@ class TestSettings:
     @pytest.mark.parametrize("key, value", [
         ("rel_tol", 0.0), ("abs_tol", 0.0), ("convergence_radius", -1.0),
         ("dwell", -1.0), ("dwell", float("nan")), ("blowup", 0.0),
-        ("record_dt", 0.0), ("record_dt", -0.5)])
+        ("record_dt", 0.0), ("record_dt", -0.5),
+        ("rel_tol", None), ("rel_tol", "1e-9"), ("abs_tol", None),
+        ("abs_tol", "1e-12"), ("convergence_radius", None),
+        ("convergence_radius", "0.01"), ("dwell", None), ("dwell", "1"),
+        ("blowup", None), ("blowup", "1e6"), ("record_dt", "0.1")])
     def test_nonpositive_setting_is_rejected(self, relay_law, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be positive$"):
             simulate_closed_loop(relay_law, (0.8,), 10.0, **{key: value})
@@ -315,6 +353,30 @@ class TestGrid:
             simulate_grid(di_law_small, *box, 40.0, blowup=4.0)
         assert (info.value.t, info.value.x) == (errors[0].t, errors[0].x)
 
+    @pytest.mark.parametrize("s, last", [
+        # the first row escapes: the rows after it stop
+        (-1.0, -10.0),
+        # the last row escapes: the rows before it run on to t_max, where
+        # the first row reaches -1/(1 + 5)
+        (1.0, -1.0 / 6.0)])
+    def test_rows_after_a_failed_row_stop(self, relay_law, s, last):
+        law = EscapeLaw(relay_law.system, "x1", s=s)
+        with wall_time_limit(30), pytest.raises(BlowupError) as info:
+            simulate_grid(law, (-1.0,), (1.0,), 3, 5.0, blowup=10.0)
+        # x = s/(1 - t) from x(0) = s leaves |x| <= 10 at t = 0.9
+        assert info.value.t == pytest.approx(0.9, abs=1e-9)
+        assert info.value.x == pytest.approx((10.0 * s,))
+        # the last control call is the failed row's last sample, or the
+        # end of a row before it
+        assert law.calls[-1] == pytest.approx(last)
+
+    def test_rows_after_a_row_the_engine_ended_stop(self, relay_law):
+        # the first row's inner loop raises inside the engine's step
+        law = EscapeLaw(relay_law.system, "x1", limit=5.0)
+        with wall_time_limit(30), pytest.raises(FloatingPointError):
+            simulate_grid(law, (-1.0,), (1.0,), 3, 5.0)
+        assert law.calls[-1] == "raised"
+
     def test_unknown_option_is_rejected(self, di_law_small):
         with pytest.raises(TypeError):
             simulate_grid(di_law_small, (0.0, 0.0), (1.0, 1.0), 2, 1.0,
@@ -445,6 +507,149 @@ class TestGeneratingValueAlongTheLoop:
         assert pairs == 3291
         # measured 0.0614; beyond query_radius W rises by up to 0.63
         assert rise <= 0.062
+
+
+def transition_digests(traj):
+    """SHA-256 of the t, x and u bytes, and of the events as
+    (kind, t.hex(), sample_index)."""
+    samples = b"".join(a.tobytes() for a in (traj.t, traj.x, traj.u))
+    events = repr([(e.kind, e.t.hex(), e.sample_index) for e in traj.events])
+    return (hashlib.sha256(samples).hexdigest(),
+            hashlib.sha256(events.encode()).hexdigest())
+
+
+@pytest.fixture(scope="module")
+def di_config_law():
+    return config_law("double_integrator.json")[2]
+
+
+class TestTransitionPins:
+    """Every mode change of the closed loop, bit for bit: the samples and
+    events of runs that together pass through each transition."""
+
+    @pytest.mark.parametrize("chatter_limit, kinds, digests", [
+        # 660 sliding decisions slide and 1,269 cross; the ball is reached
+        # but outer mode checks it only while sliding, so the run does not
+        # converge
+        (50, {"control-switch": 644, "sliding-enter": 660,
+              "sliding-exit": 660},
+         ("0aba036b243dec32dc2e8f72d469514081f5fb92dbfeb5d27ab5697b81a5ae13",
+          "71a2718615e96cf792a9f129f9f3246370a6b35bf576119a9054050aa95fcfae")),
+        # two switches within MAX_STEP: the chatter rule enters sliding
+        (2, {"control-switch": 644, "sliding-enter": 1008,
+             "sliding-exit": 1008},
+         ("0aba036b243dec32dc2e8f72d469514081f5fb92dbfeb5d27ab5697b81a5ae13",
+          "d04571b7f70d3a17ff1d974a1193339bf79419c97345da1a60b47b8b7d415e00")),
+    ])
+    def test_time_optimal_surface(self, monkeypatch, chatter_limit, kinds,
+                                  digests):
+        monkeypatch.setattr(SM, "CHATTER_LIMIT", chatter_limit)
+        law = StaticSwitchingLaw(double_integrator_system(),
+                                 "x1 + x2*abs(x2)/2")
+        with wall_time_limit(60):
+            traj = simulate_closed_loop(law, (2.0, 1.0), 30.0)
+        assert not traj.converged
+        assert collections.Counter(e.kind for e in traj.events) == kinds
+        assert transition_digests(traj) == digests
+
+    @pytest.mark.parametrize("x0, t_max, kinds, digests", [
+        # the switch lands on t_max: no sliding decision follows
+        (0.5, 0.5, ["control-switch"],
+         ("1e12714863d298fc03354b733030b4a530c56a5862c11ddf9738140b28827b65",
+          "8a46f8ee31748db5a9a57e8d09b8dc87d693c5442a5218ad164b0bf703301f43")),
+        # sliding until the horizon
+        (0.8, 1.0, ["control-switch", "sliding-enter"],
+         ("ae39b1b0d7fe3a8ae5b5d1b6c52414a1d6f1e91c27f13579dc17847c53e380d2",
+          "2850100cee54a792d932c9af52201bdd499b817ae8b4962cce9f977c815b94fb")),
+        # sliding until convergence
+        (0.8, 10.0, ["control-switch", "sliding-enter", "converged"],
+         ("811cc2e13c57804e9a13a482470abc0568241b76aef9d41350f38c9ff0d996a4",
+          "92ea360d775709c621348ee81f4707a87647f12004c7671b5fe6179961138127")),
+    ])
+    def test_relay(self, relay_law, x0, t_max, kinds, digests):
+        with wall_time_limit(30):
+            traj = simulate_closed_loop(relay_law, (x0,), t_max)
+        assert [e.kind for e in traj.events] == kinds
+        assert transition_digests(traj) == digests
+
+    @pytest.mark.parametrize("law_class, x0, t_max, options, kinds, digests", [
+        # dwells that leave the ball inside the handover set
+        (CenterLaw, (0.009, 0.0), 2.0, {}, [],
+         ("f0a4b37eee0a43e7674b23755f5fde423a590e72f58c1e652c1fa00256f72429",
+          "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945")),
+        # a dwell that leaves it outside
+        (SmallHandoverLaw, (0.006, 0.0), 0.5, {}, ["boundary-cross"],
+         ("4dc709520e8f6b20488e6e6781d0d85d4432c6ae7e841e3109c321eed6876d49",
+          "329805b7bfdb8a178b45b1569a8db44353ea2f5661ecbfbe822c7d4572fa14c2")),
+        # an inner segment that leaves the handover set, and an outer one
+        # that enters it
+        (SmallHandoverLaw, (0.006, 0.0), 0.5, {"convergence_radius": 0.005},
+         ["boundary-cross", "control-switch", "boundary-cross"],
+         ("ad8ed10074a0de05ad2581b4edfa4e4ab165704c0537dd6cd612c90e39602469",
+          "bc59e9f670e65b0b8cfcddefaeff494bd13758b968ba15bbc7f70d4f4c69299a")),
+    ])
+    def test_inner_exits(self, center_system, law_class, x0, t_max, options,
+                         kinds, digests):
+        with wall_time_limit(30):
+            traj = simulate_closed_loop(law_class(center_system, "x1"), x0,
+                                        t_max, **options)
+        assert [e.kind for e in traj.events] == kinds
+        assert transition_digests(traj) == digests
+
+    SLIDE_IN = ["control-switch", "sliding-enter", "boundary-cross",
+                "converged"]
+
+    @pytest.mark.parametrize("x0, kinds, digests", [
+        # the 6 of the config grid's 124 sliding stints that end at the
+        # handover boundary instead of with sliding-exit
+        ((-3.5, 3.0), SLIDE_IN,
+         ("659dd12b8ed5d7402cee8e9b867610081dd9be1a3a3959c94525652c5adb8a50",
+          "e528fd6e701a12a938ce9e6210174968282be61c76f55e27d49844ef6a2a243e")),
+        ((-1.0, 2.0), SLIDE_IN,
+         ("abcd641cb75e5525cc65b0a3b6dfeb0a13fa6762ff18d415f5d787ab58ae510e",
+          "9254db3f5cba7e4a209e640bbff0ed550e9a908885e34fe891f64523431d729b")),
+        ((-0.5, -1.0), SLIDE_IN,
+         ("c87f6564013eeac2b08fc6cd6c8a6e86c9a46cc9abbba7a655978178240f5689",
+          "f9c2abc4de35d900b63fc59cd343f7dc771c2d6d98f0ebf83eac01c153a8e545")),
+        ((0.5, 1.0), SLIDE_IN,
+         ("3bde1a946c7c99a3beaee15454e68209786a152a647b96fb9487a25de14f152a",
+          "fabe2a0f29f2b76e388a4cfadcf23f937f978224eeaf7b2d486309e354397646")),
+        ((1.0, -2.0), SLIDE_IN,
+         ("4bb3eb2704ac4206a872c492d1efb010049559389d7c987ef1ee7ca2688f6775",
+          "9882f72f650e9edf5b61ef356155d189f300dd391ecece2b95f78561ff8b112a")),
+        ((3.5, -3.0), SLIDE_IN,
+         ("1b8dcd85e396f77b52b177a70079092816faf8975b7702594daf32417177f793",
+          "e528fd6e701a12a938ce9e6210174968282be61c76f55e27d49844ef6a2a243e")),
+        # the config's start: four crossings, then the handover set
+        ((3.0, 3.0), ["control-switch"] * 4 + ["boundary-cross", "converged"],
+         ("07fe002a5efb036d6aed7b8cb8ee078d3cac83568e61305695e762f205d52a08",
+          "59d1a641cb52d9de041521de377d826a59e029c5889d5b626dc886a08593ce7f")),
+    ])
+    def test_config_law(self, di_config_law, x0, kinds, digests):
+        with wall_time_limit(30):
+            traj = simulate_closed_loop(di_config_law, x0, 100.0)
+        assert [e.kind for e in traj.events] == kinds
+        assert transition_digests(traj) == digests
+
+    def test_a_run_frees_its_samples_without_the_cycle_collector(
+            self, monkeypatch, relay_law):
+        # a reference cycle through the loop's frame would hold every
+        # recorded sample until the cyclic collector runs
+        made = []
+
+        class Recorder(SM._Recorder):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(SM, "_Recorder", Recorder)
+        gc.disable()
+        try:
+            traj = simulate_closed_loop(relay_law, (0.8,), 10.0)
+            assert traj.converged
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestExport:
