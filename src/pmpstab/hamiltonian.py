@@ -105,14 +105,14 @@ def minimize_hamiltonian(sys: ControlSystem, x: Sequence[float],
 
 
 def branch_control(sys: ControlSystem, x: Sequence[float], nu: Sequence[float],
-                   direction: str = "reversed") -> tuple[list[float], float, float, bool]:
+                   direction: str = "reversed") -> tuple[float, float, float, bool]:
     """Minimizing control for a single-input box system with the
     degenerate case resolved by the sign sigma is about to take.
 
-    Returns (u, s_eff, sigma, degenerate) where s_eff in {-1, 0, +1} is the
-    effective sign of sigma used for the control (0 only when the switch is
-    non-transversal).  `direction` is 'reversed' or 'forward' and selects the
-    flow along which the sigma trend is computed.
+    Returns (u, s_eff, sigma, degenerate): the float u, and s_eff in
+    {-1, 0, +1}, the effective sign of sigma used for the control (0 only
+    when the switch is non-transversal).  `direction` is 'reversed' or
+    'forward' and selects the flow along which the sigma trend is computed.
     """
     if not (sys.m == 1 and sys.omega.is_box):
         raise SystemError("branch control needs a single-input box system")
@@ -132,10 +132,10 @@ def branch_control(sys: ControlSystem, x: Sequence[float], nu: Sequence[float],
             s_eff = 0.0
     lo, hi = sys.omega.lower[0], sys.omega.upper[0]
     if s_eff > 0.0:
-        u = [lo]
+        u = lo
     elif s_eff < 0.0:
-        u = [hi]
+        u = hi
     else:
-        u = [(lo + hi) / 2.0]
+        u = (lo + hi) / 2.0
     return u, s_eff, sigma, s_eff == 0.0
 

@@ -225,14 +225,14 @@ class _FlowCompiler:
         return self._sys()
 
     def flow(self, key: tuple) -> tuple:
-        """The (scalar, batch) right-hand sides of the flow at frozen
-        control key[0] in the time direction key[1], 'reversed' or
-        'forward'."""
+        """The (scalar, batch) right-hand sides of the flow at the frozen
+        control key[0], a float, in the time direction key[1], 'reversed'
+        or 'forward'."""
         fns = self._cache.get(key)
         if fns is not None:
             return fns
         n = self.n
-        xdot = self.sys.closed_loop_exprs([ex._num(v) for v in key[0]])
+        xdot = self.sys.closed_loop_exprs([ex._num(key[0])])
         body: list[ex.Expr] = [ex._neg(e) for e in xdot]
         for k in range(n):
             acc: ex.Expr = ex.Num(0.0)
@@ -250,7 +250,7 @@ class _FlowCompiler:
         return fns
 
     def request(self, y: np.ndarray, t0: float, t_end: float,
-                u: Sequence[float], s_eff: float, direction: str,
+                u: float, s_eff: float, direction: str,
                 record: str | None = None,
                 budget: bool = False) -> _dop853.Segment:
         """The engine request for one solver run of the flow at frozen
@@ -265,7 +265,7 @@ class _FlowCompiler:
         step reaches t_end, the segment starts at t_end and is not to be
         run.
         """
-        key = (tuple(float(v) for v in u), direction)
+        key = (u, direction)
         if abs(self.sigma_event[0](t0, y)) <= SWITCH_TOL:
             f = np.asarray(self.flow(key)[0](t0, y))
             if t0 + _EVENT_NUDGE <= t_end:
@@ -332,7 +332,7 @@ def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
     # or the Hamiltonian from it
     for v in (sys.omega.lower[0], sys.omega.upper[0]):
         _dop853.check_finite(
-            compiler.flow(((float(v),), "reversed"))[0](0.0, y), 0.0)
+            compiler.flow((v, "reversed"))[0](0.0, y), 0.0)
 
     u, s_eff, sigma0, non_transversal = branch_control(
         sys, y[:n], y[n:2 * n], "reversed")
@@ -353,7 +353,7 @@ def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
             # the branch is the seed sample alone
             record_event("transversality-failure", 0.0, y, trans, 0)
             return _assemble(sys, seed, np.array([0.0]), y.reshape(1, -1),
-                             np.array([u], dtype=float), events, True, True)
+                             np.full((1, 1), u), events, True, True)
         # otherwise the seed lies on the switching surface; sigma leaves
         # zero with the resolved sign, so this is a departure, not a
         # recorded switch
@@ -370,8 +370,7 @@ def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
         if not out.success:
             raise RuntimeError(f"reversed flow failed: {out.message}")
         samples = out.samples
-        u_rows = np.broadcast_to(np.asarray(u, dtype=float),
-                                 (samples.count - sample_count, sys.m)).copy()
+        u_rows = np.full((samples.count - sample_count, 1), u)
         u_parts.append(u_rows)
         sample_count = samples.count
         y = out.y.copy()

@@ -115,17 +115,16 @@ def error_lyapunov(gains: ObserverGains, e: Sequence[float]) -> float:
 
 def estimator_step(sys: ControlSystem, gains: ObserverGains,
                    z: Sequence[float], x1_meas: float,
-                   u: float | Sequence[float]) -> list[float]:
-    """Right-hand side of the estimator at state z, measurement x1."""
+                   u: float) -> list[float]:
+    """Estimator right-hand side at state z, measurement x1, float u."""
     if not is_manipulator(sys):
         raise ValueError("estimator needs the manipulator form "
                          "(x1dot = x2, x2dot = f(x) + u)")
-    u_val = float(u[0]) if isinstance(u, (list, tuple, np.ndarray)) else float(u)
     z1, z2 = float(z[0]), float(z[1])
     f_val = ex.evaluate(sys.drift_exprs[1], (float(x1_meas), z2))
     innov = z1 - float(x1_meas)
     return [z2 - gains.beta1 * innov,
-            f_val + u_val - gains.beta2 * innov]
+            f_val + u - gains.beta2 * innov]
 
 
 def gamma_margin(man: LagrangianManifold) -> float:

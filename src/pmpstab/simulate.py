@@ -31,7 +31,8 @@ BlowupError in any mode, and t_max ends the run.
     sliding  a dwell in the ball                   converged       (end)
 
 The decision, part of the same transition, takes the first line that
-holds; none is made at t_max:
+holds; none is made at t_max.  A start on the surface is recorded as
+sample 0 under the control the decision picks:
 
     CHATTER_LIMIT control switches within           sliding-enter  sliding
     MAX_STEP, this one included
@@ -39,9 +40,10 @@ holds; none is made at t_max:
     otherwise: a micro-step under the control of    -              outer
     the departure side
 
-The module reads these members of a law: `system`, `k`, `boundary_value`,
-`switching_value`, `control`, `fd_scale`, `inner_dynamics`, and, for the
-verdicts, `lyapunov` and `epsilon`.
+The module reads these members of a law: `system` (single-input), `k`,
+`boundary_value`, `switching_value`, `control` ([u]; past it u is a
+float), `fd_scale`, `inner_dynamics`, and, for the verdicts, `lyapunov`
+and `epsilon`.  `Trajectory.u` is a (K, 1) array.
 """
 
 from __future__ import annotations
@@ -134,41 +136,45 @@ class StaticSwitchingLaw:
     def control(self, x: Sequence[float]) -> list[float]:
         s = self.switching_value(x)
         sgn = 0.0 if s == 0.0 else math.copysign(1.0, s)
-        return [-self.k * sgn] * self.system.m
+        return [-self.k * sgn]
 
 
-def _rk4(sys: ControlSystem, x: np.ndarray, u: Sequence[float],
-         h: float) -> np.ndarray:
-    k1 = np.asarray(sys.eval_dynamics(x, u))
-    k2 = np.asarray(sys.eval_dynamics(x + 0.5 * h * k1, u))
-    k3 = np.asarray(sys.eval_dynamics(x + 0.5 * h * k2, u))
-    k4 = np.asarray(sys.eval_dynamics(x + h * k3, u))
+def _control(law, x) -> float:
+    (u,) = law.control(x)
+    return u
+
+
+def _rk4(sys: ControlSystem, x: np.ndarray, u: float, h: float) -> np.ndarray:
+    uu = (u,)
+    k1 = np.asarray(sys.eval_dynamics(x, uu))
+    k2 = np.asarray(sys.eval_dynamics(x + 0.5 * h * k1, uu))
+    k3 = np.asarray(sys.eval_dynamics(x + 0.5 * h * k2, uu))
+    k4 = np.asarray(sys.eval_dynamics(x + h * k3, uu))
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _probe_h(law, sys: ControlSystem, x, u) -> float:
+def _probe_h(law, sys: ControlSystem, x, u: float) -> float:
     """Micro-step length whose displacement matches the law's FD scale."""
-    speed = math.sqrt(sum(v * v for v in sys.eval_dynamics(x, u)))
+    speed = math.sqrt(sum(v * v for v in sys.eval_dynamics(x, (u,))))
     return law.fd_scale / max(speed, 1e-9)
 
 
 def _sliding_state(law, sys: ControlSystem,
-                   x: np.ndarray) -> tuple[bool, list[float]]:
-    """Classify x against the switching surface: (sliding, u).
+                   x: np.ndarray) -> tuple[bool, float]:
+    """Classify x against the switching surface: (sliding, u), u a float.
 
     The surface test must serve sampled switching fields, which are
     piecewise constant in x with jumps of order one: |sigma| stays far
     from zero there, so besides |sigma| <= SWITCH_TOL the point counts as
     on-surface when the two one-sided probes straddle a sign change.
-    Sliding requires the one-sided flows, under u+ = -k and u- = +k per
-    channel, to point at each other (sigma decreasing from the + side,
-    increasing from the - side); u is then the convex combination that
-    keeps the surface invariant.  Otherwise u is the control consistent
-    with the departure side.
+    Sliding requires the one-sided flows, under u+ = -k and u- = +k, to
+    point at each other (sigma decreasing from the + side, increasing
+    from the - side); u is then the convex combination that keeps the
+    surface invariant.  Otherwise u is the control consistent with the
+    departure side.
     """
     sigma = law.switching_value(x)
-    u_plus = [-law.k] * sys.m
-    u_minus = [law.k] * sys.m
+    u_plus, u_minus = -law.k, law.k
     h_p = _probe_h(law, sys, x, u_plus)
     h_m = _probe_h(law, sys, x, u_minus)
     s_p = law.switching_value(_rk4(sys, x, u_plus, h_p))
@@ -178,39 +184,37 @@ def _sliding_state(law, sys: ControlSystem,
     on_surface = abs(sigma) <= SWITCH_TOL or (s_p < 0.0) != (s_m < 0.0)
     if on_surface and rate_plus < 0.0 < rate_minus:
         alpha = rate_minus / (rate_minus - rate_plus)
-        u_eq = sys.omega.clip([alpha * up + (1.0 - alpha) * um
-                               for up, um in zip(u_plus, u_minus)])
-        return True, list(u_eq)
+        u_eq = alpha * u_plus + (1.0 - alpha) * u_minus
+        return True, min(max(u_eq, sys.omega.lower[0]), sys.omega.upper[0])
     if on_surface:
-        u = u_plus if rate_plus + rate_minus > 0.0 else u_minus
-        return False, list(u)
-    return False, list(law.control(x))
+        return False, u_plus if rate_plus + rate_minus > 0.0 else u_minus
+    return False, _control(law, x)
 
 
 def filippov_step(law, x: Sequence[float], h: float):
     """One explicit step of the Filippov closed loop.
 
-    Returns (x_next, u_used, sliding).  Off the switching surface this is
-    a plain RK4 step with the law's control; on it, the sliding control
-    from _sliding_state.
+    Returns (x_next, u_used, sliding), u_used a float.  Off the switching
+    surface this is a plain RK4 step with the law's control; on it, the
+    sliding control from _sliding_state.
     """
     sys = law.system
     x = np.asarray(x, dtype=float)
     sliding, u = _sliding_state(law, sys, x)
-    return _rk4(sys, x, u, h), list(u), sliding
+    return _rk4(sys, x, u, h), u, sliding
 
 
 class _Recorder:
     def __init__(self):
         self.ts: list[float] = []
         self.xs: list[list[float]] = []
-        self.us: list[list[float]] = []
+        self.us: list[float] = []
         self.events: list[TrajectoryEvent] = []
 
-    def add(self, t: float, x, u) -> None:
+    def add(self, t: float, x, u: float) -> None:
         self.ts.append(float(t))
         self.xs.append([float(v) for v in x])
-        self.us.append([float(v) for v in u])
+        self.us.append(float(u))
 
 
 # the loop's solver events, by index: |x| entering or leaving the
@@ -243,6 +247,9 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
     its solver segments and returns the Trajectory.  A failed solver
     segment raises RuntimeError; blowup raises BlowupError."""
     sys = law.system
+    if sys.m != 1:
+        raise ValueError(f"the closed loop needs a single-input system, "
+                         f"got m={sys.m}")
     x = np.asarray(x0, dtype=float)
     if len(x) != sys.n:
         raise ValueError(f"x0 must have {sys.n} components")
@@ -308,6 +315,8 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
         cross = None
         if to is None and t < t_max:
             sliding, cross = _sliding_state(law, sys, x)
+            if not rec.ts:      # a start on the surface: mark x0
+                rec.add(t, x, cross)
             if sliding:
                 to, cross = "sliding", None
                 marks.append("sliding-enter")
@@ -332,19 +341,19 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
             if float(np.dot(x, x)) > r2_ball:
                 t, x, fired = yield from segment(
                     _INNER, t_max, (_BALL, _LEAVE, _BLOWUP),
-                    (-1.0, 1.0, 1.0), law.control)
+                    (-1.0, 1.0, 1.0), lambda y: _control(law, y))
                 if fired == _LEAVE:
                     transition("boundary-cross", "outer")
                 if fired != _BALL:
                     continue
             elif not rec.ts:
                 # already in the ball: no crossing event will fire
-                rec.add(t, x, law.control(x))
+                rec.add(t, x, _control(law, x))
             t_in, t_end = t, t + dwell
             # one dwell period, cut at t_max; it fails when |x| leaves the ball
             t, x, left = yield from segment(
                 _INNER, min(t_end, t_max), (_BALL,), (1.0,))
-            rec.add(t, x, law.control(x))
+            rec.add(t, x, _control(law, x))
             if left is None and t_end <= t_max:
                 t_converged = t_in
                 transition("converged", "inner")
@@ -357,10 +366,10 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
                 transition(None)
                 continue
             s0 = 1.0 if sigma0 > 0.0 else -1.0
-            u = law.control(x)
+            u = _control(law, x)
             # the key holds the control's exact bits, signed zeros apart
             t, x, fired = yield from segment(
-                tuple(float.hex(v) for v in u), t_max,
+                float.hex(u), t_max,
                 (_SIGMA, _ENTER, _BLOWUP), (-s0, -1.0, 1.0), lambda y: u)
             if fired == _ENTER:
                 transition("boundary-cross", "inner")
@@ -395,10 +404,10 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
                     in_ball_since = None
 
     if not rec.ts:
-        rec.add(0.0, x, law.control(x))
+        rec.add(0.0, x, _control(law, x))
     final_region = "inner" if law.boundary_value(x) <= 0.0 else "outer"
     return Trajectory(np.asarray(rec.ts), np.asarray(rec.xs),
-                      np.asarray(rec.us), tuple(rec.events),
+                      np.asarray(rec.us)[:, None], tuple(rec.events),
                       t_converged is not None, t_converged, final_region)
 
 
@@ -427,7 +436,7 @@ def _run(law, rows: list, settings: dict) -> list:
     def rhs(key):
         if key == _INNER:
             return law.inner_dynamics, None
-        u = tuple(float.fromhex(v) for v in key)
+        u = (float.fromhex(key),)
         return lambda t, y: sys.eval_dynamics(y, u), None
 
     events = [(lambda t, y: float(np.dot(y, y)) - r2_ball, None),
@@ -537,12 +546,9 @@ def simulate_grid(law, lower: Sequence[float], upper: Sequence[float],
 
 def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     n = traj.x.shape[1]
-    m = traj.u.shape[1]
     flags = np.zeros(len(traj.t), dtype=int)
     for evt in traj.events:
         flags[evt.sample_index] = EVENT_FLAG[evt.kind]
-    header = (["t"] + [f"x{i+1}" for i in range(n)]
-              + ([f"u{j+1}" for j in range(m)] if m > 1 else ["u"])
-              + ["event_flag"])
+    header = ["t"] + [f"x{i+1}" for i in range(n)] + ["u", "event_flag"]
     with open(path, "w", newline="") as fh:
-        write_table(fh, header, [traj.t, *traj.x.T, *traj.u.T, flags])
+        write_table(fh, header, [traj.t, *traj.x.T, traj.u[:, 0], flags])

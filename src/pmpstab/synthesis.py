@@ -60,11 +60,6 @@ class FeedbackLaw:
     epsilon: float
     boundary_margin: float
 
-    def inner_value(self, x: Sequence[float]) -> list[float]:
-        """The inner law at x, bit for bit as `exprs.evaluate` of each
-        inner expression."""
-        return self.inner_fn(0.0, np.asarray(x, dtype=float))
-
     @functools.cached_property
     def inner_fn(self):
         """Compiled inner law, fn(t, x)."""
@@ -82,9 +77,10 @@ class FeedbackLaw:
         return man.sigma(x, man.query(x, bounded=False))
 
     def control(self, x: Sequence[float]) -> list[float]:
-        """Control value at x, as a one-element list.
+        """Control value at x, as a one-element list [u] of a float.
 
-        Inside {V <= epsilon} (boundary included) the inner law wins.
+        Inside {V <= epsilon} (boundary included) the inner law wins, bit
+        for bit as `exprs.evaluate` of the inner expression.
         Outside, `outer_controls` at the sample `project(x)`.  `project`
         has no radius cutoff, so the law is total: closed-loop arcs
         overshoot the densely sampled region before turning back.
@@ -92,7 +88,7 @@ class FeedbackLaw:
         radius.
         """
         if self.boundary_value(x) <= 0.0:
-            return self.inner_value(x)
+            return self.inner_fn(0.0, np.asarray(x, dtype=float))
         return [float(self.outer_controls(x, self.manifold.project(x)))]
 
     def outer_controls(self, x, i):
@@ -143,24 +139,26 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
                       k: float | None = None, C: float = 1.0) -> FeedbackLaw:
     """Validate the inner law and wrap it with the manifold bang-bang law.
 
-    k is the common box amplitude; the control set must be the symmetric
-    box [-k, k]^m.  Raises ValueError when |w| exceeds C at a sampled
-    point and DecreaseViolation when <grad V, f(x, w)> > DECREASE_TOL.
+    The system must have a single input.  k is the box amplitude; the
+    control set must be the symmetric box [-k, k].  Raises ValueError when
+    |w| exceeds C at a sampled point and DecreaseViolation when
+    <grad V, f(x, w)> > DECREASE_TOL.
     """
     omega = sys.omega
+    if sys.m != 1:
+        raise ValueError(f"feedback assembly needs a single-input system, "
+                         f"got m={sys.m}")
     if not omega.is_box:
         raise ValueError("feedback assembly needs a box control set")
+    lo, hi = omega.lower[0], omega.upper[0]
     if k is None:
-        k = float(omega.upper[0])
-    for j in range(sys.m):
-        if abs(omega.lower[j] + k) > 1e-12 or abs(omega.upper[j] - k) > 1e-12:
-            raise ValueError(
-                f"control box must be the symmetric cube [-k, k]^m with "
-                f"k={k:g}; channel {j} is [{omega.lower[j]:g}, "
-                f"{omega.upper[j]:g}]")
-    if len(inner_sources) != sys.m:
-        raise ValueError(
-            f"need {sys.m} inner control expressions, got {len(inner_sources)}")
+        k = float(hi)
+    if abs(lo + k) > 1e-12 or abs(hi - k) > 1e-12:
+        raise ValueError(f"control box must be the symmetric [-k, k] with "
+                         f"k={k:g}; it is [{lo:g}, {hi:g}]")
+    if len(inner_sources) != 1:
+        raise ValueError(f"need one inner law, got {len(inner_sources)} "
+                         f"inner control expressions")
     if C <= 0.0:
         raise ValueError("bound C must be positive")
     inner = tuple(ex.parse(src, sys.n) for src in inner_sources)
@@ -171,11 +169,9 @@ def assemble_feedback(sys: ControlSystem, lyap: LyapunovSpec,
     boundary_worst = -math.inf
     for p in _shell_points(lyap, epsilon):
         w = inner_fn(0.0, p)
-        for j, wj in enumerate(w):
-            if abs(wj) > C + 1e-12:
-                raise ValueError(
-                    f"inner law violates |w| <= C at x={tuple(p)}: "
-                    f"|w_{j+1}| = {abs(wj):.6g} > {C:g}")
+        if abs(w[0]) > C + 1e-12:
+            raise ValueError(f"inner law violates |w| <= C at x={tuple(p)}: "
+                             f"|w| = {abs(w[0]):.6g} > {C:g}")
         if not omega.contains(w):
             raise ValueError(
                 f"inner law leaves the control set at x={tuple(p)}: w={w}")
@@ -204,7 +200,7 @@ class BoundReport:
 
 def verify_bound(law: FeedbackLaw, lower: Sequence[float],
                  upper: Sequence[float], grid_res: int = 21) -> BoundReport:
-    """Sample |u_j(x)| over a box grid and compare against C.
+    """Sample |u(x)| over a box grid and compare against C.
 
     Every point is checked, as the law is total; the dark points of
     `illumination_check` are also listed in `not_covered`.
@@ -216,8 +212,7 @@ def verify_bound(law: FeedbackLaw, lower: Sequence[float],
                    in zip(pts, illumination_check(law.manifold, pts))
                    if status == "dark"]
     for p in pts:
-        u = law.control(p)
-        worst = max(abs(v) for v in u)
+        worst = abs(law.control(p)[0])
         max_abs = max(max_abs, worst)
         if worst > law.C + 1e-12:
             violations.append((tuple(float(v) for v in p), worst))

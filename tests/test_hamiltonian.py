@@ -101,24 +101,24 @@ class TestBranchControl:
     def test_signs_away_from_the_surface(self):
         sys = di()
         u, side, sigma, degenerate = branch_control(sys, (1.0, 2.0), (0.5, -0.6))
-        assert u == [1.0] and side == -1.0 and sigma == pytest.approx(-0.6)
+        assert u == 1.0 and side == -1.0 and sigma == pytest.approx(-0.6)
         assert not degenerate
         u, side, sigma, _ = branch_control(sys, (1.0, 2.0), (0.5, 0.6))
-        assert u == [-1.0] and side == 1.0 and sigma == pytest.approx(0.6)
+        assert u == -1.0 and side == 1.0 and sigma == pytest.approx(0.6)
 
     def test_reversed_tie_break_uses_the_bracket_trend(self):
         sys = di()
         # sigma = 0, <nu, ad_f b> = -nu1: reversed trend = +nu1
         u, side, sigma, degenerate = branch_control(sys, (1.0, 2.0), (0.5, 0.0))
         assert sigma == 0.0 and not degenerate
-        assert u == [-1.0] and side == 1.0
+        assert u == -1.0 and side == 1.0
 
     def test_forward_tie_break_flips_the_trend(self):
         sys = di()
         u, side, sigma, _ = branch_control(sys, (1.0, 2.0), (0.5, 0.0),
                                            direction="forward")
         assert sigma == 0.0
-        assert u == [1.0] and side == -1.0
+        assert u == 1.0 and side == -1.0
 
     def test_double_tie_is_degenerate(self):
         sys = di()
@@ -128,15 +128,16 @@ class TestBranchControl:
 
 
 def flow(sys, u, direction, x, nu):
-    """(xdot, nudot) of the compiled characteristic flow at frozen u."""
+    """(xdot, nudot) of the compiled characteristic flow at the frozen
+    control u, a float."""
     y = np.concatenate([x, nu, [0.0]])
-    rhs = _compiler(sys).flow((tuple(u), direction))[0](0.0, y)
+    rhs = _compiler(sys).flow((u, direction))[0](0.0, y)
     return rhs[:sys.n], rhs[sys.n:2 * sys.n]
 
 
 def jacobian(sys, x, u):
-    """d(xdot)/dx at frozen u."""
-    return sys.jacobian_drift(x) + u[0] * sys.jacobian_column(0, x)
+    """d(xdot)/dx at the frozen control u, a float."""
+    return sys.jacobian_drift(x) + u * sys.jacobian_column(0, x)
 
 
 class TestRightSides:
@@ -166,7 +167,7 @@ class TestRightSides:
             nu = rng.normal(size=2)
             if abs(nu[1]) < 1e-6:
                 continue
-            u = [1.0 if nu[1] < 0 else -1.0]
+            u = 1.0 if nu[1] < 0 else -1.0
             dx_r, dnu_r = flow(sys, u, "reversed", x, nu)
             dx_f, dnu_f = flow(sys, u, "forward", x, nu)
             assert dx_f == [-v for v in dx_r]
@@ -177,7 +178,7 @@ class TestRightSides:
         # flow has +J^T nu
         sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
                             drift=("x2", "-sin(x1)"), columns=(("0", "1"),))
-        x, nu, u = (0.7, -0.2), (0.3, 0.9), (0.5,)
+        x, nu, u = (0.7, -0.2), (0.3, 0.9), 0.5
         jt_nu = list(jacobian(sys, x, u).T @ np.asarray(nu))
         _, dnu = flow(sys, u, "forward", x, nu)
         assert dnu == pytest.approx([-v for v in jt_nu], abs=1e-14)
@@ -188,11 +189,11 @@ class TestRightSides:
         sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
                             drift=("x2", "-sin(x1)"), columns=(("0", "1"),))
         x, nu = np.array([1.3, -0.4]), np.array([0.8, 0.6])
-        u = [-1.0]
+        u = -1.0
         h = 1e-7
-        before = hamiltonian_value(sys, x, nu, u)
+        before = hamiltonian_value(sys, x, nu, (u,))
         for direction in ("forward", "reversed"):
             dx, dnu = flow(sys, u, direction, x, nu)
             after = hamiltonian_value(sys, x + h * np.asarray(dx),
-                                      nu + h * np.asarray(dnu), u)
+                                      nu + h * np.asarray(dnu), (u,))
             assert after - before == pytest.approx(0.0, abs=1e-12)

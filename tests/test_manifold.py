@@ -517,7 +517,7 @@ class TestSwitchRule:
                 if e.kind != "switch":
                     continue
                 want = branch_control(man.system, e.x, e.nu, "reversed")[0]
-                assert b.u[e.sample_index].tolist() == want
+                assert b.u[e.sample_index, 0] == want
                 checked += 1
         assert checked > 0
 
@@ -859,11 +859,12 @@ def scalar_s(sys, x, nu, u):
 
 
 def reference_rhs(sys, u):
-    """The reversed-flow RHS in three layers, the reference for the
-    weighted compile_scalar: a closure calling compile_scalar's function
-    of the body, then dW accumulated in a loop."""
+    """The reversed-flow RHS at the float control u in three layers, the
+    reference for the weighted compile_scalar: a closure calling
+    compile_scalar's function of the body, then dW accumulated in a
+    loop."""
     n = sys.n
-    xdot = sys.closed_loop_exprs([ex._num(v) for v in u])
+    xdot = sys.closed_loop_exprs([ex._num(u)])
     body = [ex._neg(e) for e in xdot]
     for k in range(n):
         acc = ex.Num(0.0)
@@ -934,9 +935,9 @@ class TestBitIdentity:
         sys = make()
         compiler = M._FlowCompiler(sys)
         rng = np.random.default_rng(22)
-        for u in ([sys.omega.lower[0]], [sys.omega.upper[0]]):
-            rhs, ref = compiler.flow((tuple(u), "reversed"))[0], reference_rhs(sys, u)
-            fwd = compiler.flow((tuple(u), "forward"))[0]
+        for u in (sys.omega.lower[0], sys.omega.upper[0]):
+            rhs, ref = compiler.flow((u, "reversed"))[0], reference_rhs(sys, u)
+            fwd = compiler.flow((u, "forward"))[0]
             ys = 3.0 * rng.normal(size=(200, 5))
             for y in ys:
                 want = ref(0.0, y)
@@ -945,7 +946,7 @@ class TestBitIdentity:
                 assert fwd(0.0, y) == [-v for v in want]
             # the batched right-hand sides give the same bits row by row
             for direction, scalar in (("reversed", rhs), ("forward", fwd)):
-                batch = compiler.flow((tuple(u), direction))[1]
+                batch = compiler.flow((u, direction))[1]
                 assert bits(batch(0.0, ys)) == bits([scalar(0.0, y) for y in ys])
 
     def test_rhs_raises_domain_errors(self):
@@ -954,6 +955,6 @@ class TestBitIdentity:
         compiler = M._FlowCompiler(sys)
         y = np.array([[0.5, 0.0, 1.0, 1.0, 0.0], [-2.0, 0.0, 1.0, 1.0, 0.0]])
         with pytest.raises(ex.ExprDomainError):
-            compiler.flow(((1.0,), "reversed"))[0](0.0, y[1])
+            compiler.flow((1.0, "reversed"))[0](0.0, y[1])
         with pytest.raises(ex.ExprDomainError):
-            compiler.flow(((1.0,), "reversed"))[1](0.0, y)
+            compiler.flow((1.0, "reversed"))[1](0.0, y)

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+import pmpstab.observer as OB
 import pmpstab.simulate as SM
 from pmpstab import cli
+from pmpstab.hamiltonian import branch_control
 from pmpstab.manifold import NotCoveredError, box_grid
 from pmpstab.simulate import (
     BlowupError,
@@ -60,13 +62,13 @@ class TestFilippovStep:
     def test_plain_step_away_from_the_surface(self, relay_law):
         xn, u, sliding = filippov_step(relay_law, (0.5,), 0.01)
         assert not sliding
-        assert u == [-1.0]
+        assert u == -1.0
         assert xn == pytest.approx([0.49])
 
     def test_sliding_on_the_surface_uses_equivalent_control(self, relay_law):
         xn, u, sliding = filippov_step(relay_law, (0.0,), 0.01)
         assert sliding
-        assert u == pytest.approx([0.0], abs=1e-6)
+        assert u == pytest.approx(0.0, abs=1e-6)
         assert xn == pytest.approx([0.0], abs=1e-8)
 
     def test_sliding_holds_the_state(self, relay_law):
@@ -96,6 +98,68 @@ class TestScalarRelay:
                                                  "sliding-enter"]
         assert traj.t[-1] == 1.0
         assert abs(traj.x[-1][0]) <= 1e-6
+
+    def test_start_on_the_surface_slides_from_sample_0(self, relay_law):
+        traj = simulate_closed_loop(relay_law, (0.0,), 1.0)
+        assert traj.events[0] == SM.TrajectoryEvent("sliding-enter", 0.0,
+                                                    (0.0,), 0)
+        # sample 0 holds the equivalent control the sliding steps apply
+        assert traj.u[0, 0] == 0.0
+        assert traj.t[-1] == 1.0
+
+    def test_transversal_start_on_the_surface_records_x0(self):
+        # sigma = x1 = 0 at the start, and x1' = x2 = 1 on both sides
+        law = StaticSwitchingLaw(double_integrator_system(), "x1")
+        traj = simulate_closed_loop(law, (0.0, 1.0), 1.0)
+        assert traj.t[0] == 0.0
+        assert traj.x[0].tolist() == [0.0, 1.0]
+        assert traj.t[1] > 0.0 and traj.x[1, 0] > 0.0
+        # sample 0 holds the departure-side control of the micro-step
+        assert traj.u[:2, 0].tolist() == [-1.0, -1.0]
+
+
+def _surrogate_control(get):
+    law = get("di_law_small")
+    sur = OB._SurrogateLaw(law, OB._combined_system(law.system,
+                                                    OB.select_gains(1.0)))
+    return sur.control((3.0, 3.0, 3.0, 2.5))
+
+
+# each control a single-input law gives, from the fixtures of
+# `request.getfixturevalue`: a one-element list [u]
+LAW_CONTROLS = {
+    "law-inner": lambda get: get("di_law_small").control((0.5, 0.5)),
+    "law-boundary": lambda get: get("di_law_small").control((1.0, 0.0)),
+    "law-outer": lambda get: get("di_law_small").control((3.0, 3.0)),
+    "static-law": lambda get: get("relay_law").control((0.5,)),
+    "surrogate-law": _surrogate_control,
+}
+
+
+@pytest.mark.parametrize("case", list(LAW_CONTROLS))
+def test_a_law_control_is_one_float_in_a_list(case, request):
+    u = LAW_CONTROLS[case](request.getfixturevalue)
+    assert type(u) is list and len(u) == 1 and type(u[0]) is float
+
+
+# each control value the closed loop or the switch rule hands on
+CONTROL_VALUES = {
+    "closed-loop-control": lambda get: SM._control(get("di_law_small"),
+                                                   (3.0, 3.0)),
+    "filippov-off-surface": lambda get: filippov_step(get("relay_law"),
+                                                      (0.5,), 0.01)[1],
+    "filippov-sliding": lambda get: filippov_step(get("relay_law"),
+                                                  (0.0,), 0.01)[1],
+    "branch-control": lambda get: branch_control(
+        get("di_system"), (1.0, 2.0), (0.5, -0.6))[0],
+    "branch-control-degenerate": lambda get: branch_control(
+        get("di_system"), (1.0, 2.0), (0.0, 0.0))[0],
+}
+
+
+@pytest.mark.parametrize("case", list(CONTROL_VALUES))
+def test_a_control_is_one_float(case, request):
+    assert type(CONTROL_VALUES[case](request.getfixturevalue)) is float
 
 
 @dataclass(frozen=True)
@@ -211,6 +275,17 @@ class TestSettings:
                            match="^abs_tol, record_dt must be positive$"):
             simulate_closed_loop(relay_law, (0.8,), 10.0, abs_tol=-1.0,
                                  record_dt=0.0)
+
+    def test_two_input_system_is_rejected(self, monkeypatch):
+        def no_segment(*args):
+            raise AssertionError("a segment was requested")
+
+        monkeypatch.setattr(SM._dop853, "Segment", no_segment)
+        sys = ControlSystem(2, ControlSet.box((-1.0, -1.0), (1.0, 1.0)),
+                            drift=("0", "0"), columns=(("1", "0"), ("0", "1")))
+        with pytest.raises(ValueError, match="single-input"):
+            simulate_closed_loop(StaticSwitchingLaw(sys, "x1"), (0.5, 0.5),
+                                 1.0)
 
 
 class TestDoubleIntegratorLoop:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pmpstab.synthesis as SY
+from pmpstab.exprs import evaluate
 from pmpstab.hamiltonian import SWITCH_TOL, switching_values
 from pmpstab.manifold import illumination_grid
 from pmpstab.synthesis import (
@@ -56,6 +57,15 @@ class TestAssembleValidation:
         with pytest.raises(ValueError, match="symmetric"):
             assemble_feedback(sys, di_lyap, di_manifold_small, ["-x1 - x2"],
                               k=1.0, C=1.0)
+
+    def test_two_input_system_rejected(self, di_lyap, di_manifold_small):
+        # the inner laws pass every check a single-input law gets: |w| <= 1
+        # and <grad V, f> = -x2^2/2 on {V <= 0.5}
+        sys = ControlSystem(2, ControlSet.box((-1.0, -1.0), (1.0, 1.0)),
+                            drift=("x2", "0"), columns=(("0", "1"), ("0", "1")))
+        with pytest.raises(ValueError, match="single-input"):
+            assemble_feedback(sys, di_lyap, di_manifold_small,
+                              ["-x1", "-x2/2"], k=1.0, C=1.0)
 
     def test_inner_expression_count_must_match_inputs(self, di_system, di_lyap,
                                                       di_manifold_small):
@@ -114,8 +124,9 @@ class TestLawEvaluation:
 
     def test_inner_value_matches_the_expression(self, di_law_small):
         x = (0.5, 0.5)
-        assert di_law_small.inner_value(x) == pytest.approx([-0.6875])
-        assert di_law_small.control(x) == pytest.approx([-0.6875])
+        w = evaluate(di_law_small.inner_exprs[0], x)
+        assert w == pytest.approx(-0.6875)
+        assert di_law_small.control(x) == [w]
 
     def test_boundary_point_uses_the_inner_law(self, di_law_small):
         assert di_law_small.control((1.0, 0.0)) == pytest.approx([-1.0])
