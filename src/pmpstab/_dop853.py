@@ -29,7 +29,11 @@ batched stays per row:
   The batched functions let overflow and nan pass silently, as the scalar
   function's Python arithmetic does; the rest of the step arithmetic runs
   under the caller's numpy error settings, as in solve_ivp;
-- events are located per row with `brentq` on the step's interpolant.
+- events are located per row on the step's interpolant with `brentq`,
+  a port of scipy's Brent solver that gives its iterates and root.
+
+The tableau and the root finder live here, so the engine imports neither
+scipy.integrate nor scipy.optimize.
 
 A row whose right-hand side, event function or generator raises leaves with
 that exception as its result, and one whose right-hand side is not finite
@@ -63,34 +67,208 @@ A segment can record samples into the row's `Samples` store, by its
 
 Each committed step puts its samples straight into the row's store; the
 interpolated samples of the "times" rows, and of each group of "grid"
-rows, are evaluated together, then put one run per row.
+rows, are evaluated together, then put one run per row.  A store of a
+page or more holds its arrays in their own anonymous maps (`empty`):
+rows it reserves take no memory until they are written, and its pages go
+back to the system as soon as nothing refers to it.  The engine drops a
+row's store when the row finishes; an outcome or a manifold branch that
+views it keeps it until it lets go.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import mmap
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
-__all__ = ["Segment", "Outcome", "Samples", "run"]
+__all__ = ["Segment", "Outcome", "Samples", "run", "empty", "brentq"]
 
-_NS = _dop.N_STAGES                    # 12 stages; K row 12 holds f_new
-_NX = _dop.N_STAGES_EXTENDED           # 16 with the dense-output stages
-_A = [np.ascontiguousarray(_dop.A[s, :s]) for s in range(_NX)]
-_C, _B, _E3, _E5, _D = _dop.C, _dop.B, _dop.E3, _dop.E5, _dop.D
-_POWER = _dop.INTERPOLATOR_POWER       # 7 dense-output coefficients
+
+def _sparse(shape: tuple, rows: Sequence[dict]) -> np.ndarray:
+    """A zero array of `shape` with rows[s][j] at [s, j]."""
+    out = np.zeros(shape)
+    for s, row in enumerate(rows):
+        for j, v in row.items():
+            out[s, j] = v
+    return out
+
+
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5, and
+# Hairer's dop853.f), with the decimals scipy.integrate's
+# dop853_coefficients writes: the stage nodes C, the stage weights A (row
+# s holds the nonzero A[s, j], j < s), the solution weights B, the error
+# weights E3 and E5 and the dense-output weights D.  Rows 12 to 15 of A
+# are the extra stages of the dense output.
+N_STAGES = 12                   # K row 12 holds f_new
+N_STAGES_EXTENDED = 16          # with the dense-output stages
+INTERPOLATOR_POWER = 7          # dense-output coefficients
+
+C = np.array([
+    0.0, 0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333,
+    0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+    0.777777777777777777777777777778])
+
+A = _sparse((N_STAGES_EXTENDED, N_STAGES_EXTENDED), (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2,
+     1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2,
+     2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1,
+     2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2,
+     3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2,
+     3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1,
+     5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1,
+     3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1,
+     5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1,
+     7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1,
+     3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1,
+     5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1,
+     7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1,
+     3: 5.18637242884406370830023853209, 4: 1.09143734899672957818500254654,
+     5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1,
+     7: 2.27394870993505042818970056734e1, 8: 2.49360555267965238987089396762,
+     9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449,
+     3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444,
+     5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1,
+     7: -2.85899827713502369474065508674, 8: -8.87285693353062954433549289258,
+     9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2,
+     5: 4.45031289275240888144113950566, 6: 1.89151789931450038304281599044,
+     7: -5.8012039600105847814672114227, 8: 3.1116436695781989440891606237e-1,
+     9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1,
+     11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2,
+     6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1,
+     8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1,
+     10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2,
+     5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2,
+     7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4,
+     11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4,
+     13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1,
+     5: -4.69762141536116384314449447206, 6: 7.68342119606259904184240953878,
+     7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1,
+     12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+))
+
+B = A[N_STAGES, :N_STAGES]
+
+E3 = np.append(B, 0.0)
+E3[[0, 8, 11]] -= [0.244094488188976377952755905512,
+                   0.733846688281611857341361741547,
+                   0.220588235294117647058823529412e-1]
+
+E5 = _sparse((1, N_STAGES + 1), ({
+    0: 0.1312004499419488073250102996e-1,
+    5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952,
+    7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290,
+    9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1,
+    11: -0.2235530786388629525884427845e-1},))[0]
+
+# the first three dense-output coefficients come from the step's ends
+D = _sparse((INTERPOLATOR_POWER - 3, N_STAGES_EXTENDED), (
+    {0: -0.84289382761090128651353491142e+1,
+     5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1,
+     7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1,
+     9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1,
+     11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1,
+     13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1,
+     15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2,
+     5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3,
+     7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2,
+     9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2,
+     11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2,
+     13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1,
+     15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2,
+     5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3,
+     7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2,
+     9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1,
+     11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1,
+     13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2,
+     15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2,
+     5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3,
+     7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2,
+     9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3,
+     11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2,
+     13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2,
+     15: -0.14972683625798562581422125276e+3},
+))
+
+_NS, _NX, _POWER = N_STAGES, N_STAGES_EXTENDED, INTERPOLATOR_POWER
+_A = [np.ascontiguousarray(A[s, :s]) for s in range(_NX)]
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 _ERR_EXP = -1 / (7 + 1)                # the error estimator has order 7
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _ROOT_TOL = 4 * _EPS
 _TOO_SMALL = "Required step size is less than spacing between numbers."
 # `apply`: groups with fewer rows call the scalar function row by row.
@@ -105,6 +283,21 @@ _SMALL = 16
 # one step at N = 512) do not gather all their temporaries at once; every
 # step of the pendulum build (at most 5.3k samples) is one group.
 _GRID_GROUP = 8192
+
+
+def empty(shape) -> np.ndarray:
+    """np.empty(shape) of floats.  An array of a page or more lives in its
+    own private anonymous map: freeing the array gives its pages back to
+    the system at once, and pages that are never written never become
+    resident.  The allocator keeps freed heap memory for reuse instead,
+    and large arrays that come later do not reuse the small freed pieces,
+    so a build whose stores came from the heap ended with them resident
+    beside the manifold that replaced them."""
+    nbytes = 8 * int(np.prod(shape))
+    if nbytes < mmap.PAGESIZE:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE),
+                         dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -142,20 +335,26 @@ class Outcome:
 
 
 class Samples:
-    """Growable sample store of one row: times t[:count], states y[:count]."""
+    """Growable sample store of one row: times t[:count], states y[:count].
+
+    Both arrays come from `empty`, so a store of a page or more holds its
+    own maps: the rows reserved beyond `count` take no memory until they
+    are written, and the old arrays of a regrown store, or the store of a
+    row that is finished and no longer viewed, go back to the system when
+    they are freed."""
 
     __slots__ = ("t", "y", "count")
 
     def __init__(self, d: int):
-        self.t = np.empty(0)
-        self.y = np.empty((0, d))
+        self.t = empty(0)
+        self.y = empty((0, d))
         self.count = 0
 
     def reserve(self, extra: int) -> None:
         need = self.count + extra
         if need > len(self.t):
             cap = max(need, len(self.t) + len(self.t) // 2)
-            t, y = np.empty(cap), np.empty((cap, self.y.shape[1]))
+            t, y = empty(cap), empty((cap, self.y.shape[1]))
             t[:self.count] = self.t[:self.count]
             y[:self.count] = self.y[:self.count]
             self.t, self.y = t, y
@@ -479,7 +678,7 @@ class _Lockstep:
                                rows[p].samples) for p in small}, dead
         t, h = np.array(T), np.array(H)
         hc = h[:, None]
-        tc = t[:, None] + _C * hc        # the stage times t + c*h
+        tc = t[:, None] + C * hc        # the stage times t + c*h
         K = self.K_work[:na]
         KT = K.transpose(0, 2, 1)
         groups = self.groups([r.kid for r in rows])
@@ -487,12 +686,12 @@ class _Lockstep:
         for s in range(1, _NS):
             dy = np.matmul(KT[:, :, :s], _A[s]) * hc
             self.eval_rhs(tc[:, s], y + dy, groups, pos, dead, K[:, s])
-        y_new = y + hc * np.matmul(KT[:, :, :_NS], _B)
+        y_new = y + hc * np.matmul(KT[:, :, :_NS], B)
         self.eval_rhs(t + h, y_new, groups, pos, dead, K[:, _NS])
         f_new = K[:, _NS].copy()
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-        err5 = np.matmul(KT[:, :, :_NS + 1], _E5) / scale
-        err3 = np.matmul(KT[:, :, :_NS + 1], _E3) / scale
+        err5 = np.matmul(KT[:, :, :_NS + 1], E5) / scale
+        err3 = np.matmul(KT[:, :, :_NS + 1], E3) / scale
 
         # accept or reject, in per-row scalars
         accepted = []
@@ -545,7 +744,7 @@ class _Lockstep:
         F[:, 0] = delta_y
         F[:, 1] = hc * f_old - delta_y
         F[:, 2] = 2 * delta_y - hc * (f_new + f_old)
-        F[:, 3:] = h[:, None, None] * np.matmul(_D, K)
+        F[:, 3:] = h[:, None, None] * np.matmul(D, K)
         return F
 
     def commit(self, acc, TN, y_new, f_new, h, tc, ended, dead) -> None:
@@ -686,17 +885,17 @@ class _Lockstep:
         return active
 
     def locate(self, F, y_old, t_old, t_new, active):
-        """solve_ivp's handle_events on one step: a brentq root of every
-        active event on the step's interpolant, which the event function
-        receives as an array; returns the event index, root and state of
-        the earliest."""
+        """solve_ivp's handle_events on one step: the Brent root (`brentq`)
+        of every active event on the step's interpolant, which the event
+        function receives as an array; returns the event index, root and
+        state of the earliest."""
         Fl, yl, h = F.tolist(), y_old.tolist(), t_new - t_old
         roots = []
         for e in active:
             ev = self.events[e][0]
             roots.append((brentq(
                 lambda tt: ev(tt, np.array(_interp(Fl, yl, t_old, h, tt))),
-                t_old, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), e))
+                t_old, t_new), e))
         # the earliest; ties go to the event armed first
         root, e = min(roots, key=lambda r: r[0])
         return e, root, np.array(_interp(Fl, yl, t_old, h, root))
@@ -762,6 +961,71 @@ def _group_cuts(sizes: np.ndarray, limit: float) -> list:
             total = 0.0
         total += size
     return cuts + [len(sizes)]
+
+
+def _value(f, x: float) -> float:
+    """f(x) as a float, with brentq's ValueError when it is nan."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver "
+                         "cannot continue.")
+    return fx
+
+
+def brentq(f: Callable[[float], float], a: float, b: float,
+           xtol: float = _ROOT_TOL, rtol: float = _ROOT_TOL,
+           maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by
+    Brent's method (Brent 1973, ch. 4): scipy.optimize.brentq's C loop
+    (brentq.c) operation by operation, so the same iterates and root, with
+    its errors: ValueError for a nan value of f or for f(a) and f(b) of
+    one sign, and RuntimeError after `maxiter` iterations."""
+    xpre, xcur = a, b
+    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # [xcur, xblk] brackets the root, and xcur is the better end
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C divides to an inf or a nan, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _grid(g0, gd, step, i):

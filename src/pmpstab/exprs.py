@@ -524,6 +524,11 @@ def _elementwise(fn: Callable) -> Callable:
     import numpy as np
 
     def apply(*args):
+        a = args[0]
+        if len(args) == 1 and isinstance(a, np.ndarray) and a.dtype == float:
+            # the same elements in the same order, without the broadcast
+            return np.fromiter(map(fn, a.ravel().tolist()), float,
+                               a.size).reshape(a.shape)
         arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
         flat = map(fn, *(a.ravel().tolist() for a in arrs))
         return np.fromiter(flat, float, arrs[0].size).reshape(arrs[0].shape)

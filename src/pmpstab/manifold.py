@@ -91,8 +91,11 @@ class Bicharacteristic:
     `u`, `w` and `s` are views into the manifold's `flat_*` arrays, which
     are the only copy of the samples.  Before that, as for the result of
     `integrate_bicharacteristic`, `tau`, `x`, `nu` and `w` view the sample
-    store its row had in the engine, and keep the whole store alive,
-    including the room it reserved beyond the last sample.
+    store its row had in the engine and keep the whole store alive; the
+    rows it reserved beyond the last sample take no memory, as a store of
+    a page or more lives in its own maps (`_dop853.empty`), and so do `u`
+    and `s`.  Their pages go back to the system when a manifold takes the
+    branch over.
     """
 
     seed: Seed
@@ -394,18 +397,22 @@ def _branch(compiler: _FlowCompiler, seed: Seed, tau_max: float,
         else:
             break  # reached tau_max
 
+    u = np.concatenate(u_parts, out=_dop853.empty((sample_count, 1)))
     return _assemble(sys, seed, samples.t[:sample_count],
-                     samples.y[:sample_count], np.concatenate(u_parts),
-                     events, degenerate_seed, stopped)
+                     samples.y[:sample_count], u, events, degenerate_seed,
+                     stopped)
 
 
 def _assemble(sys, seed, tau, y, u, events, degenerate_seed, stopped):
     """The Bicharacteristic of sample times tau and flow states y (K, 2n+1).
     Its tau is tau and its x, nu and w are column views of y, not copies:
-    for a branch of the engine, views of the row's sample store."""
+    for a branch of the engine, views of the row's sample store.  Like the
+    branch's u, its s comes from `_dop853.empty`, so that it gives its
+    pages back when a manifold takes the branch over."""
     n = sys.n
     x, nu, w = y[:, :n], y[:, n:2 * n], y[:, 2 * n]
-    s = hamiltonian_values(sys, x, nu, u)
+    s = _dop853.empty(len(tau))
+    s[:] = hamiltonian_values(sys, x, nu, u)
     return Bicharacteristic(seed, tau, x, nu, u, w, s, events,
                             degenerate_seed, stopped)
 
@@ -482,14 +489,37 @@ def flow_forward(sys: ControlSystem, x0: Sequence[float], nu0: Sequence[float],
 
 # ----------------------------------------------------------------- assembly
 
+_FIELDS = ("tau", "x", "nu", "u", "w", "s")
+
+
+def _median_gap_radius(branches: Sequence[Bicharacteristic]) -> float:
+    """The default query radius: twice the median distance between
+    consecutive samples of a branch, 2.0 when no branch has two samples
+    and 1e-6 when the median is 0.  The distances go into one array from
+    `_dop853.empty`, which gives its pages back on return, before the
+    KD-tree is built."""
+    counts = [len(b.tau) - 1 for b in branches]
+    if not any(counts):
+        return 2.0
+    gaps = _dop853.empty(sum(counts))
+    lo = 0
+    for b, count in zip(branches, counts):
+        gaps[lo:lo + count] = np.linalg.norm(np.diff(b.x, axis=0), axis=1)
+        lo += count
+    radius = 2.0 * float(np.median(gaps, overwrite_input=True))
+    return radius if radius > 0.0 else 1e-6
+
+
 class LagrangianManifold:
     """Assembled branch family with a cKDTree nearest-sample index.
 
     The flat arrays `flat_tau`, `flat_x`, `flat_nu`, `flat_u`, `flat_w`
-    and `flat_s` hold every sample once, branch after branch.  The
-    constructor takes over the arrays of the branches it is given: each
-    field of each branch becomes a view of its slice of the flat array,
-    and the branch's own array is released.  A Bicharacteristic passed to
+    and `flat_s` hold every sample once, branch after branch, each in its
+    own map (`_dop853.empty`).  The constructor takes over the arrays of
+    the branches it is given, one branch at a time: it copies all six
+    fields of a branch into the flat arrays and makes each field a view of
+    its slice, so the branch's engine store and its own u and s are freed
+    before the next branch is copied.  A Bicharacteristic passed to
     two manifolds ends up viewing the arrays of the later one, with the
     same values; the earlier manifold's `branches` then keep the later
     one's flat arrays alive as well.
@@ -510,23 +540,23 @@ class LagrangianManifold:
         self.tau_max = tau_max
         self.budget = budget
         self.psi = np.array([b.seed.psi for b in branches])
-        # one field at a time, so that each branch's own array is freed
-        # before the next flat array is built; the engine's sample stores,
-        # which tau, x, nu and w view, go once all four are rebound
-        ends = np.cumsum([len(b.tau) for b in branches]).tolist()
-        for name in ("tau", "x", "nu", "u", "w", "s"):
-            flat = np.concatenate([getattr(b, name) for b in branches])
-            for b, lo, hi in zip(branches, [0] + ends, ends):
+        # branch by branch, so that a branch's engine store and its own u
+        # and s are freed as soon as it is copied
+        total = sum(len(b.tau) for b in branches)
+        flats = {name: _dop853.empty((total,
+                                      *getattr(branches[0], name).shape[1:]))
+                 for name in _FIELDS}
+        lo = 0
+        for b in branches:
+            hi = lo + len(b.tau)
+            for name, flat in flats.items():
+                flat[lo:hi] = getattr(b, name)
                 setattr(b, name, flat[lo:hi])
+            lo = hi
+        for name, flat in flats.items():
             setattr(self, f"flat_{name}", flat)
-        if query_radius is None:
-            gaps = [np.linalg.norm(np.diff(b.x, axis=0), axis=1)
-                    for b in branches if len(b.tau) > 1]
-            all_gaps = np.concatenate(gaps) if gaps else np.array([1.0])
-            query_radius = 2.0 * float(np.median(all_gaps))
-            if query_radius <= 0.0:
-                query_radius = 1e-6
-        self.query_radius = query_radius
+        self.query_radius = (_median_gap_radius(branches)
+                             if query_radius is None else query_radius)
         self._tree = cKDTree(self.flat_x)
 
     @property

@@ -526,15 +526,27 @@ class TestQuickStart:
             "ff888826f6dbb34d52e7332c57c413f9640782bd6440033b18b4025f73d9a637")
 
 
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports the same pmpstab as
+    the suite, installed or not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+
+
 class TestEntryPoint:
     def test_console_script_shows_usage(self):
-        # the child imports the same pmpstab as the suite, installed or not
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c",
-                               "from pmpstab.cli import main; main(['--help'])"],
-                              capture_output=True, text=True, env=env)
+        proc = run_child("from pmpstab.cli import main; main(['--help'])")
         assert proc.returncode == 0
         assert "synthesize" in proc.stdout
         assert "observer" in proc.stdout
+
+    def test_import_leaves_out_scipy_optimize_and_integrate(self):
+        # the engine carries its own Brent solver and DOP853 tableau
+        proc = run_child("import sys, pmpstab.cli; print(sorted(m for m in "
+                         "('scipy.optimize', 'scipy.integrate') "
+                         "if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

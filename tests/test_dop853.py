@@ -10,17 +10,21 @@ differs from the one the engine mirrors.
 """
 
 import dataclasses
+import gc
 import math
 import re
+import types
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
 import pmpstab.exprs as ex
 import pmpstab.manifold as M
 from pmpstab import _dop853
 from pmpstab.observer import manipulator_system
+from pmpstab.simulate import StaticSwitchingLaw, simulate_closed_loop
 from pmpstab.synthesis import double_integrator_system
 from pmpstab.systems import ControlSet, ControlSystem
 
@@ -574,3 +578,131 @@ class TestClosedLoopFeatures:
             assert {((1, 0), 1), ((0, 1), 0), ((1,), 1)} <= fired
             assert any(seg_events[0] == 2 and event == 2
                        for seg_events, event in fired)
+
+
+def brent_both(f, a, b, **kw):
+    """What scipy's brentq and the engine's port give on one bracket: the
+    root's bits, or the exception's type and message."""
+    out = []
+    for solve, tol in ((scipy_brentq, {"xtol": _dop853._ROOT_TOL,
+                                        "rtol": _dop853._ROOT_TOL}),
+                       (_dop853.brentq, {})):
+        try:
+            root = solve(f, a, b, **tol, **kw)
+        except (ValueError, RuntimeError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            assert type(root) is float
+            out.append(root.hex())
+    return out
+
+
+class TestBrent:
+    """`_dop853.brentq`, the engine's event root finder, against
+    scipy.optimize.brentq with the engine's tolerances."""
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_dense_output_polynomials(self, system):
+        # each step's interpolant, evaluated as `locate` does, crossing
+        # levels between its end values, entry by entry
+        sys = SYSTEMS[system]()
+        compiler = M._compiler(sys)
+        rng = np.random.default_rng(5)
+        brackets = 0
+        for seg in segments(compiler, seeds(sys, 8), (3.0,), "grid"):
+            sol = reference(compiler, seg, [])
+            for sp in sol.sol.interpolants:
+                F, yo = sp.F.tolist(), sp.y_old.tolist()
+                t_old, t_new, h = float(sp.t_old), float(sp.t), float(sp.h)
+                ends = (_dop853._interp(F, yo, t_old, h, t_old),
+                        _dop853._interp(F, yo, t_old, h, t_new))
+                for k, (g0, g1) in enumerate(zip(*ends)):
+                    for level in (g0, g1, *(g0 + (g1 - g0) * rng.random(2))):
+                        def f(t, k=k, level=level):
+                            return (_dop853._interp(F, yo, t_old, h, t)[k]
+                                    - level)
+                        got, want = brent_both(f, t_old, t_new)
+                        assert got == want
+                        brackets += 1
+        assert brackets >= 600
+
+    def test_random_brackets(self):
+        # roots inside, near-flat odd powers that underflow to zero on a
+        # stretch, steep and tiny functions, and secant steps that divide
+        # by zero
+        rng = np.random.default_rng(11)
+        for i in range(3000):
+            a = float(rng.uniform(-10, 10))
+            b = a + float(10 ** rng.uniform(-12, 2))
+            r = float(rng.uniform(a, b))
+            kind = i % 5
+            if kind == 0:
+                c = rng.normal(size=5).tolist()
+                def f(x, r=r, c=c):
+                    return (x - r) * (1 + sum(0.1 * ci * (x - r) ** (k + 1)
+                                              for k, ci in enumerate(c)))
+            elif kind == 1:
+                p = int(rng.choice([3, 5, 7]))
+                def f(x, r=r, p=p):
+                    return (x - r) ** p * 1e-300
+            elif kind == 2:
+                def f(x, r=r):
+                    return math.tanh((x - r) * 1e6) * 1e-200
+            elif kind == 3:
+                def f(x, r=r):
+                    return math.expm1(x - r)
+            else:
+                s = float(rng.uniform(1e-170, 1e-150))
+                def f(x, r=r, s=s):
+                    return (x - r) * s
+            got, want = brent_both(f, a, b)
+            assert got == want
+
+    @pytest.mark.parametrize("a, b", [(0.25, 2.0), (-2.0, 0.25)])
+    def test_root_at_an_endpoint(self, a, b):
+        got, want = brent_both(lambda x: x - 0.25, a, b)
+        assert got == want == (0.25).hex()
+
+    @pytest.mark.parametrize("f, a, b, kw", [
+        (lambda x: math.nan, 0.0, 1.0, {}),
+        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, {}),
+        (lambda x: x - 2.0, 0.0, 1.0, {}),
+        (lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300, {}),
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0, {"maxiter": 3}),
+    ], ids=["nan-at-a", "nan-inside", "same-sign", "100-iterations",
+            "maxiter"])
+    def test_errors(self, f, a, b, kw):
+        got, want = brent_both(f, a, b, **kw)
+        assert isinstance(got, tuple) and got == want
+
+    def test_event_location_leaves_no_cyclic_garbage(self):
+        # the time-optimal loop from (2, 1) locates about 1,300 events;
+        # scipy's brentq wrapped each event function in a closure that
+        # refers to itself, so every location left a cycle holding the
+        # function `locate` builds.  Other cycles, such as compiled
+        # functions that a full cache lets go, are not counted.
+        law = StaticSwitchingLaw(double_integrator_system(),
+                                 "x1 + x2*abs(x2)/2")
+        simulate_closed_loop(law, (2.0, 1.0), 1.0)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            simulate_closed_loop(law, (2.0, 1.0), 30.0)
+            gc.collect()
+            from_locate = [o for o in gc.garbage
+                           if isinstance(o, types.FunctionType)
+                           and ".locate." in o.__qualname__]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert from_locate == []
+
+
+def test_tableau_equals_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(_dop853, name) == getattr(ref, name)
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        ours, theirs = getattr(_dop853, name), getattr(ref, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()

@@ -16,9 +16,13 @@ switches at most once and only when tan psi < 0.
 """
 
 import csv
+import ctypes
 import gc
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -529,6 +533,34 @@ class TestSwitchRule:
             M.build_manifold(pend_system, pend_lyap, 16, 12.0))
 
 
+# tracemalloc domain of the arrays `_dop853.empty` puts in their own maps
+_MAP_DOMAIN = 0x6d6170
+
+
+@pytest.fixture
+def traced_maps(monkeypatch):
+    """tracemalloc sees numpy's heap arrays but not the anonymous maps of
+    `_dop853.empty`: count each mapped array as a traced allocation of its
+    size, reserved rows included, for as long as it lives."""
+    track = ctypes.pythonapi.PyTraceMalloc_Track
+    track.argtypes = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)
+    track.restype = ctypes.c_int
+    untrack = ctypes.pythonapi.PyTraceMalloc_Untrack
+    untrack.argtypes = (ctypes.c_uint, ctypes.c_size_t)
+    untrack.restype = ctypes.c_int
+    real = _dop853.empty
+
+    def empty(shape):
+        a = real(shape)
+        if a.base is not None:      # a view of its map
+            address = a.ctypes.data
+            track(_MAP_DOMAIN, address, a.nbytes)
+            weakref.finalize(a.base, untrack, _MAP_DOMAIN, address)
+        return a
+
+    monkeypatch.setattr(_dop853, "empty", empty)
+
+
 class TestBuildControls:
     def test_budget_stops_branches_early(self, di_system, di_lyap):
         man = M.build_manifold(di_system, di_lyap, 8, 10.0, budget=2.0)
@@ -582,11 +614,13 @@ class TestBuildControls:
         ("pend_system", 0.32, 64, 12.0), ("di_system", 0.5, 256, 14.0)],
         ids=["pendulum", "di"])
     def test_build_holds_no_per_step_data(self, system, epsilon, count,
-                                          tau_max, request, monkeypatch):
+                                          tau_max, request, monkeypatch,
+                                          traced_maps):
         # the integration phase peaks near the finished branch arrays: the
         # samples go to one growable store per row, not to per-step
         # objects or per-branch copies, and the long steps of the double
-        # integrator are sampled a bounded group of rows at a time
+        # integrator are sampled a bounded group of rows at a time; the
+        # stores' maps count at their whole size
         sys = request.getfixturevalue(system)
         lyap = LyapunovSpec("(x1^2 + x2^2)/2", 2, epsilon=epsilon)
         M.build_manifold(sys, lyap, 8, 1.0)   # compile first
@@ -667,7 +701,7 @@ class TestSingleCopy:
             assert np.may_share_memory(b.x, b.w)
             assert np.may_share_memory(b.nu, b.w)
 
-    def test_built_manifold_holds_about_one_copy(self, di_lyap):
+    def test_built_manifold_holds_about_one_copy(self, di_lyap, traced_maps):
         sys = double_integrator_system()
         M.build_manifold(sys, di_lyap, 32, 14.0)   # compile first
         tracemalloc.start()
@@ -679,6 +713,49 @@ class TestSingleCopy:
             tracemalloc.stop()
         flat = sum(getattr(man, f"flat_{name}").nbytes for name in _FIELDS)
         assert held <= 1.25 * flat
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_build_raises_rss_by_less_than_two_copies(self):
+        # a fresh interpreter, so that no earlier test's freed memory is
+        # reused: the pendulum config's build raises the peak RSS over the
+        # import by at most 1.8 times the flat arrays (about 1.6; 2.2 when
+        # the engine stores, the branches' u and s and the radius's gaps
+        # came from the heap).  VmHWM is the peak of this process alone;
+        # ru_maxrss would start from the peak of the process that spawned
+        # it.
+        code = """if True:
+            import json
+            import pmpstab as ps
+            with open(%r) as fh:
+                cfg = json.load(fh)
+            def peak():
+                with open("/proc/self/status") as fh:
+                    for line in fh:
+                        if line.startswith("VmHWM:"):
+                            return 1024 * int(line.split()[1])
+            before = peak()
+            sys_ = ps.ControlSystem(2, ps.ControlSet.box([-1.0], [1.0]),
+                                    drift=cfg["system"]["drift"],
+                                    columns=cfg["system"]["columns"])
+            lyap = ps.LyapunovSpec(cfg["lyapunov"]["V"], 2,
+                                   epsilon=cfg["lyapunov"]["epsilon"])
+            man = ps.build_manifold(sys_, lyap, cfg["manifold"]["N"],
+                                    cfg["manifold"]["tau_max"])
+            flat = sum(getattr(man, "flat_" + name).nbytes for name in
+                       ("tau", "x", "nu", "u", "w", "s"))
+            print(peak() - before, flat)
+        """ % os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "pendulum.json")
+        src = os.path.dirname(os.path.dirname(M.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        rise, flat = map(int, proc.stdout.split())
+        assert flat > 20 * 2**20
+        assert rise <= 1.8 * flat
 
     def test_reusing_branches_leaves_the_first_manifold_unchanged(
             self, di_system, di_lyap):
