@@ -79,7 +79,7 @@ _CONFIG = dict(
     manifold=_block(N=(256, _COUNT), tau_max=(10.0, _NUMBER),
                     budget=(1e6, _NUMBER), query_radius=(None, _NUMBER)),
     simulation=_block(
-        t_max=(100.0, _NUMBER), x0=(_OPTIONAL, _NUMBERS),
+        t_max=(100.0, _POSITIVE), x0=(_OPTIONAL, _NUMBERS),
         grid=(_OPTIONAL, dict(lower=(_REQUIRED, _NUMBERS),
                               upper=(_REQUIRED, _NUMBERS),
                               res=(_REQUIRED, _COUNT))),
@@ -88,7 +88,7 @@ _CONFIG = dict(
         abs_tol=(1e-12, _POSITIVE), blowup=(1e6, _POSITIVE)),
     observer=_block(
         L=(1.0, _NUMBER), margin=(0.1, _NUMBER), x0=(_OPTIONAL, _NUMBERS),
-        z0=(_OPTIONAL, _NUMBERS), t_max=(100.0, _NUMBER),
+        z0=(_OPTIONAL, _NUMBERS), t_max=(100.0, _POSITIVE),
         record_dt=(0.01, _POSITIVE), delta=(_OPTIONAL, _NUMBER),
         beta1=(_OPTIONAL, _NUMBER), beta2=(_OPTIONAL, _NUMBER)),
 )

@@ -13,9 +13,11 @@ Grammar (no implicit multiplication):
 Expressions are stationary: the state variables x1..xn (1-based, checked
 against the declared dimension at parse time) are the only variables, so
 `t` and the controls u1, u2, ... are rejected at parse time.  sign(0)
-evaluates to 0.  Differentiation is symbolic; derivatives taken through
-abs/sign are valid away from the kink and the kink arguments can be
-recovered with `kink_arguments`.
+evaluates to 0.  `diff` is the one derivative function, symbolic; a
+derivative taken through abs/sign is valid away from the kinks, whose
+arguments `kink_arguments` lists.  `compile_scalar` and `compile_batch`
+exec-compile expressions into functions that form no reference cycle,
+so a dropped one is freed at once, without the cyclic collector.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
+import numpy as np
+
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "ExprError", "ExprSyntaxError", "ExprDomainError",
-    "parse", "evaluate", "diff", "diff_with_flag", "to_source",
+    "parse", "evaluate", "diff", "to_source",
     "kink_arguments", "substitute", "compile_scalar", "compile_batch",
     "FUNCTIONS",
 ]
@@ -361,81 +365,65 @@ def _as_var(var: Union[str, Var]) -> Var:
     return Var(int(var_match.group(1)))
 
 
-def diff_with_flag(e: Expr, var: Union[str, Var]) -> tuple[Expr, bool]:
-    """Symbolic derivative and a flag set when abs/sign was differentiated
-    through (the result is then valid only away from the kink)."""
-    v = _as_var(var)
-    kinked = False
-
-    def d(e: Expr) -> Expr:
-        nonlocal kinked
-        if isinstance(e, Num):
-            return Num(0.0)
-        if isinstance(e, Var):
-            return Num(1.0) if e == v else Num(0.0)
-        if isinstance(e, Neg):
-            return _neg(d(e.arg))
-        if isinstance(e, BinOp):
-            if e.op == "+":
-                return _add(d(e.lhs), d(e.rhs))
-            if e.op == "-":
-                return _sub(d(e.lhs), d(e.rhs))
-            if e.op == "*":
-                return _add(_mul(d(e.lhs), e.rhs), _mul(e.lhs, d(e.rhs)))
-            if e.op == "/":
-                # (a' - (a/b) b')/b: b^2 would under- or overflow long
-                # before b does
-                return _div(_sub(d(e.lhs), _mul(e, d(e.rhs))), e.rhs)
-            k = int(e.rhs.value)  # type: ignore[union-attr]
-            return _mul(_mul(_num(k), _pow(e.lhs, k - 1)), d(e.lhs))
-        # Call
-        da = d(e.arg)
-        if e.fn == "sin":
-            outer: Expr = Call("cos", e.arg)
-        elif e.fn == "cos":
-            outer = _neg(Call("sin", e.arg))
-        elif e.fn == "tan":
-            outer = _div(Num(1.0), _pow(Call("cos", e.arg), 2))
-        elif e.fn == "exp":
-            outer = Call("exp", e.arg)
-        elif e.fn == "log":
-            outer = _div(Num(1.0), e.arg)
-        elif e.fn == "sqrt":
-            outer = _div(Num(1.0), _mul(Num(2.0), Call("sqrt", e.arg)))
-        elif e.fn == "tanh":
-            outer = _sub(Num(1.0), _pow(Call("tanh", e.arg), 2))
-        elif e.fn == "abs":
-            kinked = True
-            outer = Call("sign", e.arg)
-        else:  # sign: zero away from the kink
-            kinked = True
-            return Num(0.0) if _is_zero(da) else _mul(Num(0.0), da)
-        return _mul(outer, da)
-
-    return d(e), kinked
+def _d(e: Expr, v: Var) -> Expr:
+    if isinstance(e, Num):
+        return Num(0.0)
+    if isinstance(e, Var):
+        return Num(1.0) if e == v else Num(0.0)
+    if isinstance(e, Neg):
+        return _neg(_d(e.arg, v))
+    if isinstance(e, BinOp):
+        if e.op == "+":
+            return _add(_d(e.lhs, v), _d(e.rhs, v))
+        if e.op == "-":
+            return _sub(_d(e.lhs, v), _d(e.rhs, v))
+        if e.op == "*":
+            return _add(_mul(_d(e.lhs, v), e.rhs), _mul(e.lhs, _d(e.rhs, v)))
+        if e.op == "/":
+            # (a' - (a/b) b')/b: b^2 would under- or overflow long
+            # before b does
+            return _div(_sub(_d(e.lhs, v), _mul(e, _d(e.rhs, v))), e.rhs)
+        k = int(e.rhs.value)  # type: ignore[union-attr]
+        return _mul(_mul(_num(k), _pow(e.lhs, k - 1)), _d(e.lhs, v))
+    # Call
+    da = _d(e.arg, v)
+    if e.fn == "sin":
+        outer: Expr = Call("cos", e.arg)
+    elif e.fn == "cos":
+        outer = _neg(Call("sin", e.arg))
+    elif e.fn == "tan":
+        outer = _div(Num(1.0), _pow(Call("cos", e.arg), 2))
+    elif e.fn == "exp":
+        outer = Call("exp", e.arg)
+    elif e.fn == "log":
+        outer = _div(Num(1.0), e.arg)
+    elif e.fn == "sqrt":
+        outer = _div(Num(1.0), _mul(Num(2.0), Call("sqrt", e.arg)))
+    elif e.fn == "tanh":
+        outer = _sub(Num(1.0), _pow(Call("tanh", e.arg), 2))
+    elif e.fn == "abs":
+        outer = Call("sign", e.arg)
+    else:  # sign: zero away from the kink
+        return Num(0.0) if _is_zero(da) else _mul(Num(0.0), da)
+    return _mul(outer, da)
 
 
 def diff(e: Expr, var: Union[str, Var]) -> Expr:
-    return diff_with_flag(e, var)[0]
+    """Symbolic derivative.  Through abs and sign it is valid only away
+    from the kinks, where the arguments `kink_arguments` lists are 0."""
+    return _d(e, _as_var(var))
 
 
 def kink_arguments(e: Expr) -> list[Expr]:
     """Arguments of abs/sign nodes; derivatives are invalid where these are 0."""
-    out: list[Expr] = []
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Neg):
-            walk(e.arg)
-        elif isinstance(e, BinOp):
-            walk(e.lhs)
-            walk(e.rhs)
-        elif isinstance(e, Call):
-            if e.fn in ("abs", "sign"):
-                out.append(e.arg)
-            walk(e.arg)
-
-    walk(e)
-    return out
+    if isinstance(e, Neg):
+        return kink_arguments(e.arg)
+    if isinstance(e, BinOp):
+        return kink_arguments(e.lhs) + kink_arguments(e.rhs)
+    if isinstance(e, Call):
+        return ([e.arg] if e.fn in ("abs", "sign") else []) \
+            + kink_arguments(e.arg)
+    return []
 
 
 # ------------------------------------------------------------ substitution
@@ -469,28 +457,28 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
+def _src(e: Expr, min_prec: int) -> str:
+    if isinstance(e, Num):
+        return _fmt_num(e.value)
+    if isinstance(e, Var):
+        return f"x{e.index}"
+    if isinstance(e, Call):
+        return f"{e.fn}({_src(e.arg, 0)})"
+    if isinstance(e, Neg):
+        text = "-" + _src(e.arg, 3)
+        return f"({text})" if min_prec > 3 else text
+    prec = _PREC[e.op]
+    if e.op == "^":
+        text = f"{_src(e.lhs, 5)}^{_fmt_num(e.rhs.value)}"  # type: ignore[union-attr]
+    else:
+        # left-assoc: a rhs of the same precedence keeps its parentheses
+        text = f"{_src(e.lhs, prec)} {e.op} {_src(e.rhs, prec + 1)}"
+    return f"({text})" if prec < min_prec else text
+
+
 def to_source(e: Expr) -> str:
     """Render to text that parses back to a structurally equal tree."""
-
-    def p(e: Expr, min_prec: int) -> str:
-        if isinstance(e, Num):
-            return _fmt_num(e.value)
-        if isinstance(e, Var):
-            return f"x{e.index}"
-        if isinstance(e, Call):
-            return f"{e.fn}({p(e.arg, 0)})"
-        if isinstance(e, Neg):
-            text = "-" + p(e.arg, 3)
-            return f"({text})" if min_prec > 3 else text
-        prec = _PREC[e.op]
-        if e.op == "^":
-            text = f"{p(e.lhs, 5)}^{_fmt_num(e.rhs.value)}"  # type: ignore[union-attr]
-        else:
-            # left-assoc: a rhs of the same precedence keeps its parentheses
-            text = f"{p(e.lhs, prec)} {e.op} {p(e.rhs, prec + 1)}"
-        return f"({text})" if prec < min_prec else text
-
-    return p(e, 0)
+    return _src(e, 0)
 
 
 # ------------------------------------------------------------------ codegen
@@ -521,7 +509,6 @@ def _codegen(e: Expr, array_mode: bool) -> str:
 def _elementwise(fn: Callable) -> Callable:
     """fn applied to every element of its broadcast array arguments, with
     fn's own results and exceptions."""
-    import numpy as np
 
     def apply(*args):
         a = args[0]
@@ -536,18 +523,13 @@ def _elementwise(fn: Callable) -> Callable:
     return apply
 
 
-def _batch_namespace() -> dict:
-    # numpy's own transcendental functions and integer powers may differ
-    # from the C library in the last bit, so every function, power and
-    # division is applied element by element with the scalar operation
-    ns = {name: _elementwise(fn) for name, fn in _SCALAR_FNS.items()}
-    ns["_pow"] = _elementwise(pow)
-    ns["_div"] = _elementwise(operator.truediv)
-    import numpy as np
-    ns["np"] = np
-    return ns
-
-
+_SCALAR_NS = dict(_SCALAR_FNS, ndarray=np.ndarray)
+# numpy's own transcendental functions and integer powers may differ
+# from the C library in the last bit, so every function, power and
+# division is applied element by element with the scalar operation
+_BATCH_NS = dict({name: _elementwise(fn) for name, fn in _SCALAR_FNS.items()},
+                 _pow=_elementwise(pow), _div=_elementwise(operator.truediv),
+                 np=np)
 _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -567,18 +549,21 @@ def _values(exprs: Iterable[Expr], weights: Sequence[int],
 
 def _exec_guarded(prologue: Sequence[str], body: Sequence[str],
                   ns: dict) -> Callable:
-    """exec-compile `def _fn(t, x)`: the prologue lines, then the body
-    lines with the domain errors of their operations raised as
-    ExprDomainError.  The source is kept as fn._source."""
+    """exec-compile `def _fn(t, x)` with a copy of `ns` as its globals:
+    the prologue lines, then the body lines with the domain errors of
+    their operations raised as ExprDomainError.  The source is kept as
+    fn._source.  `_fn` is popped from the copy, so the function and its
+    globals form no reference cycle."""
     src = ("def _fn(t, x):\n"
            + "".join(f"    {line}\n" for line in prologue)
            + "    try:\n"
            + "".join(f"        {line}\n" for line in body)
            + "    except _DOMAIN_ERRORS as exc:\n"
            + "        raise ExprDomainError(str(exc)) from exc\n")
-    ns.update(_DOMAIN_ERRORS=_DOMAIN_ERRORS, ExprDomainError=ExprDomainError)
-    exec(src, ns)
-    fn = ns["_fn"]
+    scope = dict(ns, _DOMAIN_ERRORS=_DOMAIN_ERRORS,
+                 ExprDomainError=ExprDomainError)
+    exec(src, scope)
+    fn = scope.pop("_fn")
     fn._source = src
     return fn
 
@@ -595,11 +580,9 @@ def compile_scalar(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callab
     whole evaluation is one exec-compiled function, so an integrator pays
     a single Python call per right-hand side.
     """
-    import numpy as np
     lines, values = _values(exprs, weights, array_mode=False)
-    ns = dict(_SCALAR_FNS, ndarray=np.ndarray)
     return _exec_guarded(["if x.__class__ is ndarray: x = x.tolist()"],
-                         lines + [f"return [{', '.join(values)}]"], ns)
+                         lines + [f"return [{', '.join(values)}]"], _SCALAR_NS)
 
 
 def compile_batch(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callable:
@@ -619,4 +602,4 @@ def compile_batch(exprs: Iterable[Expr], weights: Sequence[int] = ()) -> Callabl
     body.append(f"    out = np.empty((x.shape[0], {len(values)}))")
     body += [f"    out[:, {k}] = {v}" for k, v in enumerate(values)]
     body.append("    return out")
-    return _exec_guarded([], body, _batch_namespace())
+    return _exec_guarded([], body, _BATCH_NS)

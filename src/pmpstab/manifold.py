@@ -240,7 +240,7 @@ class _FlowCompiler:
         for k in range(n):
             acc: ex.Expr = ex.Num(0.0)
             for i in range(n):
-                dik, _ = ex.diff_with_flag(xdot[i], f"x{k + 1}")
+                dik = ex.diff(xdot[i], f"x{k + 1}")
                 acc = ex._add(acc, ex._mul(dik, ex.Var(n + 1 + i)))
             body.append(acc)
         if key[1] == "forward":

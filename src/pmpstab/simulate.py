@@ -225,12 +225,12 @@ _BALL, _LEAVE, _ENTER, _SIGMA, _BLOWUP = range(5)
 _INNER = "inner"
 
 
-def _settings(rel_tol: float = 1e-9, abs_tol: float = 1e-12,
+def _settings(t_max: float, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
               convergence_radius: float = 1e-2, dwell: float = 1.0,
               blowup: float = 1e6, record_dt: float | None = None) -> dict:
     """The closed-loop settings as a dict, each checked to be a positive
     real number, with the squared radii r2_ball and r2_blowup."""
-    settings = dict(rel_tol=rel_tol, abs_tol=abs_tol,
+    settings = dict(t_max=t_max, rel_tol=rel_tol, abs_tol=abs_tol,
                     convergence_radius=convergence_radius, dwell=dwell,
                     blowup=blowup, record_dt=record_dt)
     bad = [name for name, v in settings.items()
@@ -242,7 +242,7 @@ def _settings(rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                 r2_blowup=blowup * blowup)
 
 
-def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
+def _closed_loop(law, x0: Sequence[float], settings: dict):
     """The closed loop from x0 as a row of `_run`: a generator that yields
     its solver segments and returns the Trajectory.  A failed solver
     segment raises RuntimeError; blowup raises BlowupError."""
@@ -253,7 +253,8 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
     x = np.asarray(x0, dtype=float)
     if len(x) != sys.n:
         raise ValueError(f"x0 must have {sys.n} components")
-    dwell, record_dt = settings["dwell"], settings["record_dt"]
+    t_max, dwell = settings["t_max"], settings["dwell"]
+    record_dt = settings["record_dt"]
     rec = _Recorder()
     t = 0.0
     switch_times: collections.deque = collections.deque(maxlen=CHATTER_LIMIT)
@@ -403,8 +404,6 @@ def _closed_loop(law, x0: Sequence[float], t_max: float, settings: dict):
                 else:
                     in_ball_since = None
 
-    if not rec.ts:
-        rec.add(0.0, x, _control(law, x))
     final_region = "inner" if law.boundary_value(x) <= 0.0 else "outer"
     return Trajectory(np.asarray(rec.ts), np.asarray(rec.xs),
                       np.asarray(rec.us)[:, None], tuple(rec.events),
@@ -466,11 +465,12 @@ def simulate_closed_loop(law, x0: Sequence[float], t_max: float, *,
     Blowup raises BlowupError, and a failed solver segment RuntimeError.
     Sliding steps are SLIDE_STEP long, the last one shortened to end at
     t_max.  record_dt switches sampling from solver steps to a fixed grid
-    (events are always recorded).
+    (events are always recorded).  t_max and the options must be
+    positive, record_dt when set; otherwise ValueError names them.
     """
-    settings = _settings(rel_tol, abs_tol, convergence_radius, dwell,
+    settings = _settings(t_max, rel_tol, abs_tol, convergence_radius, dwell,
                          blowup, record_dt)
-    (traj,) = _run(law, [_closed_loop(law, x0, t_max, settings)], settings)
+    (traj,) = _run(law, [_closed_loop(law, x0, settings)], settings)
     return traj
 
 
@@ -492,14 +492,11 @@ def stabilization_verdict(law, traj: Trajectory) -> Verdict:
     """
     v = np.array([law.lyapunov.value(p) for p in traj.x])
     inside = v <= law.epsilon
-    inc = -math.inf
-    for i in range(len(v) - 1):
-        if inside[i] and inside[i + 1]:
-            inc = max(inc, float(v[i + 1] - v[i]))
+    steps = np.diff(v)[inside[:-1] & inside[1:]]
     max_u = float(np.max(np.abs(traj.u))) if traj.u.size else 0.0
     return Verdict(traj.converged, traj.t_converged,
                    float(np.linalg.norm(traj.x[-1])), max_u,
-                   inc if inc > -math.inf else 0.0)
+                   float(steps.max()) if steps.size else 0.0)
 
 
 @dataclass(frozen=True)
@@ -534,10 +531,10 @@ def simulate_grid(law, lower: Sequence[float], upper: Sequence[float],
     their next segment and the starts before it run on; then the first
     start that failed, in grid order, raises its exception."""
     pts = box_grid(lower, upper, grid_res)
-    settings = _settings(**options)
+    settings = _settings(t_max, **options)
 
     def row(x0):
-        traj = yield from _closed_loop(law, x0, t_max, settings)
+        traj = yield from _closed_loop(law, x0, settings)
         return stabilization_verdict(law, traj)
 
     verdicts = _run(law, [row(p) for p in pts], settings)

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .exprs import (
-    Expr, _add, _mul, compile_batch, compile_scalar, diff_with_flag,
-    evaluate, kink_arguments, parse, to_source,
+    Expr, _add, _mul, compile_batch, compile_scalar, diff, evaluate,
+    kink_arguments, parse, to_source,
 )
 
 __all__ = [
@@ -87,11 +87,6 @@ class ControlSet:
                        for v, l, h in zip(u, self.lower, self.upper))
         return any(all(abs(v - c) <= CONTAINS_TOL for v, c in zip(u, vals))
                    for vals in self.values)
-
-    def clip(self, u: Sequence[float]) -> list[float]:
-        if not self.is_box:
-            raise SystemError("clip is defined for box control sets only")
-        return [min(max(v, l), h) for v, l, h in zip(u, self.lower, self.upper)]
 
 
 class ControlSystem:
@@ -178,11 +173,8 @@ class ControlSystem:
         flat: list[Expr] = []
         kink_args: list[Expr] = []
         for e in exprs:
-            for j in range(1, self.n + 1):
-                de, kinked = diff_with_flag(e, f"x{j}")
-                flat.append(de)
-                if kinked:
-                    kink_args.extend(kink_arguments(e))
+            flat += [diff(e, f"x{j}") for j in range(1, self.n + 1)]
+            kink_args += kink_arguments(e)
         cached = self._jac_cache[key] = (compile_scalar(flat), kink_args)
         return cached
 
@@ -250,11 +242,8 @@ class LyapunovSpec:
         self.epsilon = epsilon
         self.expr = parse(source, n)
         self._v_fn = compile_scalar([self.expr])
-        grads = []
-        for j in range(1, n + 1):
-            de, _ = diff_with_flag(self.expr, f"x{j}")
-            grads.append(de)
-        self.grad_exprs = tuple(grads)
+        self.grad_exprs = tuple(diff(self.expr, f"x{j}")
+                                for j in range(1, n + 1))
         self._grad_fn = compile_scalar(self.grad_exprs)
         v0 = self.value([0.0] * n)
         if abs(v0) > 1e-12:

@@ -239,7 +239,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("record_dt", 0.0), ("convergence_radius", -1.0),
         ("dwell", float("nan")), ("rel_tol", 0), ("abs_tol", -1e-12),
-        ("blowup", 0.0)])
+        ("blowup", 0.0), ("t_max", -5.0), ("t_max", 0)])
     def test_nonpositive_simulation_setting_exits_one(self, key, value,
                                                       tmp_path, capsys,
                                                       monkeypatch):
@@ -249,6 +249,11 @@ class TestExitCodes:
     def test_nonpositive_observer_record_dt_exits_one(self, tmp_path, capsys,
                                                       monkeypatch):
         assert_rejected_before_build("observer", "record_dt", -0.01,
+                                     tmp_path, capsys, monkeypatch)
+
+    def test_nonpositive_observer_t_max_exits_one(self, tmp_path, capsys,
+                                                  monkeypatch):
+        assert_rejected_before_build("observer", "t_max", -5.0,
                                      tmp_path, capsys, monkeypatch)
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):

@@ -236,6 +236,23 @@ class TestOracle:
             assert_same_segment(out, reference(compiler, seg, events), 1)
         assert {out.event for out in outs} == {0, None}
 
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_root_at_the_previous_step_point(self, name):
+        # (t - T)^2 armed rising has its root at the step point T, found at
+        # the start of the step after it: with dense output, solve_ivp
+        # drops that step and ends the segment at T
+        sys = SYSTEMS[name]()   # the compiler holds its system weakly
+        compiler = M._compiler(sys)
+        (seg,) = segments(compiler, seeds(sys, 1), (2.0,), "grid")
+        seg = dataclasses.replace(seg, directions=(1.0,))
+        T = float(reference(compiler, seg, []).t[3])
+        events = [(lambda t, y: (t - T) ** 2, None)]
+        (out,) = engine(compiler, [seg], events)
+        sol = reference(compiler, seg, events)
+        assert out.event == 0 and out.t == T
+        assert_same_segment(out, sol, 1)
+        assert_same_grid(out, sol, False)
+
     def test_few_rows_take_the_scalar_path(self):
         # below _dop853._SMALL rows the right-hand side is called row by row
         sys = SYSTEMS["pendulum"]()

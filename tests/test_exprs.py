@@ -1,13 +1,17 @@
 """Expression parsing, evaluation, differentiation and compilation."""
 
+import ast
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pmpstab as ps
 from pmpstab import exprs
 from pmpstab.exprs import (
     ExprDomainError,
@@ -15,7 +19,6 @@ from pmpstab.exprs import (
     compile_batch,
     compile_scalar,
     diff,
-    diff_with_flag,
     evaluate,
     kink_arguments,
     parse,
@@ -131,13 +134,14 @@ class TestDifferentiation:
         assert to_source(diff(parse("tanh(x1)", 1), "x1")) == "1 - tanh(x1)^2"
 
     def test_abs_derivative_flags_kink(self):
-        d, kinked = diff_with_flag(parse("abs(x1)", 1), "x1")
-        assert kinked
-        assert to_source(d) == "sign(x1)"
+        e = parse("abs(x1)", 1)
+        assert kink_arguments(e) == [exprs.Var(1)]
+        assert to_source(diff(e, "x1")) == "sign(x1)"
 
     def test_smooth_derivative_not_flagged(self):
-        _, kinked = diff_with_flag(parse("x1^3 + sin(x1)", 1), "x1")
-        assert not kinked
+        e = parse("x1^3 + sin(x1)", 1)
+        assert kink_arguments(e) == []
+        assert kink_arguments(diff(e, "x1")) == []
 
     def test_constants_differentiate_to_zero(self):
         d = diff(parse("pi + x2", 2), "x1")
@@ -412,3 +416,58 @@ class TestProperties:
             assert abs(exact - fine) <= 1e-5 * (1.0 + abs(fine)) + noise, var
             checked += 1
         assume(checked)
+
+
+def _pipeline():
+    """A small run of every layer that compiles expressions: a DI law and
+    its closed loop, one forward flow, and a pendulum law under output
+    feedback."""
+    sys_ = ps.double_integrator_system()
+    lyap = ps.double_integrator_lyapunov(0.5)
+    man = ps.build_manifold(sys_, lyap, 16, 6.0)
+    law = ps.assemble_feedback(sys_, lyap, man, ["-x1 - x2*(1 - x1^2)/2"],
+                               k=1.0, C=1.0)
+    ps.simulate_closed_loop(law, (1.5, 0.5), 20.0)
+    i = len(man.flat_tau) // 2
+    ps.flow_forward(sys_, man.flat_x[i], man.flat_nu[i],
+                    float(man.flat_tau[i]))
+    sys_ = ps.manipulator_system("-sin(x1)")
+    lyap = ps.LyapunovSpec("(x1^2 + x2^2)/2", 2, epsilon=0.32)
+    man = ps.build_manifold(sys_, lyap, 16, 3.0)
+    law = ps.assemble_feedback(sys_, lyap, man, ["sin(x1) - x1 - x2"],
+                               k=1.0, C=1.0)
+    ps.simulate_output_feedback(sys_, law, ps.select_gains(1.0), (0.5, 0.0),
+                                (0.5, 0.2), 5.0)
+
+
+class TestNoReferenceCycles:
+    def test_pipeline_leaves_no_cyclic_garbage(self):
+        _pipeline()     # first-use caches
+        gc.collect()
+        gc.disable()
+        try:
+            _pipeline()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_compiled_functions_share_one_namespace_without_cycles(self):
+        es = [parse("sin(x1)/x2 + x1^2", 2)]
+        f, g = compile_batch(es), compile_batch(es)
+        assert f.__globals__ is not g.__globals__
+        for name in ("sin", "_div", "_pow", "np"):
+            assert f.__globals__[name] is g.__globals__[name]
+        refs = [weakref.ref(f), weakref.ref(compile_scalar(es))]
+        del f, g
+        assert [r() for r in refs] == [None, None]
+
+    def test_no_nested_function_calls_itself(self):
+        tree = ast.parse(open(exprs.__file__).read())
+        for outer in ast.walk(tree):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for fn in ast.walk(outer):
+                if isinstance(fn, ast.FunctionDef) and fn is not outer:
+                    assert not any(isinstance(c, ast.Call)
+                                   and getattr(c.func, "id", None) == fn.name
+                                   for c in ast.walk(fn)), fn.name

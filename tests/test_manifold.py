@@ -160,6 +160,22 @@ class TestBranchClosedForms:
             assert b.events == []
             assert max(abs(v) for v in b.s) <= 1e-9
 
+    def test_non_transversal_degenerate_seed_is_one_sample(self):
+        # xdot = u: ad_f b = 0, so the tangency seeds psi = 0 and pi are
+        # not transversal either, and their branches stop at the seed
+        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
+                            drift=("0", "0"), columns=(("0", "1"),))
+        lyap = LyapunovSpec("(x1^2 + x2^2)/2", 2, epsilon=0.5)
+        man = M.build_manifold(sys, lyap, 16, 2.0)
+        for idx, b in enumerate(man.branches):
+            if idx in (0, 8):
+                assert b.degenerate_seed
+                assert len(b.tau) == 1
+                assert [(e.kind, e.tau, e.sample_index) for e in b.events] \
+                    == [("transversality-failure", 0.0, 0)]
+            else:
+                assert len(b.tau) > 1 and b.events == []
+
     def test_branches_switch_exactly_when_tan_psi_is_negative(self, di_manifold_small):
         for b in di_manifold_small.branches:
             psi = b.seed.psi
@@ -946,7 +962,7 @@ def reference_rhs(sys, u):
     for k in range(n):
         acc = ex.Num(0.0)
         for i in range(n):
-            dik, _ = ex.diff_with_flag(xdot[i], f"x{k + 1}")
+            dik = ex.diff(xdot[i], f"x{k + 1}")
             acc = ex._add(acc, ex._mul(dik, ex.Var(n + 1 + i)))
         body.append(acc)
     core = ex.compile_scalar(body)

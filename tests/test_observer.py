@@ -215,6 +215,13 @@ class TestOutputFeedback:
         assert crossings[:2] == pytest.approx([1.544, 1.770], abs=1e-3)
         assert res.converged
 
+    @pytest.mark.parametrize("t_max", [0.0, -5.0, float("nan")])
+    def test_nonpositive_horizon_is_rejected(self, pend_system, pend_law,
+                                             pend_gains, t_max):
+        with pytest.raises(ValueError, match="^t_max must be positive$"):
+            simulate_output_feedback(pend_system, pend_law, pend_gains,
+                                     (0.5, 0.0), (0.5, 0.2), t_max)
+
     def test_error_log_export(self, result, tmp_path):
         path = tmp_path / "err.csv"
         OB.export_error_log(result, str(path))

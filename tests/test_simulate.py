@@ -276,6 +276,13 @@ class TestSettings:
             simulate_closed_loop(relay_law, (0.8,), 10.0, abs_tol=-1.0,
                                  record_dt=0.0)
 
+    @pytest.mark.parametrize("t_max", [0.0, -5.0, float("nan")])
+    def test_nonpositive_horizon_is_rejected(self, relay_law, t_max):
+        with pytest.raises(ValueError, match="^t_max must be positive$"):
+            simulate_closed_loop(relay_law, (0.8,), t_max)
+        with pytest.raises(ValueError, match="^t_max must be positive$"):
+            simulate_grid(relay_law, (-1.0,), (1.0,), 3, t_max)
+
     def test_two_input_system_is_rejected(self, monkeypatch):
         def no_segment(*args):
             raise AssertionError("a segment was requested")
@@ -347,6 +354,15 @@ class TestDoubleIntegratorLoop:
         on_grid = np.isclose(ts / 0.25, np.round(ts / 0.25), atol=1e-9)
         assert np.count_nonzero(on_grid) >= len(ts) - 2 * len(traj.events)
 
+    def test_horizon_off_the_record_grid_is_the_last_sample(self, di_law):
+        # a segment whose record times stop short of its end would return
+        # there, and the loop would request it again forever
+        with wall_time_limit(30):
+            traj = simulate_closed_loop(di_law, (3.0, 3.0), 0.505,
+                                        record_dt=0.01)
+        assert traj.events == ()
+        assert traj.t.tolist() == [k * 0.01 for k in range(51)] + [0.505]
+
     def test_blowup_guard_raises(self, di_law):
         with pytest.raises(BlowupError) as info:
             simulate_closed_loop(di_law, (3.0, 3.0), 100.0, blowup=2.0)
@@ -370,6 +386,15 @@ class TestVerdict:
         assert v.max_abs_u <= di_law.k + 1e-12
         # V never increases along inner-region samples
         assert v.v_inner_increase_max <= 1e-9
+
+    def test_largest_inside_step_equals_the_loop(self, di_law):
+        for x0 in [(3.0, 3.0), (0.5, 0.3), (0.0, 0.0)]:
+            traj = simulate_closed_loop(di_law, x0, 100.0, record_dt=0.05)
+            v = [di_law.lyapunov.value(p) for p in traj.x]
+            steps = [b - a for a, b in zip(v, v[1:])
+                     if a <= di_law.epsilon and b <= di_law.epsilon]
+            assert stabilization_verdict(di_law, traj).v_inner_increase_max \
+                == (max(steps) if steps else 0.0)
 
 
 def serial_verdicts(law, lower, upper, res, t_max, **options):

@@ -6,6 +6,7 @@ import pytest
 from pmpstab.systems import (
     ControlSet,
     ControlSystem,
+    KinkError,
     LyapunovSpec,
     equilibrium_residual,
     lie_bracket_adfb,
@@ -26,7 +27,6 @@ class TestControlSet:
         assert om.contains((0.5, 1.0))
         assert om.contains((1.0, 2.0))
         assert not om.contains((1.1, 1.0))
-        assert om.clip((3.0, -5.0)) == [1.0, 0.0]
 
     def test_finite_membership(self):
         om = ControlSet.finite([(-1.0,), (0.0,), (1.0,)])
@@ -34,11 +34,6 @@ class TestControlSet:
         assert om.contains((0.0,))
         assert om.contains((1.0 + 1e-13,))
         assert not om.contains((0.5,))
-
-    def test_finite_clip_rejected(self):
-        om = ControlSet.finite([(-1.0,), (1.0,)])
-        with pytest.raises(Exception, match="box"):
-            om.clip((0.2,))
 
     def test_box_requires_ordered_bounds(self):
         with pytest.raises(Exception):
@@ -91,6 +86,20 @@ class TestStructureDiagnostics:
                             drift=("x2", "-sin(x1)"), columns=(("0", "1"),))
         # ad_f b = -(df/dx) b = (-1, 0) since b is constant
         assert lie_bracket_adfb(sys, (0.9, -0.4)) == pytest.approx([-1.0, 0.0])
+
+    def test_kink_of_abs_raises_and_sign_is_used_away_from_it(self):
+        sys = ControlSystem(2, ControlSet.box((-1.0,), (1.0,)),
+                            drift=("x2", "-abs(x1)"), columns=(("0", "1"),))
+        with pytest.raises(KinkError, match="kink of x1"):
+            sys.jacobian_drift((0.0, 1.0))
+        with pytest.raises(KinkError, match="kink of x1"):
+            lie_bracket_adfb(sys, (0.0, 1.0))
+        # d(-abs(x1))/dx1 = -sign(x1)
+        assert sys.jacobian_drift((2.0, 1.0)).tolist() == [[0.0, 1.0],
+                                                           [-1.0, 0.0]]
+        assert sys.jacobian_drift((-2.0, 1.0)).tolist() == [[0.0, 1.0],
+                                                            [1.0, 0.0]]
+        assert lie_bracket_adfb(sys, (-2.0, 1.0)).tolist() == [-1.0, 0.0]
 
     def test_equilibrium_residual_detects_parallel_fields(self):
         sys = di()
